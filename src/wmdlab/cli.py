@@ -256,7 +256,9 @@ def _cache_name(dataset: str, fold: int, method: Method, tag: str) -> str:
 def _cache_key(cfg: RunConfig, manifest: dict, fold: int, method: Method,
                tag: str) -> str:
     payload = {
+        "version": __version__,
         "inputs": manifest["inputs"],
+        "format": cfg.format,
         "fold": fold,
         "method": method.label,
         "tag": tag,
@@ -298,11 +300,23 @@ class DistanceCache:
 
     def put(self, name: str, key: str, dm: wmd.DistanceMatrix) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        write_distance_matrix(dm, self.directory / name)
+        _replace_atomically(self.directory / name,
+                            lambda tmp: write_distance_matrix(dm, tmp))
         self.index[name] = key
-        self.index_path.write_text(
-            json.dumps(self.index, indent=2, sort_keys=True) + "\n"
-        )
+        text = json.dumps(self.index, indent=2, sort_keys=True) + "\n"
+        _replace_atomically(self.index_path,
+                            lambda tmp: Path(tmp).write_text(text))
+
+
+def _replace_atomically(path: Path, write) -> None:
+    """Call ``write`` on a temporary sibling of ``path``, then rename it over
+    ``path``: readers see the old file or the new one, never a partial one."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(str(tmp))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fold_matrix(pipe: Pipeline, cache: DistanceCache, manifest: dict,
@@ -318,9 +332,6 @@ def _fold_matrix(pipe: Pipeline, cache: DistanceCache, manifest: dict,
         raise CliError(f"missing cache {name} and --no-compute is set")
     logger.info("computing %s (%d x %d)", name, len(queries), len(refs))
     dm = pairwise_distances(queries, refs, method, pipe.resources)
-    if dm.unusable_ids:
-        logger.warning("%s: %d unusable document(s): %s", name,
-                       len(dm.unusable_ids), list(dm.unusable_ids)[:10])
     cache.put(name, key, dm)
     return dm
 
@@ -443,17 +454,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
         mode = analysis.LEAVE_ONE_OUT
     dm = _fold_matrix(pipe, cache, manifest, 0, wmd_method, queries, refs,
                       tag="nn")
-    usable_rows = [r for r in dm.row_ids if r not in dm.unusable_ids]
-    dm_usable = dm.submatrix(
-        usable_rows, [c for c in dm.col_ids if c not in dm.unusable_ids]
-    )
-    nn_pairs = analysis.nearest_neighbor_pairs(dm_usable, mode)
-
     measures = {}
     for doc_id, tokens in pipe.resources.tokens.items():
         if tokens:
             measures[doc_id] = wmd.make_measure(tokens, wmd.UNIFORM_COUNT,
                                                 pipe.resources.vocab)
+    # documents without a measure are unusable: their cells are all +inf
+    dm_usable = dm.submatrix([r for r in dm.row_ids if r in measures],
+                             [c for c in dm.col_ids if c in measures])
+    nn_pairs = analysis.nearest_neighbor_pairs(dm_usable, mode)
     hist = analysis.transport_histogram(nn_pairs, measures, pipe.store,
                                         cfg.bin_width)
     analysis.write_histogram_csv(hist, str(out_dir / "transport_histogram.csv"))

@@ -1,11 +1,17 @@
 """Exact solver for the balanced transportation linear program.
 
 ``solve_transport`` runs a network simplex on the bipartite transportation
-graph: a spanning-tree basis is built with the northwest-corner rule and
-improved by deterministic pivots. The entering arc is the most negative
-reduced cost (ties broken by lowest row-major arc index); a streak of
-degenerate pivots falls back to Bland's lowest-index rule, which cannot
-cycle. The leaving arc is the lowest index among the blocking arcs.
+graph. The basis is a spanning tree rooted at the first row, started with
+the northwest-corner rule and kept as parent, depth and potential arrays
+over the row and column nodes. Each pivot prices every arc at once: the
+entering arc is the most negative reduced cost (ties broken by lowest
+row-major arc index); a streak of degenerate pivots falls back to Bland's
+lowest-index rule, which cannot cycle. The cycle is found by walking both
+ends of the entering arc up to their lowest common ancestor, and the
+leaving arc is the lowest index among the blocking arcs. Only the subtree
+cut off by the leaving arc is re-hung and has its depths and potentials
+recomputed, each from its parent, so the potentials equal those of a full
+tree traversal bit for bit.
 
 ``brute_force_transport`` is a deliberately independent cross-check:
 exhaustive vertex enumeration for tiny instances, an LP solve through
@@ -126,23 +132,22 @@ def _repair_balance(problem: TransportProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _northwest_corner(
-    supply: np.ndarray, demand: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Initial spanning-tree flow via the staircase walk.
+    supply: list[float], demand: list[float]
+) -> list[tuple[int, int, float]]:
+    """Initial basis via the staircase walk.
 
-    Returns the flow matrix and the n_s + n_t - 1 basic cells (some may
-    carry zero flow on degenerate instances).
+    Returns the n_s + n_t - 1 basic cells as (row, col, flow) in walk order
+    (some may carry zero flow on degenerate instances). Each cell after the
+    first adds exactly one new row or column to the tree.
     """
-    ns, nt = supply.size, demand.size
-    flow = np.zeros((ns, nt))
-    basis: list[tuple[int, int]] = []
-    rs = supply.copy()
-    rd = demand.copy()
+    ns, nt = len(supply), len(demand)
+    cells: list[tuple[int, int, float]] = []
+    rs = list(supply)
+    rd = list(demand)
     i = j = 0
     while True:
         q = min(rs[i], rd[j])
-        flow[i, j] = q
-        basis.append((i, j))
+        cells.append((i, j, q))
         rs[i] -= q
         rd[j] -= q
         if i == ns - 1 and j == nt - 1:
@@ -151,70 +156,7 @@ def _northwest_corner(
             i += 1
         else:
             j += 1
-    return flow, basis
-
-
-def _tree_duals(
-    ns: int,
-    nt: int,
-    cost: np.ndarray,
-    row_adj: list[set[int]],
-    col_adj: list[set[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Potentials u, v with u_i + v_j = c_ij on every basic arc (u_0 = 0)."""
-    u = np.empty(ns)
-    v = np.empty(nt)
-    seen_rows = np.zeros(ns, dtype=bool)
-    seen_cols = np.zeros(nt, dtype=bool)
-    u[0] = 0.0
-    seen_rows[0] = True
-    stack: list[tuple[bool, int]] = [(True, 0)]
-    while stack:
-        is_row, k = stack.pop()
-        if is_row:
-            for j in row_adj[k]:
-                if not seen_cols[j]:
-                    v[j] = cost[k, j] - u[k]
-                    seen_cols[j] = True
-                    stack.append((False, j))
-        else:
-            for i in col_adj[k]:
-                if not seen_rows[i]:
-                    u[i] = cost[i, k] - v[k]
-                    seen_rows[i] = True
-                    stack.append((True, i))
-    return u, v
-
-
-def _tree_path(
-    start_row: int,
-    end_col: int,
-    row_adj: list[set[int]],
-    col_adj: list[set[int]],
-) -> list[tuple[bool, int]]:
-    """Unique tree path from a source node to a target node, as (is_row, index)."""
-    parent: dict[tuple[bool, int], tuple[bool, int]] = {}
-    start = (True, start_row)
-    goal = (False, end_col)
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        is_row, k = node
-        nbrs = row_adj[k] if is_row else col_adj[k]
-        for n in nbrs:
-            nxt = (not is_row, n)
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = node
-                stack.append(nxt)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return cells
 
 
 def solve_transport(problem: TransportProblem) -> TransportPlan:
@@ -229,75 +171,121 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
     cols = np.flatnonzero(demand > 0)
     if rows.size == 0 or cols.size == 0:
         return TransportPlan(entries=(), objective=0.0)
-    s = supply[rows]
-    d = demand[cols]
     cost = problem.cost[np.ix_(rows, cols)]
-    ns, nt = s.size, d.size
+    ns, nt = rows.size, cols.size
+    c = cost.ravel().tolist()
 
-    flow, basis = _northwest_corner(s, d)
-    row_adj: list[set[int]] = [set() for _ in range(ns)]
-    col_adj: list[set[int]] = [set() for _ in range(nt)]
-    for i, j in basis:
-        row_adj[i].add(j)
-        col_adj[j].add(i)
+    # Tree nodes: rows 0..ns-1, then columns ns..ns+nt-1; the root is row 0
+    # with potential 0. Arc (i, j) is keyed by its flat index i * nt + j.
+    n = ns + nt
+    parent = [-1] * n
+    parc = [-1] * n  # arc to the parent
+    depth = [0] * n
+    pot = [0.0] * n
+    adj: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> arc
+    flow: dict[int, float] = {}
+    prev_i = 0
+    for i, j, q in _northwest_corner(supply[rows].tolist(),
+                                     demand[cols].tolist()):
+        arc = i * nt + j
+        flow[arc] = q
+        child, up = (i, ns + j) if i != prev_i else (ns + j, i)
+        prev_i = i
+        parent[child], parc[child] = up, arc
+        depth[child] = depth[up] + 1
+        pot[child] = c[arc] - pot[up]
+        adj[child][up] = adj[up][child] = arc
 
     tol = 1e-12 * max(1.0, float(cost.max()))
     max_pivots = 100 * ns * nt + 1000
+    reduced = np.empty_like(cost)
+    flat_reduced = reduced.ravel()
     # Dantzig entering rule (ties -> lowest arc index) for speed; a run of
     # degenerate pivots switches to Bland's lowest-index rule, which cannot
     # cycle, until an improving pivot occurs.
     bland_threshold = 2 * (ns + nt)
     degenerate_streak = 0
     for _ in range(max_pivots):
-        u, v = _tree_duals(ns, nt, cost, row_adj, col_adj)
-        reduced = cost - u[:, None] - v[None, :]
+        np.subtract(cost, np.array(pot[:ns])[:, None], out=reduced)
+        np.subtract(reduced, np.array(pot[ns:]), out=reduced)
         if degenerate_streak < bland_threshold:
-            flat = int(np.argmin(reduced.ravel()))
-            if reduced.ravel()[flat] >= -tol:
+            enter = int(flat_reduced.argmin())
+            if flat_reduced[enter] >= -tol:
                 break
         else:
-            negative = reduced.ravel() < -tol
+            negative = flat_reduced < -tol
             if not negative.any():
                 break
-            flat = int(np.argmax(negative))
-        ei, ej = divmod(flat, nt)
+            enter = int(negative.argmax())
+        ei, ej = divmod(enter, nt)
 
-        path = _tree_path(ei, ej, row_adj, col_adj)
-        # Arcs along the path alternate -,+,-,... relative to the entering arc.
-        minus_arcs: list[tuple[int, int]] = []
-        plus_arcs: list[tuple[int, int]] = []
-        for k in range(len(path) - 1):
-            (a_row, a), (b_row, b) = path[k], path[k + 1]
-            arc = (a, b) if a_row else (b, a)
-            (minus_arcs if k % 2 == 0 else plus_arcs).append(arc)
-        delta = min(flow[i, j] for i, j in minus_arcs)
-        leaving = min(
-            (arc for arc in minus_arcs if flow[arc] == delta),
-            key=lambda arc: arc[0] * nt + arc[1],
-        )
-        degenerate_streak = 0 if delta > 0.0 else degenerate_streak + 1
-        for i, j in plus_arcs:
-            flow[i, j] += delta
-        for i, j in minus_arcs:
-            flow[i, j] -= delta
-        flow[leaving] = 0.0
-        flow[ei, ej] = delta
-        row_adj[leaving[0]].discard(leaving[1])
-        col_adj[leaving[1]].discard(leaving[0])
-        row_adj[ei].add(ej)
-        col_adj[ej].add(ei)
+        # Walk both ends up to their lowest common ancestor. Around the cycle
+        # the arcs alternate -,+,-,... from either end, starting with -.
+        # The leaving arc is the lowest index among the minus arcs of least
+        # flow; leave_node is its lower end, the root of the subtree it cuts.
+        x, y = ei, ns + ej
+        kx = ky = 0
+        plus: list[int] = []
+        minus: list[int] = []
+        delta = math.inf
+        leave = leave_node = -1
+        from_x = True
+        while x != y:
+            if depth[x] >= depth[y]:
+                node, on_x, k = x, True, kx
+                x, kx = parent[x], kx + 1
+            else:
+                node, on_x, k = y, False, ky
+                y, ky = parent[y], ky + 1
+            arc = parc[node]
+            if k % 2:
+                plus.append(arc)
+                continue
+            minus.append(arc)
+            f = flow[arc]
+            if f < delta or (f == delta and arc < leave):
+                delta, leave, leave_node, from_x = f, arc, node, on_x
+        if delta > 0.0:
+            degenerate_streak = 0
+            for arc in plus:
+                flow[arc] += delta
+            for arc in minus:
+                flow[arc] -= delta
+        else:
+            degenerate_streak += 1
+        del flow[leave]
+        flow[enter] = delta
+
+        # Swap the arcs, then re-hang the cut subtree from the entering arc's
+        # end inside it, resetting parents, depths and potentials top-down.
+        up = parent[leave_node]
+        del adj[leave_node][up], adj[up][leave_node]
+        a, b = (ei, ns + ej) if from_x else (ns + ej, ei)
+        adj[a][b] = adj[b][a] = enter
+        parent[a], parc[a] = b, enter
+        depth[a] = depth[b] + 1
+        pot[a] = c[enter] - pot[b]
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            px, dx, ux = parent[x], depth[x] + 1, pot[x]
+            for y, arc in adj[x].items():
+                if y != px:
+                    parent[y], parc[y], depth[y] = x, arc, dx
+                    pot[y] = c[arc] - ux
+                    stack.append(y)
     else:
         raise SolverStalled(f"no convergence within {max_pivots} pivots")
 
+    row_ids = rows.tolist()
+    col_ids = cols.tolist()
     entries = []
     terms = []
-    for i in range(ns):
-        oi = int(rows[i])
-        for j in row_adj[i]:
-            m = flow[i, j]
-            terms.append(cost[i, j] * m)
-            if m > 0.0:
-                entries.append((oi, int(cols[j]), float(m)))
+    for arc, m in flow.items():
+        terms.append(c[arc] * m)
+        if m > 0.0:
+            i, j = divmod(arc, nt)
+            entries.append((row_ids[i], col_ids[j], m))
     entries.sort()
     return TransportPlan(entries=tuple(entries), objective=math.fsum(terms))
 

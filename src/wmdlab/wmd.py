@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,6 +23,8 @@ from .textrep import (
     tfidf_vector,
     vector_distance,
 )
+
+logger = logging.getLogger(__name__)
 
 UNIFORM_COUNT = "uniform-count"
 TFIDF_WEIGHTING = "tfidf"
@@ -109,14 +112,13 @@ class DistanceMatrix:
     """Distances from each query document to each reference document.
 
     Cells are finite and nonnegative, except for a +inf sentinel marking
-    documents unusable under the method; ``unusable_ids`` lists them when
-    the matrix was produced in-process (the cache format does not carry it).
+    documents unusable under the method: their rows and columns are +inf
+    throughout, the diagonal included.
     """
 
     row_ids: tuple[int, ...]
     col_ids: tuple[int, ...]
     values: np.ndarray
-    unusable_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -147,12 +149,8 @@ class DistanceMatrix:
         cpos = {d: j for j, d in enumerate(self.col_ids)}
         ri = [rpos[d] for d in row_ids]
         ci = [cpos[d] for d in col_ids]
-        return DistanceMatrix(
-            tuple(row_ids), tuple(col_ids),
-            self.values[np.ix_(ri, ci)].copy(),
-            unusable_ids=tuple(d for d in self.unusable_ids
-                               if d in rpos or d in cpos),
-        )
+        return DistanceMatrix(tuple(row_ids), tuple(col_ids),
+                              self.values[np.ix_(ri, ci)].copy())
 
 
 @dataclass
@@ -292,7 +290,10 @@ def pairwise_distances(
         raise InvalidInput(f"method {method.label} needs an embedding store")
     all_ids = list(dict.fromkeys(list(queries) + list(refs)))
     reps = _prepare_reps(all_ids, method, resources)
-    unusable = tuple(sorted(d for d, r in reps.items() if r is None))
+    unusable = sorted(d for d, r in reps.items() if r is None)
+    if unusable:
+        logger.warning("%s: %d unusable document(s): %s", method.label,
+                       len(unusable), unusable[:10])
 
     values = np.empty((len(queries), len(refs)))
     workers = max(1, int(resources.workers))
@@ -309,8 +310,7 @@ def pairwise_distances(
             for idx, row in pool.map(_worker_row, tasks,
                                      chunksize=max(1, len(tasks) // (4 * workers))):
                 values[idx] = row
-    return DistanceMatrix(tuple(queries), tuple(refs), values,
-                          unusable_ids=unusable)
+    return DistanceMatrix(tuple(queries), tuple(refs), values)
 
 
 # -- cache file format ---------------------------------------------------------

@@ -4,9 +4,12 @@ import logging
 import numpy as np
 import pytest
 
-from wmdlab.cli import build_config, main, make_parser, read_config_file
-from wmdlab.embeddings import TEXT, load_embeddings
+from wmdlab import cli
+from wmdlab.cli import RunConfig, _cache_key, build_config, main, \
+    make_parser, read_config_file
+from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, load_embeddings
 from wmdlab.errors import ParseError
+from wmdlab.wmd import Method
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,36 @@ def test_analyze_outputs(workspace, tmp_path):
     dims = (out / "dim_comparison.csv").read_text().splitlines()
     assert dims[0] == "dim,pearson"
     assert len(dims) == 3
+
+
+def test_warm_analyze_matches_cold_with_unusable_document(workspace,
+                                                           tmp_path):
+    # the fully out-of-vocabulary document has an all-inf row in the cached
+    # nearest-neighbour matrix; a warm run must exclude it like a cold one
+    out = tmp_path / "an"
+    args = ["analyze", "--dataset", workspace / "docs.txt", "--embeddings",
+            workspace / "emb.txt", "--folds", "2", "--seed", "1",
+            "--pairs", "20", "--workers", "1", "--out", out]
+    names = ["transport_histogram.csv", "scatter.csv", "scatter_pearson.json"]
+    assert run(args) == 0
+    cold = {n: (out / n).read_bytes() for n in names}
+    assert run(args) == 0
+    assert {n: (out / n).read_bytes() for n in names} == cold
+    assert not list((out / "cache").glob("*.tmp"))
+
+
+def test_cache_key_covers_format_and_version(monkeypatch):
+    cfg = RunConfig()
+    manifest = {"inputs": {"dataset": "d", "embeddings": "e",
+                           "stopwords": None}}
+    method = Method.parse("wmd")
+    key = _cache_key(cfg, manifest, 0, method, "eval")
+    assert _cache_key(cfg, manifest, 0, method, "eval") == key
+    cfg.format = WORD2VEC_BINARY
+    assert _cache_key(cfg, manifest, 0, method, "eval") != key
+    cfg.format = TEXT
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    assert _cache_key(cfg, manifest, 0, method, "eval") != key
 
 
 def test_project_roundtrip(workspace, tmp_path):

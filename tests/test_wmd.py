@@ -222,16 +222,14 @@ def test_pairwise_bow_matches_direct_distance(small_resources):
 def test_pairwise_marks_unusable_documents(small_resources):
     ids = [0, 1, 6]
     dm = pairwise_distances(ids, ids, Method.parse("wmd"), small_resources)
-    assert dm.unusable_ids == (6,)
-    assert math.isinf(dm.values[2, 0]) and math.isinf(dm.values[0, 2])
     # the sentinel wins even on the diagonal, so the whole row is excludable
-    assert math.isinf(dm.values[2, 2])
+    assert np.all(np.isinf(dm.values[2])) and np.all(np.isinf(dm.values[:, 2]))
+    assert np.all(np.isfinite(dm.values[:2, :2]))
 
 
 def test_pairwise_empty_doc_usable_without_normalization(small_resources):
     dm = pairwise_distances([0, 6], [0, 6], Method.parse("bow(none,l1)"),
                             small_resources)
-    assert dm.unusable_ids == ()
     assert np.all(np.isfinite(dm.values))
 
 
