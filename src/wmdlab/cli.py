@@ -26,6 +26,7 @@ from pathlib import Path
 from . import __version__, analysis, corpus as corpus_mod, knn_eval, wmd
 from .embeddings import (
     TEXT,
+    EmbeddingStore,
     WORD2VEC_BINARY,
     l2_normalize,
     load_embeddings,
@@ -203,19 +204,16 @@ class Pipeline:
 def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
     if not cfg.dataset:
         raise CliError("--dataset is required")
-    store = None
-    if cfg.embeddings:
-        store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format))
-    elif need_store:
+    if not cfg.embeddings and need_store:
         raise CliError("--embeddings is required for this command")
-
-    corp = corpus_mod.load_corpus(cfg.dataset)
+    corp = _load_corpus(cfg)
+    store = _corpus_store(cfg, corp) if cfg.embeddings else None
     stopwords = (corpus_mod.read_stopwords(cfg.stopwords)
                  if cfg.stopwords else None)
     if store is not None or stopwords is not None:
         corp = corpus_mod.filter_vocabulary(
-            corp, store if store is not None else _Everything(),
-            stopwords=stopwords, keep_oov=cfg.keep_oov or store is None,
+            corp, store, stopwords=stopwords,
+            keep_oov=cfg.keep_oov or store is None,
         )
     if cfg.clean:
         corp = corpus_mod.deduplicate(corp, corpus_mod.find_duplicates(corp))
@@ -232,9 +230,23 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
                     labels=corp.labels_by_id())
 
 
-class _Everything:
-    def __contains__(self, token: str) -> bool:
-        return True
+def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
+    """Load ``cfg.dataset``. When that fails, an error in the embedding file
+    is reported instead, as it is whenever both inputs are broken."""
+    try:
+        return corpus_mod.load_corpus(cfg.dataset)
+    except (WmdlabError, OSError, ValueError):
+        if cfg.embeddings:
+            l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
+                                         vocabulary=frozenset()))
+        raise
+
+
+def _corpus_store(cfg: RunConfig, corp: corpus_mod.Corpus) -> EmbeddingStore:
+    """The unit-norm embeddings of the corpus's words, stopwords included."""
+    vocabulary = {t for d in corp.documents for t in d.tokens}
+    return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
+                                        vocabulary))
 
 
 def _check_methods(cfg: RunConfig, methods: list[Method]) -> None:
@@ -406,7 +418,7 @@ def cmd_dedup(cfg: RunConfig) -> int:
     write_manifest(cfg, out_dir)
     corp = corpus_mod.load_corpus(cfg.dataset)
     if cfg.embeddings:
-        store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format))
+        store = _corpus_store(cfg, corp)
         stop = (corpus_mod.read_stopwords(cfg.stopwords)
                 if cfg.stopwords else None)
         corp = corpus_mod.filter_vocabulary(corp, store, stopwords=stop,

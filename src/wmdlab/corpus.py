@@ -184,13 +184,14 @@ def read_stopwords(path: str | Path) -> frozenset[str]:
         return frozenset(w.strip() for w in fh if w.strip())
 
 
-def filter_vocabulary(corpus: Corpus, store: Container[str],
+def filter_vocabulary(corpus: Corpus, store: Container[str] | None,
                       stopwords: Container[str] | None = None,
                       keep_oov: bool = False) -> Corpus:
     """Drop tokens missing from the embedding store (and any stopwords).
 
-    With ``keep_oov`` only stopwords are removed. Documents may end up
-    empty; they are retained (``Corpus.empty_ids`` reports them).
+    With ``keep_oov`` only stopwords are removed and ``store`` is never
+    consulted, so it may be None. Documents may end up empty; they are
+    retained (``Corpus.empty_ids`` reports them).
     """
     docs = []
     for d in corpus.documents:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+import logging
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -18,6 +19,8 @@ from .errors import (
 
 TEXT = "text"
 WORD2VEC_BINARY = "word2vec-binary"
+
+logger = logging.getLogger(__name__)
 
 
 class EmbeddingStore:
@@ -62,95 +65,209 @@ class EmbeddingStore:
         return self.matrix[idx]
 
 
-def _load_text(path: str) -> tuple[list[str], list[np.ndarray]]:
-    tokens: list[str] = []
-    vectors: list[np.ndarray] = []
-    seen: set[str] = set()
-    dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2:
+# Bytes read from a word2vec-binary file at a time: a load holds the kept
+# rows plus at most three blocks, whatever the size of the file.
+_BLOCK_BYTES = 16 << 20
+
+
+class _TextRecords:
+    """The records of a text embedding file, each checked as it is read.
+
+    Iterating yields ``(token, vector)`` for every record line, duplicates
+    included; ``dim`` is known once the first record has been read.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.dim: int | None = None
+
+    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields:
+                    continue
+                if lineno == 1 and len(fields) == 2:
+                    try:
+                        int(fields[0]), int(fields[1])
+                        continue  # optional "count dim" header
+                    except ValueError:
+                        pass
                 try:
-                    int(fields[0]), int(fields[1])
-                    continue  # optional "count dim" header
-                except ValueError:
-                    pass
-            token = fields[0]
+                    vec = np.array([float(x) for x in fields[1:]],
+                                   dtype=np.float64)
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}",
+                                     line=lineno) from None
+                if vec.size == 0:
+                    raise ParseError(f"line {lineno}: no vector components",
+                                     line=lineno)
+                if self.dim is None:
+                    self.dim = vec.size
+                elif vec.size != self.dim:
+                    raise DimMismatch(f"line {lineno}: expected {self.dim} "
+                                      f"components, got {vec.size}")
+                yield fields[0], vec
+        if self.dim is None:
+            raise ParseError("no embedding records found", line=1)
+
+    @staticmethod
+    def is_zero(vec: np.ndarray) -> bool:
+        # the norm is 0 exactly when every square is 0, underflow included
+        return not (vec * vec).any()
+
+    def matrix(self, rows: list[np.ndarray]) -> np.ndarray:
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
+
+
+class _Word2VecRecords:
+    """The records of a word2vec-binary file, read in fixed-size blocks.
+
+    Iterating yields ``(token, raw)`` for every record, duplicates included,
+    where ``raw`` is the record's ``4 * dim`` little-endian float32 bytes;
+    ``dim`` is known once the header has been read.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.dim: int | None = None
+
+    def __iter__(self) -> Iterator[tuple[str, bytes]]:
+        with open(self.path, "rb") as fh:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise ParseError("missing header line", offset=0)
+            header = line.split()
+            if len(header) != 2:
+                raise ParseError("header must be 'count dim'", offset=0)
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
-            if vec.size == 0:
-                raise ParseError(f"line {lineno}: no vector components", line=lineno)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DimMismatch(
-                    f"line {lineno}: expected {dim} components, got {vec.size}"
-                )
-            if token not in seen:
-                seen.add(token)
-                tokens.append(token)
-                vectors.append(vec)
-    if not tokens:
-        raise ParseError("no embedding records found", line=1)
-    return tokens, vectors
+                count, dim = int(header[0]), int(header[1])
+            except ValueError:
+                raise ParseError("header must be 'count dim'",
+                                 offset=0) from None
+            if count < 1 or dim < 1:
+                raise ParseError(f"bad header counts {count} {dim}", offset=0)
+            self.dim = dim
+            rec_bytes = 4 * dim
+            # buf[0] sits at file offset `base`, buf[pos:] is not parsed yet
+            # and n == len(buf). Each inner loop reads on only when a record
+            # runs past buf.
+            block = _BLOCK_BYTES
+            buf, base, pos, n = b"", len(line), 0, 0
+            for _ in range(count):
+                while True:
+                    while pos < n and buf[pos] == 10:  # b"\n"
+                        pos += 1
+                    if pos < n:
+                        break
+                    chunk = fh.read(block)
+                    if not chunk:
+                        break
+                    buf, base, pos, n = chunk, base + n, 0, len(chunk)
+                sp = buf.find(b" ", pos)
+                while sp < 0:
+                    chunk = fh.read(block)
+                    if not chunk:
+                        raise ParseError("truncated record: no token terminator",
+                                         offset=base + pos)
+                    scanned = n - pos
+                    buf, base, pos = buf[pos:] + chunk, base + pos, 0
+                    n = len(buf)
+                    sp = buf.find(b" ", scanned)
+                try:
+                    token = buf[pos:sp].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"bad token bytes: {exc}",
+                                     offset=base + pos) from None
+                end = sp + 1 + rec_bytes
+                while end > n:
+                    chunk = fh.read(block)
+                    if not chunk:
+                        raise ParseError("truncated record: short vector",
+                                         offset=base + sp + 1)
+                    buf, base = buf[pos:] + chunk, base + pos
+                    sp, end, pos, n = sp - pos, end - pos, 0, len(buf)
+                yield token, buf[sp + 1:end]
+                pos = end
+
+    @staticmethod
+    def is_zero(raw: bytes) -> bool:
+        # a float32 zero has zero low bytes; check the first component's
+        # before decoding the record
+        return (raw[0] == 0 and raw[1] == 0 and raw[2] == 0
+                and not np.frombuffer(raw, dtype="<f4").any())
+
+    def matrix(self, rows: list[bytes]) -> np.ndarray:
+        flat = np.frombuffer(b"".join(rows), dtype="<f4")
+        return flat.reshape(len(rows), self.dim).astype(np.float64)
 
 
-def _load_word2vec_binary(path: str) -> tuple[list[str], list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise ParseError("missing header line", offset=0)
-    header = data[:nl].split()
-    if len(header) != 2:
-        raise ParseError("header must be 'count dim'", offset=0)
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError("header must be 'count dim'", offset=0) from None
-    if count < 1 or dim < 1:
-        raise ParseError(f"bad header counts {count} {dim}", offset=0)
-    tokens: list[str] = []
-    vectors: list[np.ndarray] = []
-    seen: set[str] = set()
-    pos = nl + 1
-    rec_bytes = 4 * dim
-    for _ in range(count):
-        while pos < len(data) and data[pos:pos + 1] == b"\n":
-            pos += 1
-        sp = data.find(b" ", pos)
-        if sp < 0:
-            raise ParseError("truncated record: no token terminator", offset=pos)
-        try:
-            token = data[pos:sp].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"bad token bytes: {exc}", offset=pos) from None
-        end = sp + 1 + rec_bytes
-        if end > len(data):
-            raise ParseError("truncated record: short vector", offset=sp + 1)
-        vec = np.frombuffer(data[sp + 1:end], dtype="<f4").astype(np.float64)
-        if token not in seen:
-            seen.add(token)
-            tokens.append(token)
-            vectors.append(vec)
-        pos = end
-    return tokens, vectors
+def load_embeddings(path: str, format: str = TEXT,
+                    vocabulary: Container[str] | None = None
+                    ) -> EmbeddingStore:
+    """Read an embedding file in the text or word2vec-binary layout.
 
+    Every record is parsed and checked, and the first occurrence of a token
+    wins. With ``vocabulary``, only the rows of its tokens are kept, so
+    memory follows the vocabulary, not the file; ``None`` keeps every row.
+    Word2vec-binary files are read in blocks of ``_BLOCK_BYTES``.
 
-def load_embeddings(path: str, format: str = TEXT) -> EmbeddingStore:
-    """Read an embedding file in the text or word2vec-binary layout."""
+    A filtered load followed by ``l2_normalize`` fails as the whole file
+    would: a parse error anywhere in the file comes first, then
+    ``ZeroVector`` for the file's first all-zero row. The loader raises
+    that itself when the row is one it drops.
+    """
     if format == TEXT:
-        tokens, vectors = _load_text(path)
+        records = _TextRecords(path)
     elif format == WORD2VEC_BINARY:
-        tokens, vectors = _load_word2vec_binary(path)
+        records = _Word2VecRecords(path)
     else:
         raise InvalidInput(f"unknown embedding format {format!r}")
-    return EmbeddingStore(tokens, np.vstack(vectors))
+    kept: dict = {}  # token -> row, in file order
+    # zero rows dropped before the first kept zero row, as
+    # (record number, token); some may repeat an earlier token
+    dropped_zeros: list[tuple[int, str]] = []
+    kept_zero = False
+    n_records = 0
+    is_zero = records.is_zero
+    for n_records, (token, raw) in enumerate(records, start=1):
+        if token in kept:
+            continue
+        if vocabulary is None or token in vocabulary:
+            kept[token] = raw
+            if vocabulary is not None and not kept_zero:
+                kept_zero = is_zero(raw)
+        elif not kept_zero and is_zero(raw):
+            dropped_zeros.append((n_records, token))
+    if dropped_zeros:
+        token = _first_occurrence(records, dropped_zeros)
+        if token is not None:
+            raise ZeroVector(token)
+    logger.info("embeddings: kept %d of %d rows (dim %d)", len(kept),
+                n_records, records.dim)
+    return EmbeddingStore(list(kept), records.matrix(list(kept.values())))
+
+
+def _first_occurrence(records, candidates: list[tuple[int, str]]
+                      ) -> str | None:
+    """The token of the first candidate ``(record number, token)`` that is
+    its token's first occurrence in ``records``, or None.
+
+    Re-reads the file as far as the last candidate, so that a load need not
+    remember every token of the file for the rare file with a zero row.
+    """
+    wanted = {token for _, token in candidates}
+    last = candidates[-1][0]
+    first_at: dict[str, int] = {}
+    for n, (token, _) in enumerate(records, start=1):
+        if n > last:
+            break
+        if token in wanted:
+            first_at.setdefault(token, n)
+    for n, token in candidates:
+        if first_at[token] == n:
+            return token
+    return None
 
 
 def l2_normalize(store: EmbeddingStore) -> EmbeddingStore:

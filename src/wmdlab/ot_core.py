@@ -61,17 +61,22 @@ class TransportProblem:
                 f"cost shape {cost.shape} does not match "
                 f"({supply.size}, {demand.size})"
             )
-        for name, arr in (("supply", supply), ("demand", demand)):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInput(f"{name} contains NaN or infinite entries")
-            if np.any(arr < 0):
-                raise InvalidInput(f"{name} contains negative entries")
-        if not np.all(np.isfinite(cost)):
-            raise InvalidInput("cost contains NaN or infinite entries")
-        if np.any(cost < 0):
-            raise InvalidInput("cost contains negative entries")
-        ssum = math.fsum(supply.tolist())
-        dsum = math.fsum(demand.tolist())
+        supply_list, demand_list = supply.tolist(), demand.tolist()
+        # A finite fsum means finite entries, so a few cheap reductions show
+        # that every entry is valid; otherwise the checks run one by one,
+        # for their order and messages.
+        try:
+            ssum, dsum = math.fsum(supply_list), math.fsum(demand_list)
+            valid = (math.isfinite(ssum) and math.isfinite(dsum)
+                     and min(supply_list, default=0.0) >= 0
+                     and min(demand_list, default=0.0) >= 0
+                     and (cost.size == 0
+                          or (cost.min() >= 0 and cost.max() < math.inf)))
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            _check_entries(supply, demand, cost)
+            ssum, dsum = math.fsum(supply_list), math.fsum(demand_list)
         if abs(ssum - dsum) > BALANCE_TOL:
             raise UnbalancedProblem(
                 f"supply total {ssum!r} and demand total {dsum!r} differ by "
@@ -88,6 +93,15 @@ class TransportProblem:
     @property
     def n_targets(self) -> int:
         return self.demand.size
+
+
+def _check_entries(supply: np.ndarray, demand: np.ndarray,
+                   cost: np.ndarray) -> None:
+    for name, arr in (("supply", supply), ("demand", demand), ("cost", cost)):
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInput(f"{name} contains NaN or infinite entries")
+        if np.any(arr < 0):
+            raise InvalidInput(f"{name} contains negative entries")
 
 
 @dataclass(frozen=True)

@@ -264,3 +264,73 @@ def test_clean_flag_removes_duplicates(workspace, tmp_path):
     assert run(base_args(workspace, out,
                          ["--method", "bow(l1,l1)", "--clean"])) == 0
     assert (out / "report.csv").exists()
+
+
+# -- loading only the corpus's embedding rows -----------------------------------
+
+
+def pad_embeddings(workspace, path, extra=""):
+    """emb.txt between 3000 random rows of words no document uses, then a
+    later copy of w0 (the first copy wins) and ``extra``."""
+    rng = np.random.default_rng(11)
+
+    def rows(start):
+        return "".join(f"pad{i} " + " ".join(f"{x:.6f}" for x in
+                                             rng.normal(size=8)) + "\n"
+                       for i in range(start, start + 1500))
+
+    path.write_text(rows(0) + (workspace / "emb.txt").read_text()
+                    + rows(1500) + "w0" + " 1.0" * 8 + "\n" + extra)
+    return path
+
+
+def test_eval_report_ignores_unused_embedding_rows(workspace, tmp_path):
+    padded = pad_embeddings(workspace, tmp_path / "padded.txt")
+    args = ["--method", "bow(l1,l1),wmd,wmd-tfidf"]
+    assert run(base_args(workspace, tmp_path / "a", args)) == 0
+    padded_args = base_args(workspace, tmp_path / "b", args)
+    padded_args[padded_args.index("--embeddings") + 1] = padded
+    assert run(padded_args) == 0
+    assert (tmp_path / "a" / "report.csv").read_bytes() == \
+        (tmp_path / "b" / "report.csv").read_bytes()
+
+
+def test_pipeline_store_holds_only_corpus_rows(workspace, tmp_path, caplog):
+    padded = pad_embeddings(workspace, tmp_path / "padded.txt")
+    cfg = build_config(make_parser().parse_args(
+        ["eval", "--dataset", str(workspace / "docs.txt"), "--embeddings",
+         str(padded), "--folds", "2", "--workers", "1"]))
+    with caplog.at_level(logging.INFO, logger="wmdlab"):
+        pipe = cli.build_pipeline(cfg)
+    corpus_words = {t for line in (workspace / "docs.txt").read_text()
+                    .splitlines() for t in line.split("\t")[1].split()}
+    file_words = set(load_embeddings(str(padded), TEXT).tokens)
+    assert len(pipe.store) == len(corpus_words & file_words) == 30
+    assert "embeddings: kept 30 of 3031 rows (dim 8)" in caplog.messages
+
+
+@pytest.mark.parametrize("command", ["eval", "dedup"])
+def test_unused_zero_row_fails_as_whole_file_would(workspace, tmp_path,
+                                                   capsys, command):
+    padded = pad_embeddings(workspace, tmp_path / "padded.txt",
+                            extra="unused" + " 0.0" * 8 + "\n")
+    args = base_args(workspace, tmp_path / "x")
+    args[0] = command
+    args[args.index("--embeddings") + 1] = padded
+    capsys.readouterr()
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: unused\n"
+
+
+def test_embedding_error_reported_before_corpus_error(workspace, tmp_path,
+                                                      capsys):
+    bad_corpus = tmp_path / "docs.txt"
+    bad_corpus.write_text("no tab here\n")
+    args = base_args(workspace, tmp_path / "x")
+    args[args.index("--dataset") + 1] = bad_corpus
+    assert run(args) == 1
+    assert "no TAB separator" in capsys.readouterr().err
+    args[args.index("--embeddings") + 1] = pad_embeddings(
+        workspace, tmp_path / "padded.txt", extra="unused" + " 0.0" * 8 + "\n")
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: unused\n"

@@ -1,9 +1,11 @@
+import logging
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from wmdlab import embeddings
 from wmdlab.embeddings import (
     EmbeddingStore,
     TEXT,
@@ -107,6 +109,164 @@ def test_load_unknown_format(tmp_path):
     p.write_text("a 1.0\n")
     with pytest.raises(InvalidInput):
         load_embeddings(str(p), "protobuf")
+
+
+# -- loading only a vocabulary's rows ----------------------------------------------
+
+
+def write_text(path, records):
+    with open(path, "w") as fh:
+        for token, values in records:
+            fh.write(token + " " + " ".join(repr(float(v)) for v in values)
+                     + "\n")
+
+
+def write_records(path, fmt, records, dim):
+    if fmt == TEXT:
+        write_text(path, records)
+    else:
+        write_binary(path, records, dim)
+
+
+def load_normalized(path, fmt, vocabulary=None):
+    return l2_normalize(load_embeddings(str(path), fmt, vocabulary))
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+def test_filtered_rows_bit_identical_to_whole_file(tmp_path, fmt):
+    rng = np.random.default_rng(3)
+    tokens = [f"w{i}" for i in range(60)]
+    values = rng.normal(size=(60, 300)).astype(np.float32)
+    p = tmp_path / "emb"
+    write_records(p, fmt, list(zip(tokens, values.tolist())), dim=300)
+    vocabulary = {"w3", "w17", "w18", "w59", "absent"}
+    whole = load_embeddings(str(p), fmt)
+    part = load_embeddings(str(p), fmt, vocabulary)
+    assert part.tokens == ("w3", "w17", "w18", "w59")
+    assert part.dim == 300
+    assert part.matrix.tobytes() == whole.rows(part.tokens).tobytes()
+    whole_n, part_n = l2_normalize(whole), l2_normalize(part)
+    assert part_n.matrix.tobytes() == whole_n.rows(part.tokens).tobytes()
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+def test_filtered_load_can_keep_no_rows(tmp_path, fmt):
+    p = tmp_path / "emb"
+    write_records(p, fmt, [("a", [1, 2]), ("b", [3, 4])], dim=2)
+    store = load_normalized(p, fmt, {"c"})
+    assert len(store) == 0 and store.dim == 2
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+@pytest.mark.parametrize("vocabulary", [{"a", "b"}, {"b"}])
+def test_filtered_duplicates_keep_first(tmp_path, fmt, vocabulary):
+    p = tmp_path / "emb"
+    # a later zero copy of a token is a duplicate, not a zero row
+    write_records(p, fmt, [("a", [1, 2]), ("b", [3, 4]), ("a", [0, 0]),
+                           ("a", [5, 6])], dim=2)
+    store = load_embeddings(str(p), fmt, vocabulary)
+    assert store.tokens == tuple(t for t in ("a", "b") if t in vocabulary)
+    if "a" in vocabulary:
+        assert store.vector("a").tolist() == [1.0, 2.0]
+    load_normalized(p, fmt, vocabulary)
+    # a zero first copy is the file's zero row, kept or dropped
+    write_records(p, fmt, [("a", [0, 0]), ("b", [3, 4]), ("a", [5, 6])],
+                  dim=2)
+    with pytest.raises(ZeroVector, match="^a$"):
+        load_normalized(p, fmt, vocabulary)
+
+
+def test_filtered_load_checks_dropped_binary_records(tmp_path):
+    p = tmp_path / "emb.bin"
+    with open(p, "wb") as fh:
+        fh.write(b"3 2\n")
+        fh.write(b"a " + struct.pack("<2f", 1, 2))
+        fh.write(b"\xff\xfe " + struct.pack("<2f", 3, 4))  # bad UTF-8
+        fh.write(b"b " + struct.pack("<2f", 5, 6))
+    with pytest.raises(ParseError, match="bad token bytes") as err:
+        load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
+    assert err.value.offset == 14
+    with open(p, "wb") as fh:
+        fh.write(b"2 2\n")
+        fh.write(b"a " + struct.pack("<2f", 1, 2))
+        fh.write(b"b " + struct.pack("<1f", 3))  # one float short
+    with pytest.raises(ParseError, match="short vector") as err:
+        load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
+    assert err.value.offset == 16
+
+
+def test_filtered_load_checks_dropped_text_records(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("a 1.0 2.0\nb 3.0\n")
+    with pytest.raises(DimMismatch, match="line 2: expected 2"):
+        load_embeddings(str(p), TEXT, {"a"})
+    p.write_text("a 1.0 2.0\nb 3.0 oops\n")
+    with pytest.raises(ParseError) as err:
+        load_embeddings(str(p), TEXT, {"a"})
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+@pytest.mark.parametrize("vocabulary", [None, {"a", "c"}, {"c"}, {"b"}, set()])
+def test_dropped_zero_row_raises_first_zero_token(tmp_path, fmt, vocabulary):
+    p = tmp_path / "emb"
+    # "b" and then "c" are zero: "b" is the first zero row, dropped or not
+    write_records(p, fmt, [("a", [0, 2]), ("b", [0, 0]), ("c", [0, -0.0])],
+                  dim=2)
+    with pytest.raises(ZeroVector, match="^b$"):
+        load_normalized(p, fmt, vocabulary)
+    write_records(p, fmt, [("a", [0, 2]), ("c", [0, -0.0]), ("b", [0, 0])],
+                  dim=2)
+    with pytest.raises(ZeroVector, match="^c$"):
+        load_normalized(p, fmt, vocabulary)
+
+
+def test_dropped_zero_row_loses_to_a_later_parse_error(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("a 1.0 2.0\nb 0.0 0.0\nc 1.0 oops\n")
+    with pytest.raises(ParseError) as err:
+        load_normalized(p, TEXT, {"a"})
+    assert err.value.line == 3
+
+
+def test_text_zero_row_is_one_whose_squares_underflow(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("a 1.0 2.0\nb 1e-200 -1e-200\n")
+    with pytest.raises(ZeroVector, match="^b$"):
+        load_normalized(p, TEXT)
+    with pytest.raises(ZeroVector, match="^b$"):
+        load_normalized(p, TEXT, {"a"})
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 11, 64])
+def test_binary_records_split_across_blocks(tmp_path, monkeypatch, block):
+    rng = np.random.default_rng(block)
+    records = [(f"tok{i}" * (1 + i % 3), rng.normal(size=3).tolist())
+               for i in range(12)]
+    p = tmp_path / "emb.bin"
+    write_binary(p, records, dim=3)
+    whole = load_embeddings(str(p), WORD2VEC_BINARY)
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+    assert load_embeddings(str(p), WORD2VEC_BINARY).matrix.tobytes() \
+        == whole.matrix.tobytes()
+    part = load_embeddings(str(p), WORD2VEC_BINARY, {records[4][0], "tok9"})
+    assert part.tokens == (records[4][0], "tok9")
+    assert part.matrix.tobytes() == whole.rows(part.tokens).tobytes()
+    with open(p, "ab") as fh:
+        fh.write(b"x")
+    with open(p, "r+b") as fh:
+        fh.write(b"13")  # the header now counts "x" as a 13th record
+    with pytest.raises(ParseError, match="no token terminator") as err:
+        load_embeddings(str(p), WORD2VEC_BINARY, {"tok9"})
+    assert err.value.offset == p.stat().st_size - 1
+
+
+def test_load_logs_kept_rows(tmp_path, caplog):
+    p = tmp_path / "emb.txt"
+    p.write_text("a 1.0 2.0\nb 3.0 4.0\na 5.0 6.0\n")
+    with caplog.at_level(logging.INFO, logger="wmdlab"):
+        load_embeddings(str(p), TEXT, {"a", "z"})
+    assert "embeddings: kept 1 of 3 rows (dim 2)" in caplog.messages
 
 
 # -- normalization ----------------------------------------------------------------

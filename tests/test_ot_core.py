@@ -59,6 +59,64 @@ def test_rejects_shape_mismatch():
         TransportProblem([1.0], [0.5, 0.5], [[0.0]])
 
 
+NAN, INF = float("nan"), float("inf")
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+HALF = [0.5, 0.5]
+
+
+@pytest.mark.parametrize("supply, demand, cost, error, message", [
+    (HALF, HALF, [0.0, 1.0], InvalidInput,
+     "cost shape (2,) does not match (2, 2)"),
+    ([1.0], HALF, [[0.0]], InvalidInput,
+     "cost shape (1, 1) does not match (1, 2)"),
+    ([NAN, 1.0], HALF, SWAP, InvalidInput,
+     "supply contains NaN or infinite entries"),
+    ([INF, -INF], HALF, SWAP, InvalidInput,
+     "supply contains NaN or infinite entries"),
+    ([-0.5, 1.5], HALF, SWAP, InvalidInput,
+     "supply contains negative entries"),
+    (HALF, [-INF, 0.5], SWAP, InvalidInput,
+     "demand contains NaN or infinite entries"),
+    (HALF, [1.5, -0.5], SWAP, InvalidInput,
+     "demand contains negative entries"),
+    (HALF, HALF, [[0.0, NAN], [1.0, 0.0]], InvalidInput,
+     "cost contains NaN or infinite entries"),
+    (HALF, HALF, [[0.0, 1.0], [INF, 0.0]], InvalidInput,
+     "cost contains NaN or infinite entries"),
+    (HALF, HALF, [[0.0, -1.0], [1.0, 0.0]], InvalidInput,
+     "cost contains negative entries"),
+    # precedence: supply, then demand, then cost; finiteness before sign
+    ([-0.5, 1.5], [NAN, 0.5], SWAP, InvalidInput,
+     "supply contains negative entries"),
+    (HALF, [1.5, -0.5], [[NAN, 1.0], [1.0, 0.0]], InvalidInput,
+     "demand contains negative entries"),
+    (HALF, HALF, [[-1.0, NAN], [1.0, 0.0]], InvalidInput,
+     "cost contains NaN or infinite entries"),
+    ([[NAN], [0.5]], HALF, SWAP, InvalidInput,
+     "supply contains NaN or infinite entries"),
+    ([1.0], [0.5], [[0.0]], UnbalancedProblem,
+     "supply total 1.0 and demand total 0.5 differ by 5.000e-01 (> 1e-09)"),
+    # entry checks pass, then the balance sum fails
+    ([1e308, 1e308], [1e308, 1e308], SWAP, OverflowError,
+     "intermediate overflow in fsum"),
+    ([[0.5], [0.5]], HALF, SWAP, TypeError, "must be real number, not list"),
+])
+def test_invalid_problem_error_and_message(supply, demand, cost, error,
+                                           message):
+    with pytest.raises(error) as err:
+        TransportProblem(supply, demand, cost)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("supply, demand, cost", [
+    ([1.0, -0.0], HALF, [[0.0, -0.0], [1.0, 0.0]]),
+    ([], [], np.zeros((0, 0))),
+    (1.0, 1.0, [[2.0]]),
+])
+def test_valid_problem_edge_cases(supply, demand, cost):
+    TransportProblem(supply, demand, cost)
+
+
 def test_repairs_tiny_imbalance():
     # 1e-10 off: must solve, not raise
     plan = solve_transport(
