@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .ot_core import (
     TransportPlan,
     TransportProblem,
-    brute_force_transport,
     ot_uniform,
     solve_transport,
     uniform_cost_matrix,

@@ -9,13 +9,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
 from .embeddings import EmbeddingStore, project_pca
 from .errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
-from .textrep import NormScheme, VectorMetric, build_vocabulary, bow_vector, \
-    normalize, vector_distance
-from .wmd import DistanceMatrix, DocumentMeasure, UNIFORM_COUNT, \
-    make_measure, transport_plan, wmd_distance
+from .textrep import SparseVector, VectorMetric, vector_distance
+from .wmd import DistanceMatrix, DocumentMeasure, transport_plan, wmd_distance
+# unused here; perfbench/tracer.py rebinds them at these names
+from .textrep import build_vocabulary, bow_vector, normalize  # noqa: F401
+from .wmd import make_measure  # noqa: F401
 
 CROSS_SPLIT = "cross-split"
 LEAVE_ONE_OUT = "leave-one-out"
@@ -135,45 +135,47 @@ def sample_document_pairs(ids: Sequence[int], count: int,
     return out
 
 
+def bow_wmd_scatter(
+    pairs: Sequence[tuple[int, int]],
+    bows: Mapping[int, SparseVector],
+    measures: Mapping[int, DocumentMeasure],
+    store: EmbeddingStore,
+) -> list[tuple[float, float]]:
+    """``(L1/L1 count distance, transport distance)`` of each document pair.
+
+    ``bows`` holds L1-normalized count vectors and ``measures`` the
+    uniform-count measures of the same documents.
+    """
+    return [(vector_distance(bows[a], bows[b], VectorMetric.L1),
+             wmd_distance(measures[a], measures[b], store))
+            for a, b in pairs]
+
+
 def dim_comparison(
-    corpus: Corpus,
+    pairs: Sequence[tuple[int, int]],
+    bows: Mapping[int, SparseVector],
+    measures: Mapping[int, DocumentMeasure],
     store: EmbeddingStore,
     dims: Sequence[int],
-    sample_pairs: int,
-    seed: int,
+    fit_vocab: Sequence[str],
 ) -> dict[int, float]:
     """Correlation of transport distance with the L1/L1 count baseline per dimension.
 
-    The corpus must already be vocabulary-filtered against ``store``. Each
-    requested dimension below ``store.dim`` projects the embeddings first;
-    the full dimension uses the store as-is. All dimensions reuse the same
-    seeded document pairs, so the series are directly comparable.
+    Each requested dimension below ``store.dim`` projects the embeddings
+    first, with the PCA fitted on ``fit_vocab``; the full dimension uses the
+    store as-is. Every dimension scores the same ``pairs`` (see
+    ``bow_wmd_scatter``), so the series are directly comparable.
     """
     for d in dims:
         if not 1 <= d <= store.dim:
             raise InvalidInput(f"dimension {d} out of range [1, {store.dim}]")
-    usable = [d for d in corpus.documents if d.tokens]
-    if len(usable) < 2:
-        raise DegenerateInput("need at least 2 non-empty documents")
-    vocab = build_vocabulary([d.tokens for d in usable])
-    measures = {}
-    bows = {}
-    for d in usable:
-        measures[d.doc_id] = make_measure(d.tokens, UNIFORM_COUNT, vocab)
-        vec, _ = bow_vector(d.tokens, vocab)
-        bows[d.doc_id] = normalize(vec, NormScheme.L1)
-    pairs = sample_document_pairs([d.doc_id for d in usable], sample_pairs,
-                                  seed)
-    bow_series = [vector_distance(bows[a], bows[b], VectorMetric.L1)
-                  for a, b in pairs]
     out: dict[int, float] = {}
     for d in dims:
         store_d = store if d == store.dim else project_pca(
-            store, d, fit_vocab=vocab.words
+            store, d, fit_vocab=fit_vocab
         )
-        wmd_series = [wmd_distance(measures[a], measures[b], store_d)
-                      for a, b in pairs]
-        out[int(d)] = pearson(wmd_series, bow_series)
+        points = bow_wmd_scatter(pairs, bows, measures, store_d)
+        out[int(d)] = pearson([p[0] for p in points], [p[1] for p in points])
     return out
 
 

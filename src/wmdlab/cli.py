@@ -20,7 +20,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, analysis, corpus as corpus_mod, knn_eval, wmd
@@ -33,8 +34,9 @@ from .embeddings import (
     project_pca,
 )
 from .errors import ParseError, WmdlabError
-from .textrep import NormScheme, VectorMetric, bow_vector, build_vocabulary, \
-    document_frequencies, normalize, vector_distance
+from .textrep import build_vocabulary, document_frequencies
+# unused here; perfbench/tracer.py rebinds them at these names
+from .textrep import bow_vector, normalize, vector_distance  # noqa: F401
 from .wmd import Method, Resources, pairwise_distances, read_distance_matrix, \
     write_distance_matrix
 
@@ -112,15 +114,11 @@ class RunConfig:
         return Path(self.out) / "cache"
 
 
-_BOOL_KEYS = {"clean", "keep_oov", "no_compute", "renormalize"}
-_INT_KEYS = {"seed", "workers", "folds", "pairs", "target_dim"}
-_FLOAT_KEYS = {"train_fraction", "bin_width"}
-
-
 def read_config_file(path: str) -> dict[str, object]:
-    """Parse a flat ``key = value`` file (# starts a comment)."""
+    """Parse a flat ``key = value`` file (# starts a comment); each value
+    takes the type of its ``RunConfig`` field."""
     values: dict[str, object] = {}
-    known = set(RunConfig.__dataclass_fields__)
+    types = typing.get_type_hints(RunConfig)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -131,17 +129,20 @@ def read_config_file(path: str) -> dict[str, object]:
             value = value.strip().strip('"').strip("'")
             if not sep or not key:
                 raise ParseError(f"{path}: expected key = value", line=lineno)
-            if key not in known:
+            if key not in types:
                 raise ParseError(f"{path}: unknown key {key!r}", line=lineno)
-            if key in _BOOL_KEYS:
+            kind = types[key]
+            if kind is bool:
                 if value.lower() not in ("true", "false", "1", "0"):
                     raise ParseError(f"{path}: bad boolean {value!r}",
                                      line=lineno)
                 values[key] = value.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
+            elif kind in (int, float):
+                try:
+                    values[key] = kind(value)
+                except ValueError:
+                    raise ParseError(f"{path}: bad {kind.__name__} {value!r}",
+                                     line=lineno) from None
             else:
                 values[key] = value
     return values
@@ -198,7 +199,6 @@ class Pipeline:
     corpus: corpus_mod.Corpus
     store: object
     resources: Resources
-    labels: dict[int, str] = field(default_factory=dict)
 
 
 def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
@@ -226,8 +226,7 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
     resources = Resources(tokens=docs, vocab=vocab, store=store,
                           doc_freq=df, n_docs=len(docs),
                           workers=cfg.effective_workers())
-    return Pipeline(cfg=cfg, corpus=corp, store=store, resources=resources,
-                    labels=corp.labels_by_id())
+    return Pipeline(cfg=cfg, corpus=corp, store=store, resources=resources)
 
 
 def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
@@ -249,36 +248,22 @@ def _corpus_store(cfg: RunConfig, corp: corpus_mod.Corpus) -> EmbeddingStore:
                                         vocabulary))
 
 
-def _check_methods(cfg: RunConfig, methods: list[Method]) -> None:
-    if cfg.keep_oov and any(m.uses_transport for m in methods):
-        raise CliError(
-            "--keep-oov only applies to bow/tfidf methods: out-of-vocabulary "
-            "words have no embedding to transport"
-        )
-
-
 # -- distance caching ----------------------------------------------------------
 
 
-def _cache_name(dataset: str, fold: int, method: Method, tag: str) -> str:
-    safe = method.label.replace("(", "_").replace(")", "").replace(",", "_")
-    return f"{dataset}.fold{fold}.{safe}.{tag}.dists"
-
-
-def _cache_key(cfg: RunConfig, manifest: dict, fold: int, method: Method,
-               tag: str) -> str:
+def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
+               row_ids: list[int], col_ids: list[int]) -> str:
+    # fold files, seed, folds and train fraction change a matrix only
+    # through its row and column ids
     payload = {
         "version": __version__,
         "inputs": manifest["inputs"],
         "format": cfg.format,
-        "fold": fold,
         "method": method.label,
-        "tag": tag,
-        "seed": cfg.seed,
         "clean": cfg.clean,
         "keep_oov": cfg.keep_oov,
-        "folds": cfg.folds,
-        "train_fraction": cfg.train_fraction,
+        "rows": row_ids,
+        "cols": col_ids,
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -286,122 +271,109 @@ def _cache_key(cfg: RunConfig, manifest: dict, fold: int, method: Method,
 
 
 class DistanceCache:
-    """Content-keyed distance matrices on disk, reused across runs."""
+    """Distance matrices on disk, one ``<key>.dists`` file per cache key."""
 
     def __init__(self, directory: Path):
         self.directory = directory
-        self.index_path = directory / "cache_index.json"
-        self.index: dict[str, str] = {}
-        if self.index_path.exists():
-            try:
-                self.index = json.loads(self.index_path.read_text())
-            except json.JSONDecodeError:
-                logger.warning("unreadable cache index; starting fresh")
 
-    def get(self, name: str, key: str) -> wmd.DistanceMatrix | None:
-        path = self.directory / name
-        if self.index.get(name) != key or not path.exists():
+    def get(self, key: str) -> wmd.DistanceMatrix | None:
+        path = self.directory / f"{key}.dists"
+        if not path.exists():
             return None
         try:
             dm = read_distance_matrix(path)
         except (ParseError, OSError) as exc:
-            logger.warning("corrupted cache %s (%s); recomputing", name, exc)
+            logger.warning("corrupted cache %s (%s); recomputing", path.name,
+                           exc)
             return None
-        logger.info("cache hit: %s", name)
+        logger.info("cache hit: %s", path.name)
         return dm
 
-    def put(self, name: str, key: str, dm: wmd.DistanceMatrix) -> None:
+    def put(self, key: str, dm: wmd.DistanceMatrix) -> None:
+        """Write a temporary sibling and rename it over the cache file:
+        readers see the old file or the new one, never a partial one."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        _replace_atomically(self.directory / name,
-                            lambda tmp: write_distance_matrix(dm, tmp))
-        self.index[name] = key
-        text = json.dumps(self.index, indent=2, sort_keys=True) + "\n"
-        _replace_atomically(self.index_path,
-                            lambda tmp: Path(tmp).write_text(text))
+        path = self.directory / f"{key}.dists"
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            write_distance_matrix(dm, str(tmp))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
-def _replace_atomically(path: Path, write) -> None:
-    """Call ``write`` on a temporary sibling of ``path``, then rename it over
-    ``path``: readers see the old file or the new one, never a partial one."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        write(str(tmp))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _fold_matrix(pipe: Pipeline, cache: DistanceCache, manifest: dict,
-                 fold_idx: int, method: Method, queries, refs,
-                 tag: str = "eval") -> wmd.DistanceMatrix:
-    cfg = pipe.cfg
-    name = _cache_name(pipe.corpus.name, fold_idx, method, tag)
-    key = _cache_key(cfg, manifest, fold_idx, method, tag)
-    dm = cache.get(name, key)
+def _distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
+               method: Method, queries: list[int],
+               refs: list[int]) -> wmd.DistanceMatrix:
+    """The ``queries`` x ``refs`` matrix of ``method``, cached."""
+    key = _cache_key(pipe.cfg, manifest, method, queries, refs)
+    dm = cache.get(key)
     if dm is not None:
         return dm
-    if cfg.no_compute:
-        raise CliError(f"missing cache {name} and --no-compute is set")
-    logger.info("computing %s (%d x %d)", name, len(queries), len(refs))
+    if pipe.cfg.no_compute:
+        raise CliError(f"missing cache {key}.dists and --no-compute is set")
+    logger.info("computing %s (%d x %d)", method.label, len(queries),
+                len(refs))
     dm = pairwise_distances(queries, refs, method, pipe.resources)
-    cache.put(name, key, dm)
+    cache.put(key, dm)
     return dm
+
+
+def _fold_matrices(cfg: RunConfig):
+    """Yield ``(pipe, fold_idx, method, matrix)`` per fold and method: every
+    document against the fold's training documents."""
+    methods = cfg.method_list()
+    if cfg.keep_oov and any(m.uses_transport for m in methods):
+        raise CliError(
+            "--keep-oov only applies to bow/tfidf methods: out-of-vocabulary "
+            "words have no embedding to transport"
+        )
+    pipe = build_pipeline(cfg, need_store=any(m.uses_transport
+                                              for m in methods))
+    manifest = write_manifest(cfg, Path(cfg.out))
+    cache = DistanceCache(cfg.resolved_cache_dir())
+    all_ids = list(pipe.corpus.ids())
+    for fold_idx, fold in enumerate(pipe.corpus.folds):
+        for method in methods:
+            yield pipe, fold_idx, method, _distances(
+                pipe, cache, manifest, method, all_ids, list(fold.train_ids))
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_dists(cfg: RunConfig) -> int:
-    methods = cfg.method_list()
-    _check_methods(cfg, methods)
-    pipe = build_pipeline(cfg, need_store=any(m.uses_transport
-                                              for m in methods))
-    out_dir = Path(cfg.out)
-    manifest = write_manifest(cfg, out_dir)
-    cache = DistanceCache(cfg.resolved_cache_dir())
-    all_ids = list(pipe.corpus.ids())
-    for fold_idx, fold in enumerate(pipe.corpus.folds):
-        for method in methods:
-            _fold_matrix(pipe, cache, manifest, fold_idx, method,
-                         all_ids, list(fold.train_ids))
+    for _ in _fold_matrices(cfg):
+        pass
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    methods = cfg.method_list()
-    _check_methods(cfg, methods)
-    pipe = build_pipeline(cfg, need_store=any(m.uses_transport
-                                              for m in methods))
-    out_dir = Path(cfg.out)
-    manifest = write_manifest(cfg, out_dir)
-    cache = DistanceCache(cfg.resolved_cache_dir())
-    all_ids = list(pipe.corpus.ids())
     rows = []
-    for fold_idx, fold in enumerate(pipe.corpus.folds):
+    for pipe, fold_idx, method, dm in _fold_matrices(cfg):
+        fold = pipe.corpus.folds[fold_idx]
         split = knn_eval.LabeledSplit(fold.train_ids, fold.test_ids,
-                                      pipe.labels)
+                                      pipe.corpus.labels_by_id())
         split = knn_eval.make_validation_split(split, 0.2,
                                                seed=(cfg.seed, fold_idx))
-        for method in methods:
-            dm = _fold_matrix(pipe, cache, manifest, fold_idx, method,
-                              all_ids, list(fold.train_ids))
-            hp = knn_eval.tune(dm, split, cfg.classifier)
-            result = knn_eval.evaluate(dm, split, cfg.classifier, hp)
-            logger.info("%s fold %d %s: error %.2f%% (k=%d gamma=%s)",
-                        pipe.corpus.name, fold_idx, method.label,
-                        result.error_percent, hp.k, hp.gamma)
-            rows.append({
-                "dataset": pipe.corpus.name,
-                "method": method.label,
-                "norm": method.norm.value if method.norm else "",
-                "metric": method.metric.value if method.metric else "",
-                "classifier": cfg.classifier,
-                "k": hp.k,
-                "gamma": "" if hp.gamma is None else f"{hp.gamma:.3f}",
-                "fold": fold_idx,
-                "error_percent": f"{result.error_percent:.4f}",
-                "excluded_docs": result.n_excluded,
-            })
+        hp = knn_eval.tune(dm, split, cfg.classifier)
+        result = knn_eval.evaluate(dm, split, cfg.classifier, hp)
+        logger.info("%s fold %d %s: error %.2f%% (k=%d gamma=%s)",
+                    pipe.corpus.name, fold_idx, method.label,
+                    result.error_percent, hp.k, hp.gamma)
+        rows.append({
+            "dataset": pipe.corpus.name,
+            "method": method.label,
+            "norm": method.norm.value if method.norm else "",
+            "metric": method.metric.value if method.metric else "",
+            "classifier": cfg.classifier,
+            "k": hp.k,
+            "gamma": "" if hp.gamma is None else f"{hp.gamma:.3f}",
+            "fold": fold_idx,
+            "error_percent": f"{result.error_percent:.4f}",
+            "excluded_docs": result.n_excluded,
+        })
+    out_dir = Path(cfg.out)
     knn_eval.write_report_csv(rows, str(out_dir / "report.csv"))
     base = BASE_METHOD if any(r["method"] == BASE_METHOD for r in rows) else None
     summary = knn_eval.summarize(rows, base_method=base)
@@ -452,25 +424,20 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     manifest = write_manifest(cfg, out_dir)
     cache = DistanceCache(cfg.resolved_cache_dir())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corp = pipe.corpus
+    corp, res = pipe.corpus, pipe.resources
 
     wmd_method = Method.parse("wmd")
     if corp.split_type == corpus_mod.ONE_FOLD:
-        queries = list(corp.folds[0].train_ids)
-        refs = list(corp.folds[0].test_ids)
+        queries, refs = corp.folds[0].train_ids, corp.folds[0].test_ids
         mode = analysis.CROSS_SPLIT
     else:
-        queries = list(corp.ids())
-        refs = list(corp.ids())
+        queries = refs = corp.ids()
         mode = analysis.LEAVE_ONE_OUT
-    dm = _fold_matrix(pipe, cache, manifest, 0, wmd_method, queries, refs,
-                      tag="nn")
-    measures = {}
-    for doc_id, tokens in pipe.resources.tokens.items():
-        if tokens:
-            measures[doc_id] = wmd.make_measure(tokens, wmd.UNIFORM_COUNT,
-                                                pipe.resources.vocab)
+    dm = _distances(pipe, cache, manifest, wmd_method, list(queries),
+                    list(refs))
+    measures = {i: m for i, m in wmd.representations(
+        list(res.tokens), wmd_method, res).items() if m is not None}
+    bows = wmd.representations(list(measures), Method.parse(BASE_METHOD), res)
     # documents without a measure are unusable: their cells are all +inf
     dm_usable = dm.submatrix([r for r in dm.row_ids if r in measures],
                              [c for c in dm.col_ids if c in measures])
@@ -479,16 +446,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
                                         cfg.bin_width)
     analysis.write_histogram_csv(hist, str(out_dir / "transport_histogram.csv"))
 
-    sampled = analysis.sample_document_pairs(sorted(measures), cfg.pairs,
-                                             cfg.seed)
-    bows = {i: normalize(bow_vector(pipe.resources.tokens[i],
-                                    pipe.resources.vocab)[0], NormScheme.L1)
-            for i in measures}
-    points = []
-    for a, b in sampled:
-        bow_d = vector_distance(bows[a], bows[b], VectorMetric.L1)
-        wmd_d = wmd.wmd_distance(measures[a], measures[b], pipe.store)
-        points.append((bow_d, wmd_d))
+    pairs = analysis.sample_document_pairs(sorted(measures), cfg.pairs,
+                                           cfg.seed)
+    points = analysis.bow_wmd_scatter(pairs, bows, measures, pipe.store)
     analysis.write_scatter_csv(points, str(out_dir / "scatter.csv"))
     r = analysis.pearson([p[0] for p in points], [p[1] for p in points])
     with open(out_dir / "scatter_pearson.json", "w", encoding="utf-8") as fh:
@@ -497,8 +457,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     dims = cfg.dim_list()
     if dims:
-        table = analysis.dim_comparison(corp, pipe.store, dims, cfg.pairs,
-                                        cfg.seed)
+        table = analysis.dim_comparison(pairs, bows, measures, pipe.store,
+                                        dims, res.vocab.words)
         with open(out_dir / "dim_comparison.csv", "w", encoding="utf-8") as fh:
             fh.write("dim,pearson\n")
             for d in dims:

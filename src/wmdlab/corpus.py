@@ -80,9 +80,6 @@ class Corpus:
     def empty_ids(self) -> tuple[int, ...]:
         return tuple(d.doc_id for d in self.documents if not d.tokens)
 
-    def label_set(self) -> tuple[str, ...]:
-        return tuple(sorted({d.label for d in self.documents}))
-
 
 @dataclass(frozen=True)
 class DuplicateReport:

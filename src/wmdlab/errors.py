@@ -13,10 +13,6 @@ class UnbalancedProblem(WmdlabError):
     """Supply and demand totals differ beyond the repairable tolerance."""
 
 
-class TooLarge(WmdlabError):
-    """Instance exceeds the size bound of an exhaustive routine."""
-
-
 class NotNormalized(WmdlabError):
     """A vector expected to sum to one does not."""
 

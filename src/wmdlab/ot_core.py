@@ -12,10 +12,6 @@ leaving arc is the lowest index among the blocking arcs. Only the subtree
 cut off by the leaving arc is re-hung and has its depths and potentials
 recomputed, each from its parent, so the potentials equal those of a full
 tree traversal bit for bit.
-
-``brute_force_transport`` is a deliberately independent cross-check:
-exhaustive vertex enumeration for tiny instances, an LP solve through
-SciPy's HiGHS simplex for the rest of its size range.
 """
 
 from __future__ import annotations
@@ -24,23 +20,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimMismatch,
     InvalidInput,
     NotNormalized,
     SolverStalled,
-    TooLarge,
     UnbalancedProblem,
 )
 from .textrep import SparseVector, _aligned
 
 BALANCE_TOL = 1e-9
-BRUTE_FORCE_CELL_LIMIT = 36
-# Largest instance routed to exhaustive vertex enumeration; bigger ones
-# (still within the cell limit) go through the LP fallback.
-ENUMERATION_CELL_LIMIT = 9
 _MARGINAL_TOL = 1e-9
 
 
@@ -302,86 +292,6 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
             entries.append((row_ids[i], col_ids[j], m))
     entries.sort()
     return TransportPlan(entries=tuple(entries), objective=math.fsum(terms))
-
-
-def _enumerate_min_cost(
-    supply: list[float], demand: list[float], cost: np.ndarray
-) -> float:
-    """Exhaustive vertex enumeration by peeling leaf nodes of support forests.
-
-    Every vertex of the transportation polytope has forest support, and any
-    forest can be dismantled one leaf at a time; at a leaf its single arc
-    carries the leaf's full residual. Branching over all (arc, leaf side)
-    choices therefore visits every vertex.
-    """
-    best = math.inf
-
-    def recurse(rows: list[tuple[int, float]], cols: list[tuple[int, float]],
-                acc: float) -> None:
-        nonlocal best
-        if not rows or not cols:
-            best = min(best, acc)
-            return
-        for ri, (i, si) in enumerate(rows):
-            for ci, (j, dj) in enumerate(cols):
-                c = cost[i, j]
-                if si <= dj:
-                    rest_rows = rows[:ri] + rows[ri + 1:]
-                    new_cols = cols.copy()
-                    new_cols[ci] = (j, dj - si)
-                    recurse(rest_rows, new_cols, acc + c * si)
-                if dj <= si:
-                    rest_cols = cols[:ci] + cols[ci + 1:]
-                    new_rows = rows.copy()
-                    new_rows[ri] = (i, si - dj)
-                    recurse(new_rows, rest_cols, acc + c * dj)
-
-    recurse(list(enumerate(supply)), list(enumerate(demand)), 0.0)
-    return best
-
-
-def _linprog_min_cost(s: np.ndarray, d: np.ndarray, cost: np.ndarray) -> float:
-    ns, nt = s.size, d.size
-    n = ns * nt
-    a_eq = np.zeros((ns + nt - 1, n))
-    b_eq = np.zeros(ns + nt - 1)
-    for i in range(ns):
-        a_eq[i, i * nt:(i + 1) * nt] = 1.0
-        b_eq[i] = s[i]
-    # Last demand constraint is implied by balance; dropping it keeps the
-    # system consistent under floating-point marginals.
-    for j in range(nt - 1):
-        a_eq[ns + j, j::nt] = 1.0
-        b_eq[ns + j] = d[j]
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
-    if res.status != 0:
-        raise SolverStalled(f"LP reference solve failed: {res.message}")
-    return float(res.fun)
-
-
-def brute_force_transport(problem: TransportProblem) -> float:
-    """Reference optimum for small instances, independent of solve_transport.
-
-    Instances up to ENUMERATION_CELL_LIMIT cells are solved by exhaustive
-    vertex enumeration; larger ones (up to BRUTE_FORCE_CELL_LIMIT cells)
-    by an LP solve with a different algorithm family.
-    """
-    if problem.n_sources * problem.n_targets > BRUTE_FORCE_CELL_LIMIT:
-        raise TooLarge(
-            f"{problem.n_sources}x{problem.n_targets} exceeds "
-            f"{BRUTE_FORCE_CELL_LIMIT} cells"
-        )
-    supply, demand = _repair_balance(problem)
-    rows = np.flatnonzero(supply > 0)
-    cols = np.flatnonzero(demand > 0)
-    if rows.size == 0 or cols.size == 0:
-        return 0.0
-    s = supply[rows]
-    d = demand[cols]
-    cost = problem.cost[np.ix_(rows, cols)]
-    if s.size * d.size <= ENUMERATION_CELL_LIMIT:
-        return _enumerate_min_cost(s.tolist(), d.tolist(), cost)
-    return _linprog_min_cost(s, d, cost)
 
 
 def uniform_cost_matrix(n: int) -> np.ndarray:

@@ -140,9 +140,6 @@ class DistanceMatrix:
     def n_cols(self) -> int:
         return len(self.col_ids)
 
-    def row(self, doc_id: int) -> np.ndarray:
-        return self.values[self.row_ids.index(doc_id)]
-
     def submatrix(self, row_ids: Sequence[int],
                   col_ids: Sequence[int]) -> "DistanceMatrix":
         rpos = {d: i for i, d in enumerate(self.row_ids)}
@@ -215,8 +212,12 @@ def wmd_distance(
 _STATE: dict = {}
 
 
-def _prepare_reps(ids: Sequence[int], method: Method, res: Resources) -> dict:
-    """Per-document representation (measure or normalized vector) or None."""
+def representations(ids: Sequence[int], method: Method,
+                    res: Resources) -> dict[int, object]:
+    """Each document's representation under ``method``: its measure for the
+    transport methods, its normalized vector for the others, or None when
+    the document is unusable (no support, or an empty vector that the norm
+    cannot scale)."""
     reps: dict[int, object] = {}
     for doc_id in ids:
         doc = res.tokens[doc_id]
@@ -242,12 +243,6 @@ def _prepare_reps(ids: Sequence[int], method: Method, res: Resources) -> dict:
     return reps
 
 
-def _cell(method: Method, store, a, b) -> float:
-    if method.uses_transport:
-        return wmd_distance(a, b, store)
-    return vector_distance(a, b, method.metric)
-
-
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
                 method: Method, store) -> np.ndarray:
     out = np.empty(len(ref_ids))
@@ -258,8 +253,10 @@ def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
             out[j] = np.inf
         elif query_id == ref_id:
             out[j] = 0.0
+        elif method.uses_transport:
+            out[j] = wmd_distance(a, b, store)
         else:
-            out[j] = _cell(method, store, a, b)
+            out[j] = vector_distance(a, b, method.metric)
     return out
 
 
@@ -289,7 +286,7 @@ def pairwise_distances(
     if method.uses_transport and store is None:
         raise InvalidInput(f"method {method.label} needs an embedding store")
     all_ids = list(dict.fromkeys(list(queries) + list(refs)))
-    reps = _prepare_reps(all_ids, method, resources)
+    reps = representations(all_ids, method, resources)
     unusable = sorted(d for d, r in reps.items() if r is None)
     if unusable:
         logger.warning("%s: %d unusable document(s): %s", method.label,

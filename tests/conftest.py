@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from wmdlab.analysis import dim_comparison, sample_document_pairs
 from wmdlab.embeddings import EmbeddingStore, l2_normalize
 from wmdlab.ot_core import TransportProblem
+from wmdlab.textrep import build_vocabulary
+from wmdlab.wmd import Method, Resources, representations
 
 
 def random_balanced_problem(rng, max_side=6, total=64, cost_scale=1.0):
@@ -20,6 +23,20 @@ def random_simplex_pair(rng, vocab_size, grain=200):
     x = rng.multinomial(grain, rng.dirichlet(np.ones(vocab_size))) / grain
     y = rng.multinomial(grain, rng.dirichlet(np.ones(vocab_size))) / grain
     return x, y
+
+
+def dim_sweep(corpus, store, dims, sample_pairs, seed):
+    """``dim_comparison`` on the inputs ``wmdlab analyze`` gives it: seeded
+    pairs of non-empty documents, their L1 count vectors and measures, and
+    the corpus vocabulary as the PCA fit vocabulary."""
+    tokens = corpus.tokens_by_id()
+    res = Resources(tokens=tokens,
+                    vocab=build_vocabulary(list(tokens.values())))
+    measures = {i: m for i, m in representations(
+        list(tokens), Method.parse("wmd"), res).items() if m is not None}
+    bows = representations(list(measures), Method.parse("bow(l1,l1)"), res)
+    pairs = sample_document_pairs(sorted(measures), sample_pairs, seed)
+    return dim_comparison(pairs, bows, measures, store, dims, res.vocab.words)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wmdlab.analysis import dim_comparison, transport_histogram
+from wmdlab.analysis import transport_histogram
 from wmdlab.corpus import Corpus, Document, filter_vocabulary, find_duplicates, \
     load_corpus, make_folds
 from wmdlab.embeddings import EmbeddingStore, l2_normalize, load_embeddings
@@ -30,7 +30,6 @@ from wmdlab.knn_eval import (
 )
 from wmdlab.ot_core import (
     TransportProblem,
-    brute_force_transport,
     solve_transport,
     uniform_cost_matrix,
 )
@@ -38,7 +37,8 @@ from wmdlab.textrep import build_vocabulary
 from wmdlab.wmd import Method, Resources, UNIFORM_COUNT, make_measure, \
     pairwise_distances
 
-from conftest import random_balanced_problem, random_simplex_pair
+from conftest import dim_sweep, random_balanced_problem, random_simplex_pair
+from oracle import brute_force_transport
 
 
 def report(num, name, ok):
@@ -216,8 +216,7 @@ def test_criterion_6_high_dim_transport_tracks_l1_baseline():
     margins = []
     for seed in range(5):
         corp, store = _synthetic_corpus_and_store(seed)
-        table = dim_comparison(corp, store, [5, 300], sample_pairs=200,
-                               seed=seed)
+        table = dim_sweep(corp, store, [5, 300], sample_pairs=200, seed=seed)
         margins.append(table[300] - table[5])
     elapsed = time.perf_counter() - start
     ok = all(m >= 0.1 for m in margins) and elapsed < 120.0

@@ -7,7 +7,7 @@ from wmdlab.analysis import (
     CROSS_SPLIT,
     LEAVE_ONE_OUT,
     TransportHistogram,
-    dim_comparison,
+    bow_wmd_scatter,
     nearest_neighbor_pairs,
     pearson,
     sample_document_pairs,
@@ -18,8 +18,10 @@ from wmdlab.analysis import (
 from wmdlab.corpus import Corpus, Document
 from wmdlab.embeddings import EmbeddingStore, l2_normalize
 from wmdlab.errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
-from wmdlab.textrep import build_vocabulary
+from wmdlab.textrep import NormScheme, bow_vector, build_vocabulary, normalize
 from wmdlab.wmd import DistanceMatrix, UNIFORM_COUNT, make_measure
+
+from conftest import dim_sweep
 
 
 def measures_for(token_lists):
@@ -202,12 +204,24 @@ def _random_corpus(rng, words, n_docs, min_len=4, max_len=12):
     return Corpus(documents=tuple(docs))
 
 
+def test_bow_wmd_scatter_scores_each_pair_in_order(onehot_store):
+    # under the uniform geometry the transport distance is the L1 distance
+    token_lists = [["w0", "w1"], ["w0", "w0", "w2"], ["w3"]]
+    vocab = build_vocabulary(token_lists)
+    bows = {i: normalize(bow_vector(t, vocab)[0], NormScheme.L1)
+            for i, t in enumerate(token_lists)}
+    points = bow_wmd_scatter([(0, 1), (2, 0), (1, 1)], bows,
+                             measures_for(token_lists), onehot_store)
+    assert points == [pytest.approx((1.0, 1.0)), pytest.approx((2.0, 2.0)),
+                      (0.0, 0.0)]
+
+
 def test_dim_comparison_full_dim_beats_low_dim():
     rng = np.random.default_rng(44)
     words = [f"w{i}" for i in range(60)]
     store = l2_normalize(EmbeddingStore(words, rng.normal(size=(60, 40))))
     corp = _random_corpus(rng, words, 40)
-    table = dim_comparison(corp, store, [3, 40], sample_pairs=80, seed=7)
+    table = dim_sweep(corp, store, [3, 40], sample_pairs=80, seed=7)
     assert set(table) == {3, 40}
     assert table[40] > table[3]
 
@@ -218,8 +232,8 @@ def test_dim_comparison_uniform_geometry_is_exactly_bow(onehot_store):
     rng = np.random.default_rng(45)
     words = list(onehot_store.tokens)
     corp = _random_corpus(rng, words, 15, min_len=1, max_len=6)
-    table = dim_comparison(corp, onehot_store, [onehot_store.dim],
-                           sample_pairs=40, seed=8)
+    table = dim_sweep(corp, onehot_store, [onehot_store.dim],
+                      sample_pairs=40, seed=8)
     assert table[onehot_store.dim] == 1.0
 
 
@@ -227,14 +241,14 @@ def test_dim_comparison_single_pair_degenerate(onehot_store):
     rng = np.random.default_rng(46)
     corp = _random_corpus(rng, list(onehot_store.tokens), 10)
     with pytest.raises(DegenerateInput):
-        dim_comparison(corp, onehot_store, [2], sample_pairs=1, seed=9)
+        dim_sweep(corp, onehot_store, [2], sample_pairs=1, seed=9)
 
 
 def test_dim_comparison_validates_dims(onehot_store):
     rng = np.random.default_rng(47)
     corp = _random_corpus(rng, list(onehot_store.tokens), 10)
     with pytest.raises(InvalidInput):
-        dim_comparison(corp, onehot_store, [99], sample_pairs=5, seed=0)
+        dim_sweep(corp, onehot_store, [99], sample_pairs=5, seed=0)
 
 
 def test_sample_pairs_seeded_and_distinct():

@@ -1,15 +1,19 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wmdlab import cli
-from wmdlab.cli import RunConfig, _cache_key, build_config, main, \
-    make_parser, read_config_file
+from wmdlab.cli import DistanceCache, RunConfig, _cache_key, build_config, \
+    main, make_parser, read_config_file
 from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, load_embeddings
 from wmdlab.errors import ParseError
-from wmdlab.wmd import Method
+from wmdlab.wmd import DistanceMatrix, Method
 
 
 @pytest.fixture(scope="module")
@@ -163,20 +167,27 @@ def test_analyze_outputs(workspace, tmp_path):
     assert len(dims) == 3
 
 
-def test_warm_analyze_matches_cold_with_unusable_document(workspace,
-                                                           tmp_path):
-    # the fully out-of-vocabulary document has an all-inf row in the cached
-    # nearest-neighbour matrix; a warm run must exclude it like a cold one
-    out = tmp_path / "an"
-    args = ["analyze", "--dataset", workspace / "docs.txt", "--embeddings",
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["dists", "eval", "analyze"])
+def test_warm_run_matches_cold_with_unusable_document(workspace, tmp_path,
+                                                      command):
+    # the fully out-of-vocabulary document has all-inf rows and columns in
+    # the cached wmd matrices; a warm run must exclude it like a cold one
+    out = tmp_path / "run"
+    args = [command, "--dataset", workspace / "docs.txt", "--embeddings",
             workspace / "emb.txt", "--folds", "2", "--seed", "1",
-            "--pairs", "20", "--workers", "1", "--out", out]
-    names = ["transport_histogram.csv", "scatter.csv", "scatter_pearson.json"]
+            "--method", "bow(l1,l1),wmd", "--pairs", "20", "--workers", "1",
+            "--out", out]
     assert run(args) == 0
-    cold = {n: (out / n).read_bytes() for n in names}
+    cold = _files(out)
+    assert list((out / "cache").glob("*.dists"))
     assert run(args) == 0
-    assert {n: (out / n).read_bytes() for n in names} == cold
-    assert not list((out / "cache").glob("*.tmp"))
+    assert _files(out) == cold
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_cache_key_covers_format_and_version(monkeypatch):
@@ -184,13 +195,86 @@ def test_cache_key_covers_format_and_version(monkeypatch):
     manifest = {"inputs": {"dataset": "d", "embeddings": "e",
                            "stopwords": None}}
     method = Method.parse("wmd")
-    key = _cache_key(cfg, manifest, 0, method, "eval")
-    assert _cache_key(cfg, manifest, 0, method, "eval") == key
+    key = _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1])
+    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) == key
+    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 2]) != key
+    assert _cache_key(cfg, manifest, method, [0, 2, 1], [0, 1]) != key
     cfg.format = WORD2VEC_BINARY
-    assert _cache_key(cfg, manifest, 0, method, "eval") != key
+    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) != key
     cfg.format = TEXT
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
-    assert _cache_key(cfg, manifest, 0, method, "eval") != key
+    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) != key
+
+
+def test_edited_fold_file_recomputes_its_matrices(workspace, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "docs.txt").write_bytes((workspace / "docs.txt").read_bytes())
+    fold_file = data / "docs.fold0.txt"
+
+    def eval_with_fold(train, test, out, cache):
+        fold_file.write_text(f"train: {' '.join(map(str, train))}\n"
+                             f"test: {' '.join(map(str, test))}\n")
+        assert run(["eval", "--dataset", data / "docs.txt", "--embeddings",
+                    workspace / "emb.txt", "--method", "bow(l1,l1),wmd",
+                    "--workers", "1", "--out", out,
+                    "--cache-dir", cache]) == 0
+        return (out / "report.csv").read_bytes()
+
+    eval_with_fold(range(30), range(30, 47), tmp_path / "a", tmp_path / "c")
+    edited = (range(10, 40), [*range(10), *range(40, 47)])
+    warm = eval_with_fold(*edited, tmp_path / "b", tmp_path / "c")
+    assert warm == eval_with_fold(*edited, tmp_path / "c", tmp_path / "new")
+
+
+def test_caches_opened_together_keep_every_entry(tmp_path):
+    first, second = DistanceCache(tmp_path), DistanceCache(tmp_path)
+    a = DistanceMatrix((0, 1), (1,), np.array([[0.5], [0.0]]))
+    b = DistanceMatrix((2,), (0, 2), np.array([[np.inf, 0.25]]))
+    first.put("a" * 64, a)
+    second.put("b" * 64, b)
+    fresh = DistanceCache(tmp_path)
+    for key, dm in (("a" * 64, a), ("b" * 64, b)):
+        got = fresh.get(key)
+        assert (got.row_ids, got.col_ids) == (dm.row_ids, dm.col_ids)
+        assert np.array_equal(got.values, dm.values)
+    assert fresh.get("c" * 64) is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["a" * 64 + ".dists", "b" * 64 + ".dists"]
+
+
+def test_concurrent_writers_lose_no_entry(tmp_path):
+    # three processes (more than the cores this was sized on) write 100
+    # matrices each, and one shared key, into the same cache directory; a
+    # shared index lost about a third of the entries this way
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from pathlib import Path\n"
+        "from wmdlab.cli import DistanceCache\n"
+        "from wmdlab.wmd import DistanceMatrix\n"
+        "w = int(sys.argv[2])\n"
+        "cache = DistanceCache(Path(sys.argv[1]))\n"
+        "for i in range(100):\n"
+        "    cache.put(f'{w}-{i}', DistanceMatrix((w,), (i,), [[i / 8]]))\n"
+        "    cache.put('shared', DistanceMatrix((w,), (i,), [[i / 8]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path),
+                               str(w)], env=env) for w in range(3)]
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+    fresh = DistanceCache(tmp_path)
+    for w in range(3):
+        for i in range(100):
+            dm = fresh.get(f"{w}-{i}")
+            assert (dm.row_ids, dm.col_ids) == ((w,), (i,))
+            assert dm.values[0, 0] == i / 8
+    shared = fresh.get("shared")
+    assert shared.values[0, 0] == shared.col_ids[0] / 8
+    assert len(list(tmp_path.iterdir())) == 301
 
 
 def test_project_roundtrip(workspace, tmp_path):
@@ -248,6 +332,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     p.write_text("not_a_key = 1\n")
     with pytest.raises(ParseError):
         read_config_file(str(p))
+
+
+@pytest.mark.parametrize("text", ["seed = abc", "train_fraction = 0.7x"])
+def test_config_file_rejects_bad_numbers(tmp_path, text):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"# a comment\nfolds = 2\n{text}\n")
+    with pytest.raises(ParseError, match="bad (int|float)") as exc:
+        read_config_file(str(p))
+    assert exc.value.line == 3
 
 
 def test_wknn_classifier_end_to_end(workspace, tmp_path):

@@ -9,15 +9,11 @@ from wmdlab.errors import (
     DimMismatch,
     InvalidInput,
     NotNormalized,
-    TooLarge,
     UnbalancedProblem,
 )
 from wmdlab.ot_core import (
     TransportPlan,
     TransportProblem,
-    _enumerate_min_cost,
-    _linprog_min_cost,
-    brute_force_transport,
     ot_uniform,
     solve_transport,
     uniform_cost_matrix,
@@ -25,6 +21,8 @@ from wmdlab.ot_core import (
 from wmdlab.textrep import SparseVector
 
 from conftest import random_balanced_problem, random_simplex_pair
+from oracle import TooLarge, _enumerate_min_cost, _linprog_min_cost, \
+    brute_force_transport
 
 
 def sparse_from_dense(v):

@@ -5,8 +5,7 @@ import pytest
 
 from wmdlab.embeddings import EmbeddingStore, cost_submatrix, l2_normalize
 from wmdlab.errors import EmptySupport, InvalidInput, ParseError
-from wmdlab.ot_core import TransportProblem, brute_force_transport, \
-    solve_transport
+from wmdlab.ot_core import TransportProblem, solve_transport
 from wmdlab.textrep import NormScheme, VectorMetric, build_vocabulary, \
     bow_vector, document_frequencies, normalize, vector_distance
 from wmdlab.wmd import (
@@ -22,6 +21,8 @@ from wmdlab.wmd import (
     wmd_distance,
     write_distance_matrix,
 )
+
+from oracle import brute_force_transport
 
 
 @pytest.fixture
