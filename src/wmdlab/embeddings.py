@@ -6,7 +6,6 @@ import logging
 from typing import Container, Iterator, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimMismatch,
@@ -280,9 +279,19 @@ def l2_normalize(store: EmbeddingStore) -> EmbeddingStore:
                           normalized=True)
 
 
+def load_scipy() -> None:
+    """Import the SciPy module ``cost_submatrix`` needs. It is most of a
+    command's start-up time and only transport methods use it, so it is
+    imported on first use; a process about to fork workers that compute
+    cost matrices calls this first, so they inherit the import."""
+    import scipy.spatial.distance  # noqa: F401
+
+
 def cost_submatrix(store: EmbeddingStore, src_words: Sequence[str],
                    dst_words: Sequence[str]) -> np.ndarray:
     """Pairwise Euclidean distances between two word lists' embeddings."""
+    from scipy.spatial.distance import cdist  # see load_scipy
+
     out = cdist(store.rows(src_words), store.rows(dst_words))
     if store.normalized:
         # unit vectors are at most diameter 2 apart; trim float overshoot

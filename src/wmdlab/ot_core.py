@@ -28,7 +28,7 @@ from .errors import (
     SolverStalled,
     UnbalancedProblem,
 )
-from .textrep import SparseVector, _aligned
+from .textrep import SparseVector, VectorMetric, vector_distance
 
 BALANCE_TOL = 1e-9
 _MARGINAL_TOL = 1e-9
@@ -76,14 +76,6 @@ class TransportProblem:
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "cost", cost)
 
-    @property
-    def n_sources(self) -> int:
-        return self.supply.size
-
-    @property
-    def n_targets(self) -> int:
-        return self.demand.size
-
 
 def _check_entries(supply: np.ndarray, demand: np.ndarray,
                    cost: np.ndarray) -> None:
@@ -100,24 +92,6 @@ class TransportPlan:
 
     entries: tuple[tuple[int, int, float], ...]
     objective: float
-
-    def row_sums(self, n_rows: int) -> np.ndarray:
-        out = np.zeros(n_rows)
-        for i, _, m in self.entries:
-            out[i] += m
-        return out
-
-    def col_sums(self, n_cols: int) -> np.ndarray:
-        out = np.zeros(n_cols)
-        for _, j, m in self.entries:
-            out[j] += m
-        return out
-
-    def to_dense(self, n_rows: int, n_cols: int) -> np.ndarray:
-        out = np.zeros((n_rows, n_cols))
-        for i, j, m in self.entries:
-            out[i, j] = m
-        return out
 
 
 def _repair_balance(problem: TransportProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -317,5 +291,4 @@ def ot_uniform(x: SparseVector, y: SparseVector) -> float:
         total = vec.sum()
         if abs(total - 1.0) > _MARGINAL_TOL:
             raise NotNormalized(f"{name} sums to {total!r}, expected 1")
-    av, bv = _aligned(x, y)
-    return math.fsum(np.abs(av - bv).tolist())
+    return vector_distance(x, y, VectorMetric.L1)

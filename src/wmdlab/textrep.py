@@ -47,9 +47,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def lookup(self, token: str) -> int:
-        return self.index[token]
-
 
 class SparseVector:
     """Sparse nonnegative vector over a fixed-dimension id space.
@@ -101,11 +98,6 @@ class SparseVector:
 
     def sum(self) -> float:
         return math.fsum(self.values.tolist())
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.ids] = self.values
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
@@ -200,21 +192,61 @@ def normalize(v: SparseVector, scheme: NormScheme) -> SparseVector:
     return SparseVector(v.dim, v.ids, v.values / total)
 
 
-def _aligned(a: SparseVector, b: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.union1d(a.ids, b.ids)
-    av = np.zeros(ids.size)
-    bv = np.zeros(ids.size)
-    av[np.searchsorted(ids, a.ids)] = a.values
-    bv[np.searchsorted(ids, b.ids)] = b.values
-    return av, bv
+class VectorBlock:
+    """Sparse vectors of one dimension, flattened row by row: the reference
+    side of ``distance_row``. Entry k of the flat ``ids``/``values`` arrays
+    sits in row ``rows[k]`` at position ``cols[k]`` of that row; ``width``
+    is the largest row's entry count."""
+
+    __slots__ = ("dim", "n_rows", "width", "rows", "cols", "ids", "values")
+
+    def __init__(self, vectors: Sequence[SparseVector], dim: int):
+        for v in vectors:
+            if v.dim != dim:
+                raise DimMismatch(f"dimensions differ: {v.dim} != {dim}")
+        nnz = np.array([v.nnz for v in vectors], dtype=np.int64)
+        self.dim = dim
+        self.n_rows = len(vectors)
+        self.width = int(nnz.max(initial=0))
+        self.rows = np.repeat(np.arange(self.n_rows), nnz)
+        starts = np.cumsum(nnz) - nnz
+        self.cols = np.arange(self.rows.size) - starts[self.rows]
+        self.ids = np.concatenate([v.ids for v in vectors]
+                                  + [np.zeros(0, np.int64)])
+        self.values = np.concatenate([v.values for v in vectors]
+                                     + [np.zeros(0)])
+
+
+def distance_row(q: SparseVector, block: VectorBlock,
+                 metric: VectorMetric) -> np.ndarray:
+    """Distance from ``q`` to every vector of ``block`` under ``metric``.
+
+    Each cell is ``math.fsum`` of |q_i - v_i| (L1), or the square root of
+    ``math.fsum`` of (q_i - v_i)^2 (L2), over the union of the two supports.
+    A row's terms are gathered into one zero-padded array: the reference's
+    entries first, then one column per query id, holding that id's term
+    where the reference lacks it and 0.0 where the reference has it. ``fsum``
+    is correctly rounded whatever the order of its terms, and zeros leave its
+    exact sum unchanged, so every cell is the same float as the sum over the
+    two vectors aligned pair by pair.
+    """
+    if q.dim != block.dim:
+        raise DimMismatch(f"dimensions differ: {q.dim} != {block.dim}")
+    dense = np.zeros(block.dim)
+    dense[q.ids] = q.values
+    at_q = dense[block.ids]  # values are > 0, so 0.0 means "not in q"
+    diff = at_q - block.values
+    l1 = metric is VectorMetric.L1
+    terms = np.zeros((block.n_rows, block.width + q.nnz))
+    terms[block.rows, block.cols] = np.abs(diff) if l1 else diff * diff
+    terms[:, block.width:] = q.values if l1 else q.values * q.values
+    shared = np.flatnonzero(at_q)
+    terms[block.rows[shared],
+          block.width + np.searchsorted(q.ids, block.ids[shared])] = 0.0
+    sums = np.fromiter(map(math.fsum, terms.tolist()), float, block.n_rows)
+    return sums if l1 else np.sqrt(sums)
 
 
 def vector_distance(a: SparseVector, b: SparseVector, metric: VectorMetric) -> float:
     """Distance between two sparse vectors under the given metric."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} != {b.dim}")
-    av, bv = _aligned(a, b)
-    diff = av - bv
-    if metric is VectorMetric.L1:
-        return math.fsum(np.abs(diff).tolist())
-    return math.sqrt(math.fsum((diff * diff).tolist()))
+    return float(distance_row(a, VectorBlock([b], b.dim), metric)[0])

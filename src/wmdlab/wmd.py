@@ -10,19 +10,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, cost_submatrix
+from .embeddings import EmbeddingStore, cost_submatrix, load_scipy
 from .errors import EmptySupport, InvalidInput, ParseError
 from .ot_core import TransportPlan, TransportProblem, solve_transport
 from .textrep import (
     NormScheme,
     SparseVector,
+    VectorBlock,
     VectorMetric,
     Vocabulary,
     bow_vector,
+    distance_row,
     normalize,
     tfidf_vector,
-    vector_distance,
 )
+# unused here; perfbench/tracer.py rebinds it at this name
+from .textrep import vector_distance  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -244,30 +247,33 @@ def representations(ids: Sequence[int], method: Method,
 
 
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
-                method: Method, store) -> np.ndarray:
-    out = np.empty(len(ref_ids))
+                method: Method, store, block: VectorBlock | None) -> np.ndarray:
+    """One query's row: transport cells one by one, vector cells all at
+    once from ``block`` (the reference vectors, in ``ref_ids`` order)."""
     a = reps[query_id]
+    if a is None:
+        return np.full(len(ref_ids), np.inf)
+    transport = method.uses_transport
+    out = (np.empty(len(ref_ids)) if transport
+           else distance_row(a, block, method.metric))
     for j, ref_id in enumerate(ref_ids):
         b = reps[ref_id]
-        if a is None or b is None:
+        if b is None:
             out[j] = np.inf
         elif query_id == ref_id:
             out[j] = 0.0
-        elif method.uses_transport:
+        elif transport:
             out[j] = wmd_distance(a, b, store)
-        else:
-            out[j] = vector_distance(a, b, method.metric)
     return out
 
 
-def _init_worker(reps, ref_ids, method, store):
-    _STATE["args"] = (reps, ref_ids, method, store)
+def _init_worker(reps, ref_ids, method, store, block):
+    _STATE["args"] = (reps, ref_ids, method, store, block)
 
 
 def _worker_row(args):
     idx, query_id = args
-    reps, ref_ids, method, store = _STATE["args"]
-    return idx, _row_values(query_id, reps, ref_ids, method, store)
+    return idx, _row_values(query_id, *_STATE["args"])
 
 
 def pairwise_distances(
@@ -292,17 +298,25 @@ def pairwise_distances(
         logger.warning("%s: %d unusable document(s): %s", method.label,
                        len(unusable), unusable[:10])
 
+    block = None
+    if not method.uses_transport:
+        empty = SparseVector(len(resources.vocab), [], [])
+        block = VectorBlock([empty if reps[r] is None else reps[r]
+                             for r in refs], len(resources.vocab))
+
     values = np.empty((len(queries), len(refs)))
     workers = max(1, int(resources.workers))
     if workers == 1 or len(queries) < 2:
         for i, q in enumerate(queries):
-            values[i] = _row_values(q, reps, refs, method, store)
+            values[i] = _row_values(q, reps, refs, method, store, block)
     else:
+        if method.uses_transport:
+            load_scipy()  # once here, not once in every forked worker
         tasks = list(enumerate(queries))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(reps, tuple(refs), method, store),
+            initargs=(reps, tuple(refs), method, store, block),
         ) as pool:
             for idx, row in pool.map(_worker_row, tasks,
                                      chunksize=max(1, len(tasks) // (4 * workers))):
@@ -319,8 +333,8 @@ def write_distance_matrix(dm: DistanceMatrix, path: str) -> None:
         fh.write(f"{dm.n_rows} {dm.n_cols}\n")
         fh.write(" ".join(str(i) for i in dm.row_ids) + "\n")
         fh.write(" ".join(str(j) for j in dm.col_ids) + "\n")
-        for row in dm.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        for row in dm.values.tolist():
+            fh.write(" ".join(map("{:.17g}".format, row)) + "\n")
 
 
 def read_distance_matrix(path: str) -> DistanceMatrix:

@@ -89,9 +89,9 @@ def brute_force_transport(problem: TransportProblem) -> float:
     vertex enumeration; larger ones (up to BRUTE_FORCE_CELL_LIMIT cells)
     by an LP solve with a different algorithm family.
     """
-    if problem.n_sources * problem.n_targets > BRUTE_FORCE_CELL_LIMIT:
+    if problem.supply.size * problem.demand.size > BRUTE_FORCE_CELL_LIMIT:
         raise TooLarge(
-            f"{problem.n_sources}x{problem.n_targets} exceeds "
+            f"{problem.supply.size}x{problem.demand.size} exceeds "
             f"{BRUTE_FORCE_CELL_LIMIT} cells"
         )
     supply, demand = _repair_balance(problem)

@@ -38,6 +38,7 @@ from wmdlab.wmd import Method, Resources, UNIFORM_COUNT, make_measure, \
     pairwise_distances
 
 from conftest import dim_sweep, random_balanced_problem, random_simplex_pair
+from helpers import col_sums, plan_to_dense, row_sums
 from oracle import brute_force_transport
 
 
@@ -106,11 +107,11 @@ def test_criterion_3_feasibility_suite(uniform_cost_sweep,
     plans = [(p, plan) for _, _, p, plan in uniform_cost_sweep[0]]
     plans += [(p, plan) for p, plan, _ in random_instance_sweep[0]]
     for problem, plan in plans:
-        rows = plan.row_sums(problem.n_sources) - problem.supply
-        cols = plan.col_sums(problem.n_targets) - problem.demand
+        rows = row_sums(plan, problem.supply.size) - problem.supply
+        cols = col_sums(plan, problem.demand.size) - problem.demand
         worst_marginal = max(worst_marginal, np.abs(rows).max(),
                              np.abs(cols).max())
-        if len(plan.entries) > problem.n_sources + problem.n_targets - 1:
+        if len(plan.entries) > problem.supply.size + problem.demand.size - 1:
             basic_ok = False
         if any(m <= 0 for _, _, m in plan.entries):
             basic_ok = False
@@ -122,7 +123,7 @@ def test_criterion_3_feasibility_suite(uniform_cost_sweep,
 def test_criterion_4_diagonal_saturation(uniform_cost_sweep):
     worst = 0.0
     for x, y, problem, plan in uniform_cost_sweep[0]:
-        dense = plan.to_dense(problem.n_sources, problem.n_targets)
+        dense = plan_to_dense(plan, problem.supply.size, problem.demand.size)
         worst = max(worst, np.abs(np.diag(dense)
                                   - np.minimum(x, y)).max())
     ok = worst <= 1e-9

@@ -277,6 +277,42 @@ def test_concurrent_writers_lose_no_entry(tmp_path):
     assert len(list(tmp_path.iterdir())) == 301
 
 
+def _python_here(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this wmdlab."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+SCIPY_LOADED = ("any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _python_here(f"import sys, wmdlab.cli; print({SCIPY_LOADED})") \
+        == ["False"]
+
+
+def test_only_transport_methods_load_scipy(workspace, tmp_path):
+    # a pool of workers forked for a transport method finds SciPy loaded
+    script = (
+        "import sys\n"
+        "from wmdlab import cli\n"
+        "ws, out, method = sys.argv[1:]\n"
+        "cli.main(['eval', '--dataset', ws + '/docs.txt', '--embeddings',\n"
+        "          ws + '/emb.txt', '--folds', '2', '--workers', '2',\n"
+        "          '--method', method, '--out', out])\n"
+        f"print({SCIPY_LOADED})\n"
+    )
+    grid = "bow(l1,l1),bow(none,l2),tfidf(l2,l1)"
+    assert _python_here(script, workspace, tmp_path / "a", grid) == ["False"]
+    assert _python_here(script, workspace, tmp_path / "b", "wmd") == ["True"]
+
+
 def test_project_roundtrip(workspace, tmp_path):
     out_file = tmp_path / "proj.txt"
     assert run(["project", "--embeddings", workspace / "emb.txt",

@@ -21,6 +21,7 @@ from wmdlab.ot_core import (
 from wmdlab.textrep import SparseVector
 
 from conftest import random_balanced_problem, random_simplex_pair
+from helpers import col_sums, plan_to_dense, row_sums
 from oracle import TooLarge, _enumerate_min_cost, _linprog_min_cost, \
     brute_force_transport
 
@@ -251,9 +252,9 @@ def test_ot_uniform_matches_explicit_solver():
 
 
 def _feasible(plan: TransportPlan, problem: TransportProblem) -> bool:
-    rows_ok = np.all(np.abs(plan.row_sums(problem.n_sources)
+    rows_ok = np.all(np.abs(row_sums(plan, problem.supply.size)
                             - problem.supply) <= 1e-9)
-    cols_ok = np.all(np.abs(plan.col_sums(problem.n_targets)
+    cols_ok = np.all(np.abs(col_sums(plan, problem.demand.size)
                             - problem.demand) <= 1e-9)
     return bool(rows_ok and cols_ok)
 
@@ -264,7 +265,7 @@ def test_plans_feasible_and_basic():
         problem = random_balanced_problem(rng, max_side=6)
         plan = solve_transport(problem)
         assert _feasible(plan, problem)
-        assert len(plan.entries) <= problem.n_sources + problem.n_targets - 1
+        assert len(plan.entries) <= problem.supply.size + problem.demand.size - 1
         assert all(m > 0 for _, _, m in plan.entries)
         recomputed = math.fsum(problem.cost[i, j] * m
                                for i, j, m in plan.entries)
@@ -342,7 +343,7 @@ def test_uniform_cost_equals_l1_and_saturates_diagonal():
         problem = TransportProblem(x, y, uniform_cost_matrix(m))
         plan = solve_transport(problem)
         assert plan.objective == pytest.approx(np.abs(x - y).sum(), abs=1e-9)
-        dense = plan.to_dense(m, m)
+        dense = plan_to_dense(plan, m, m)
         assert np.allclose(np.diag(dense), np.minimum(x, y), atol=1e-9)
 
 

@@ -26,6 +26,8 @@ from wmdlab.textrep import (
     vector_distance,
 )
 
+from helpers import vector_to_dense
+
 
 def vec(dense):
     return SparseVector.from_pairs(len(dense), enumerate(dense))
@@ -38,13 +40,13 @@ def test_vocabulary_first_occurrence_order():
     vocab = build_vocabulary([["a", "b", "a"]])
     assert vocab.words == ("a", "b")
     assert len(vocab) == 2
-    assert vocab.lookup("b") == 1
+    assert vocab.index["b"] == 1
 
 
 def test_vocabulary_spans_documents():
     vocab = build_vocabulary([["b"], ["a", "b"], ["c"]])
     assert vocab.words == ("b", "a", "c")
-    assert all(vocab.lookup(vocab.words[i]) == i for i in range(3))
+    assert all(vocab.index[vocab.words[i]] == i for i in range(3))
 
 
 def test_empty_corpus_rejected():
@@ -111,7 +113,7 @@ def test_tfidf_hand_computed():
     assert df.tolist() == [2, 1, 1]
     v = tfidf_vector(docs[0], vocab, df, n_docs=2)
     # "a" appears in both docs -> weight 0, dropped; "b" gets 1 * log2(2/1)
-    assert v.entries == [(vocab.lookup("b"), 1.0)]
+    assert v.entries == [(vocab.index["b"], 1.0)]
 
 
 def test_tfidf_everywhere_word_omitted():
@@ -141,8 +143,8 @@ def test_tfidf_weight_formula():
     df = document_frequencies(docs, vocab)
     v = tfidf_vector(docs[0], vocab, df, n_docs=4)
     weights = dict(v.entries)
-    assert weights[vocab.lookup("a")] == pytest.approx(3 * math.log2(4 / 1))
-    assert weights[vocab.lookup("b")] == pytest.approx(1 * math.log2(4 / 3))
+    assert weights[vocab.index["a"]] == pytest.approx(3 * math.log2(4 / 1))
+    assert weights[vocab.index["b"]] == pytest.approx(1 * math.log2(4 / 3))
 
 
 # -- normalize -------------------------------------------------------------------
@@ -150,7 +152,7 @@ def test_tfidf_weight_formula():
 
 def test_normalize_l1():
     out = normalize(vec([2.0, 0.0, 2.0]), NormScheme.L1)
-    assert out.to_dense().tolist() == [0.5, 0.0, 0.5]
+    assert vector_to_dense(out).tolist() == [0.5, 0.0, 0.5]
 
 
 def test_normalize_none_is_identity():
@@ -160,7 +162,7 @@ def test_normalize_none_is_identity():
 
 def test_normalize_l2():
     out = normalize(vec([3.0, 4.0]), NormScheme.L2)
-    assert out.to_dense() == pytest.approx([0.6, 0.8], abs=1e-15)
+    assert vector_to_dense(out) == pytest.approx([0.6, 0.8], abs=1e-15)
 
 
 def test_normalize_empty_vector_raises():

@@ -22,6 +22,7 @@ from wmdlab.wmd import (
     write_distance_matrix,
 )
 
+from helpers import vector_to_dense
 from oracle import brute_force_transport
 
 
@@ -150,8 +151,8 @@ def test_support_restriction_matches_full_problem(orthogonal_store):
     m2 = make_measure(d2, UNIFORM_COUNT, vocab)
     restricted = wmd_distance(m1, m2, orthogonal_store)
     full_cost = cost_submatrix(orthogonal_store, words, words)
-    x = normalize(bow_vector(d1, vocab)[0], NormScheme.L1).to_dense()
-    y = normalize(bow_vector(d2, vocab)[0], NormScheme.L1).to_dense()
+    x = vector_to_dense(normalize(bow_vector(d1, vocab)[0], NormScheme.L1))
+    y = vector_to_dense(normalize(bow_vector(d2, vocab)[0], NormScheme.L1))
     full = solve_transport(TransportProblem(x, y, full_cost)).objective
     assert restricted == pytest.approx(full, abs=1e-9)
 
@@ -284,6 +285,20 @@ def test_cache_round_trip(tmp_path, small_resources):
     assert back.row_ids == dm.row_ids and back.col_ids == dm.col_ids
     # 17 significant digits round-trip float64 exactly, inf included
     assert np.array_equal(back.values, dm.values)
+
+
+def test_cache_file_bytes(tmp_path):
+    dm = DistanceMatrix((3, 10), (7, 0, 1), [
+        [math.inf, 0.0, 5e-324],
+        [0.1, 1 / 3, 1.7976931348623157e308],
+    ])
+    path = tmp_path / "pinned.dists"
+    write_distance_matrix(dm, str(path))
+    assert path.read_bytes() == (
+        b"2 3\n3 10\n7 0 1\n"
+        b"inf 0 4.9406564584124654e-324\n"
+        b"0.10000000000000001 0.33333333333333331 1.7976931348623157e+308\n"
+    )
 
 
 def test_cache_rejects_corrupt_file(tmp_path):
