@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -193,24 +194,23 @@ def normalize(v: SparseVector, scheme: NormScheme) -> SparseVector:
 
 
 class VectorBlock:
-    """Sparse vectors of one dimension, flattened row by row: the reference
-    side of ``distance_row``. Entry k of the flat ``ids``/``values`` arrays
-    sits in row ``rows[k]`` at position ``cols[k]`` of that row; ``width``
-    is the largest row's entry count."""
+    """Sparse vectors of one dimension, flattened row by row in CSR order:
+    the reference side of ``distance_row``. Row r's entries are
+    ``ids[indptr[r]:indptr[r + 1]]`` and ``values[...]``; ``rows`` holds each
+    entry's row."""
 
-    __slots__ = ("dim", "n_rows", "width", "rows", "cols", "ids", "values")
+    __slots__ = ("dim", "n_rows", "indptr", "rows", "ids", "values")
 
     def __init__(self, vectors: Sequence[SparseVector], dim: int):
         for v in vectors:
             if v.dim != dim:
                 raise DimMismatch(f"dimensions differ: {v.dim} != {dim}")
-        nnz = np.array([v.nnz for v in vectors], dtype=np.int64)
+        nnz = [v.nnz for v in vectors]
         self.dim = dim
         self.n_rows = len(vectors)
-        self.width = int(nnz.max(initial=0))
+        self.indptr = np.fromiter(accumulate(nnz, initial=0), np.int64,
+                                  self.n_rows + 1)
         self.rows = np.repeat(np.arange(self.n_rows), nnz)
-        starts = np.cumsum(nnz) - nnz
-        self.cols = np.arange(self.rows.size) - starts[self.rows]
         self.ids = np.concatenate([v.ids for v in vectors]
                                   + [np.zeros(0, np.int64)])
         self.values = np.concatenate([v.values for v in vectors]
@@ -223,27 +223,37 @@ def distance_row(q: SparseVector, block: VectorBlock,
 
     Each cell is ``math.fsum`` of |q_i - v_i| (L1), or the square root of
     ``math.fsum`` of (q_i - v_i)^2 (L2), over the union of the two supports.
-    A row's terms are gathered into one zero-padded array: the reference's
-    entries first, then one column per query id, holding that id's term
-    where the reference lacks it and 0.0 where the reference has it. ``fsum``
-    is correctly rounded whatever the order of its terms, and zeros leave its
-    exact sum unchanged, so every cell is the same float as the sum over the
-    two vectors aligned pair by pair.
+    A row's terms are laid out in CSR order, each cell's own terms only: the
+    reference's entries, then the query ids the reference lacks. ``fsum`` is
+    correctly rounded whatever the order of its terms, so every cell is the
+    same float as the sum over the two vectors aligned pair by pair.
     """
     if q.dim != block.dim:
         raise DimMismatch(f"dimensions differ: {q.dim} != {block.dim}")
-    dense = np.zeros(block.dim)
-    dense[q.ids] = q.values
-    at_q = dense[block.ids]  # values are > 0, so 0.0 means "not in q"
-    diff = at_q - block.values
     l1 = metric is VectorMetric.L1
-    terms = np.zeros((block.n_rows, block.width + q.nnz))
-    terms[block.rows, block.cols] = np.abs(diff) if l1 else diff * diff
-    terms[:, block.width:] = q.values if l1 else q.values * q.values
-    shared = np.flatnonzero(at_q)
-    terms[block.rows[shared],
-          block.width + np.searchsorted(q.ids, block.ids[shared])] = 0.0
-    sums = np.fromiter(map(math.fsum, terms.tolist()), float, block.n_rows)
+    n = q.nnz
+    # reference entries whose id the query has, and that id's query position
+    pos = np.searchsorted(q.ids, block.ids)
+    shared = np.flatnonzero(np.append(q.ids, -1)[pos] == block.ids)
+    q_pos = pos[shared]
+    diff = -block.values  # q_i - v_i, with q_i = 0 where the query lacks i
+    diff[shared] += q.values[q_pos]
+    # every row's reference terms followed by all n query terms, then the
+    # query terms of ids the row shares are dropped
+    q_at = block.indptr[1:] + n * np.arange(block.n_rows)
+    terms = np.empty(block.ids.size + n * block.n_rows)
+    terms[np.arange(block.ids.size) + n * block.rows] = (
+        np.abs(diff) if l1 else diff * diff)
+    terms[q_at[:, None] + np.arange(n)] = q.values if l1 else q.values * q.values
+    shared_rows = block.rows[shared]
+    keep = np.ones(terms.size, dtype=bool)
+    keep[q_at[shared_rows] + q_pos] = False
+    # a row ends where its n query terms did, less the terms dropped so far
+    ends = (q_at + n - np.add.accumulate(
+        np.bincount(shared_rows, minlength=block.n_rows))).tolist()
+    flat = terms[keep].tolist()
+    cells = map(flat.__getitem__, map(slice, [0] + ends[:-1], ends))
+    sums = np.fromiter(map(math.fsum, cells), float, block.n_rows)
     return sums if l1 else np.sqrt(sums)
 
 
