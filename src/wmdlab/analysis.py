@@ -153,7 +153,7 @@ def bow_wmd_scatter(
 
 def dim_comparison(
     pairs: Sequence[tuple[int, int]],
-    bows: Mapping[int, SparseVector],
+    bow_distances: Sequence[float],
     measures: Mapping[int, DocumentMeasure],
     store: EmbeddingStore,
     dims: Sequence[int],
@@ -161,10 +161,11 @@ def dim_comparison(
 ) -> dict[int, float]:
     """Correlation of transport distance with the L1/L1 count baseline per dimension.
 
-    Each requested dimension below ``store.dim`` projects the embeddings
-    first, with the PCA fitted on ``fit_vocab``; the full dimension uses the
-    store as-is. Every dimension scores the same ``pairs`` (see
-    ``bow_wmd_scatter``), so the series are directly comparable.
+    ``bow_distances`` holds each pair's L1/L1 count distance (the first
+    column of ``bow_wmd_scatter``). Each requested dimension below
+    ``store.dim`` projects the embeddings first, with the PCA fitted on
+    ``fit_vocab``; the full dimension uses the store as-is. Every dimension
+    scores the same ``pairs``, so the series are directly comparable.
     """
     for d in dims:
         if not 1 <= d <= store.dim:
@@ -174,8 +175,8 @@ def dim_comparison(
         store_d = store if d == store.dim else project_pca(
             store, d, fit_vocab=fit_vocab
         )
-        points = bow_wmd_scatter(pairs, bows, measures, store_d)
-        out[int(d)] = pearson([p[0] for p in points], [p[1] for p in points])
+        out[int(d)] = pearson(bow_distances, [
+            wmd_distance(measures[a], measures[b], store_d) for a, b in pairs])
     return out
 
 

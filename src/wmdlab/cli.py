@@ -57,8 +57,6 @@ class RunConfig:
     embeddings: str | None = None
     format: str = TEXT
     methods: str = DEFAULT_METHODS
-    norm: str = "l1"
-    metric: str = "l1"
     classifier: str = knn_eval.KNN
     clean: bool = False
     keep_oov: bool = False
@@ -92,7 +90,7 @@ class RunConfig:
         specs = [s.strip() for s in specs if s.strip()]
         if not specs:
             raise CliError("empty method list")
-        return [Method.parse(s, self.norm, self.metric) for s in specs]
+        return [Method.parse(s) for s in specs]
 
     def dim_list(self) -> list[int]:
         if not self.dims:
@@ -206,15 +204,12 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
         raise CliError("--dataset is required")
     if not cfg.embeddings and need_store:
         raise CliError("--embeddings is required for this command")
-    corp = _load_corpus(cfg)
-    store = _corpus_store(cfg, corp) if cfg.embeddings else None
-    stopwords = (corpus_mod.read_stopwords(cfg.stopwords)
-                 if cfg.stopwords else None)
-    if store is not None or stopwords is not None:
-        corp = corpus_mod.filter_vocabulary(
-            corp, store, stopwords=stopwords,
-            keep_oov=cfg.keep_oov or store is None,
+    if need_store and cfg.keep_oov:
+        raise CliError(
+            "--keep-oov only applies to bow/tfidf methods: out-of-vocabulary "
+            "words have no embedding to transport"
         )
+    corp, store = _filtered_corpus(cfg)
     if cfg.clean:
         corp = corpus_mod.deduplicate(corp, corpus_mod.find_duplicates(corp))
     if not corp.folds:
@@ -229,6 +224,27 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
     return Pipeline(cfg=cfg, corpus=corp, store=store, resources=resources)
 
 
+def _filtered_corpus(
+        cfg: RunConfig) -> tuple[corpus_mod.Corpus, EmbeddingStore | None]:
+    """``cfg.dataset`` without its stopwords and (unless ``keep_oov``) its
+    words missing from ``cfg.embeddings``, and the unit-norm embeddings of
+    the corpus's words, stopwords included (None without embeddings)."""
+    corp = _load_corpus(cfg)
+    store = None
+    if cfg.embeddings:
+        vocabulary = {t for d in corp.documents for t in d.tokens}
+        store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
+                                             vocabulary))
+    stopwords = (corpus_mod.read_stopwords(cfg.stopwords)
+                 if cfg.stopwords else None)
+    if store is not None or stopwords is not None:
+        corp = corpus_mod.filter_vocabulary(
+            corp, store, stopwords=stopwords,
+            keep_oov=cfg.keep_oov or store is None,
+        )
+    return corp, store
+
+
 def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
     """Load ``cfg.dataset``. When that fails, an error in the embedding file
     is reported instead, as it is whenever both inputs are broken."""
@@ -239,13 +255,6 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
             l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
                                          vocabulary=frozenset()))
         raise
-
-
-def _corpus_store(cfg: RunConfig, corp: corpus_mod.Corpus) -> EmbeddingStore:
-    """The unit-norm embeddings of the corpus's words, stopwords included."""
-    vocabulary = {t for d in corp.documents for t in d.tokens}
-    return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
-                                        vocabulary))
 
 
 # -- distance caching ----------------------------------------------------------
@@ -271,17 +280,20 @@ def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
 
 
 class DistanceCache:
-    """Distance matrices on disk, one ``<key>.dists`` file per cache key."""
+    """Distance matrices on disk, one ``<key>.npy`` file per cache key."""
 
     def __init__(self, directory: Path):
         self.directory = directory
 
-    def get(self, key: str) -> wmd.DistanceMatrix | None:
-        path = self.directory / f"{key}.dists"
+    def get(self, key: str, row_ids: list[int],
+            col_ids: list[int]) -> wmd.DistanceMatrix | None:
+        """The matrix cached under ``key``, whose rows and columns are
+        ``row_ids`` and ``col_ids``; None when missing or unreadable."""
+        path = self.directory / f"{key}.npy"
         if not path.exists():
             return None
         try:
-            dm = read_distance_matrix(path)
+            dm = read_distance_matrix(path, row_ids, col_ids)
         except (ParseError, OSError) as exc:
             logger.warning("corrupted cache %s (%s); recomputing", path.name,
                            exc)
@@ -293,7 +305,7 @@ class DistanceCache:
         """Write a temporary sibling and rename it over the cache file:
         readers see the old file or the new one, never a partial one."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / f"{key}.dists"
+        path = self.directory / f"{key}.npy"
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             write_distance_matrix(dm, str(tmp))
@@ -307,11 +319,11 @@ def _distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
                refs: list[int]) -> wmd.DistanceMatrix:
     """The ``queries`` x ``refs`` matrix of ``method``, cached."""
     key = _cache_key(pipe.cfg, manifest, method, queries, refs)
-    dm = cache.get(key)
+    dm = cache.get(key, queries, refs)
     if dm is not None:
         return dm
     if pipe.cfg.no_compute:
-        raise CliError(f"missing cache {key}.dists and --no-compute is set")
+        raise CliError(f"missing cache {key}.npy and --no-compute is set")
     logger.info("computing %s (%d x %d)", method.label, len(queries),
                 len(refs))
     dm = pairwise_distances(queries, refs, method, pipe.resources)
@@ -323,11 +335,6 @@ def _fold_matrices(cfg: RunConfig):
     """Yield ``(pipe, fold_idx, method, matrix)`` per fold and method: every
     document against the fold's training documents."""
     methods = cfg.method_list()
-    if cfg.keep_oov and any(m.uses_transport for m in methods):
-        raise CliError(
-            "--keep-oov only applies to bow/tfidf methods: out-of-vocabulary "
-            "words have no embedding to transport"
-        )
     pipe = build_pipeline(cfg, need_store=any(m.uses_transport
                                               for m in methods))
     manifest = write_manifest(cfg, Path(cfg.out))
@@ -388,13 +395,7 @@ def cmd_dedup(cfg: RunConfig) -> int:
         raise CliError("--dataset is required")
     out_dir = Path(cfg.out)
     write_manifest(cfg, out_dir)
-    corp = corpus_mod.load_corpus(cfg.dataset)
-    if cfg.embeddings:
-        store = _corpus_store(cfg, corp)
-        stop = (corpus_mod.read_stopwords(cfg.stopwords)
-                if cfg.stopwords else None)
-        corp = corpus_mod.filter_vocabulary(corp, store, stopwords=stop,
-                                            keep_oov=cfg.keep_oov)
+    corp, _ = _filtered_corpus(cfg)
     report = corpus_mod.find_duplicates(corp)
     payload = {
         "dataset": corp.name,
@@ -457,8 +458,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     dims = cfg.dim_list()
     if dims:
-        table = analysis.dim_comparison(pairs, bows, measures, pipe.store,
-                                        dims, res.vocab.words)
+        table = analysis.dim_comparison(pairs, [x for x, _ in points],
+                                        measures, pipe.store, dims,
+                                        res.vocab.words)
         with open(out_dir / "dim_comparison.csv", "w", encoding="utf-8") as fh:
             fh.write("dim,pearson\n")
             for d in dims:
@@ -506,10 +508,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="embedding file format")
     p.add_argument("--method", dest="methods",
                    help=f"comma list, e.g. {DEFAULT_METHODS!r}")
-    p.add_argument("--norm", choices=["none", "l1", "l2"],
-                   help="default normalization for bare bow/tfidf methods")
-    p.add_argument("--metric", choices=["l1", "l2"],
-                   help="default metric for bare bow/tfidf methods")
     p.add_argument("--classifier", choices=[knn_eval.KNN, knn_eval.WKNN])
     p.add_argument("--clean", action="store_const", const=True,
                    help="remove duplicate documents before evaluating")

@@ -12,11 +12,11 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Container
 
 import numpy as np
 
-from .errors import InvalidInput, MissingFoldFile, ParseError, TooSmall
+from .errors import InvalidInput, ParseError, TooSmall
 
 logger = logging.getLogger(__name__)
 
@@ -137,9 +137,7 @@ def fold_paths_for(path: str | Path) -> list[Path]:
     return [c for _, c in sorted(found)]
 
 
-def load_corpus(path: str | Path, fold_paths: Sequence[str | Path] | None = None,
-                expect_folds: int | None = None,
-                name: str | None = None) -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Parse a corpus file; attaches sibling fold files when present."""
     path = Path(path)
     documents = []
@@ -153,16 +151,9 @@ def load_corpus(path: str | Path, fold_paths: Sequence[str | Path] | None = None
                 raise ParseError(f"{path}: empty label", line=lineno)
             documents.append(Document(doc_id=lineno - 1, label=label,
                                       tokens=tuple(text.split())))
-    if fold_paths is None:
-        fold_paths = fold_paths_for(path)
-    if expect_folds is not None and len(fold_paths) < expect_folds:
-        raise MissingFoldFile(
-            f"{path}: declared {expect_folds} folds, found {len(fold_paths)}"
-        )
-    folds = tuple(_parse_fold_file(Path(fp), len(documents))
-                  for fp in fold_paths)
-    return Corpus(documents=tuple(documents), folds=folds,
-                  name=name if name is not None else path.stem)
+    folds = tuple(_parse_fold_file(fp, len(documents))
+                  for fp in fold_paths_for(path))
+    return Corpus(documents=tuple(documents), folds=folds, name=path.stem)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -78,10 +78,6 @@ class NoFiniteNeighbor(WmdlabError):
     """A query row has no finite candidate distance."""
 
 
-class MissingFoldFile(WmdlabError):
-    """A declared fold file does not exist."""
-
-
 class TooSmall(WmdlabError):
     """A split would leave an empty train or test side."""
 

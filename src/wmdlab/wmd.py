@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,9 +86,9 @@ class Method:
         return f"{self.kind}({self.norm.value},{self.metric.value})"
 
     @classmethod
-    def parse(cls, spec: str, default_norm: str = "l1",
-              default_metric: str = "l1") -> "Method":
-        """Parse e.g. ``wmd``, ``bow(l1,l1)``, ``tfidf(none,l2)``."""
+    def parse(cls, spec: str) -> "Method":
+        """Parse e.g. ``wmd``, ``bow(l1,l1)``, ``tfidf(none,l2)``; a bare
+        ``bow`` or ``tfidf`` means ``(l1,l1)``."""
         spec = spec.strip().lower()
         if spec in ("wmd", "wmd-tfidf"):
             return cls(spec)
@@ -103,7 +103,7 @@ class Method:
                 raise InvalidInput(f"expected (norm,metric) in {spec!r}")
             norm_s, metric_s = parts
         else:
-            norm_s, metric_s = default_norm, default_metric
+            norm_s, metric_s = "l1", "l1"
         try:
             return cls(kind, NormScheme(norm_s), VectorMetric(metric_s))
         except ValueError as exc:
@@ -134,14 +134,6 @@ class DistanceMatrix:
             raise InvalidInput("distances must be >= 0 and not NaN")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_ids)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.col_ids)
 
     def submatrix(self, row_ids: Sequence[int],
                   col_ids: Sequence[int]) -> "DistanceMatrix":
@@ -328,40 +320,24 @@ def pairwise_distances(
 
 
 def write_distance_matrix(dm: DistanceMatrix, path: str) -> None:
-    """Serialize with 17 significant digits so float64 round-trips losslessly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dm.n_rows} {dm.n_cols}\n")
-        fh.write(" ".join(str(i) for i in dm.row_ids) + "\n")
-        fh.write(" ".join(str(j) for j in dm.col_ids) + "\n")
-        for row in dm.values.tolist():
-            fh.write(" ".join(map("{:.17g}".format, row)) + "\n")
+    """Save the values as one float64 ``.npy`` array. The ids are not
+    stored: the cache key that names the file covers them."""
+    with open(path, "wb") as fh:
+        np.save(fh, dm.values, allow_pickle=False)
 
 
-def read_distance_matrix(path: str) -> DistanceMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 3:
-        raise ParseError("distance cache too short", line=len(lines))
-    try:
-        n_rows, n_cols = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise ParseError("bad size header", line=1) from None
-    try:
-        row_ids = tuple(int(x) for x in lines[1].split())
-        col_ids = tuple(int(x) for x in lines[2].split())
-    except ValueError:
-        raise ParseError("bad id line", line=2) from None
-    if len(row_ids) != n_rows or len(col_ids) != n_cols:
-        raise ParseError("id counts do not match header", line=2)
-    if len(lines) < 3 + n_rows:
-        raise ParseError("missing data rows", line=len(lines))
-    values = np.empty((n_rows, n_cols))
-    for i in range(n_rows):
-        fields = lines[3 + i].split()
-        if len(fields) != n_cols:
-            raise ParseError(f"expected {n_cols} values", line=4 + i)
+def read_distance_matrix(path: str, row_ids: Sequence[int],
+                         col_ids: Sequence[int]) -> DistanceMatrix:
+    """Load a matrix saved by ``write_distance_matrix`` for these ids."""
+    with open(path, "rb") as fh:
         try:
-            values[i] = [float(x) for x in fields]
-        except ValueError:
-            raise ParseError("bad float literal", line=4 + i) from None
-    return DistanceMatrix(row_ids, col_ids, values)
+            values = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ParseError(f"not a .npy array: {exc}") from None
+        # an .npz gives an NpzFile, which is only valid while fh is open
+        if not isinstance(values, np.ndarray) or values.dtype != np.float64:
+            raise ParseError("not a float64 array")
+    try:
+        return DistanceMatrix(tuple(row_ids), tuple(col_ids), values)
+    except InvalidInput as exc:
+        raise ParseError(str(exc)) from None

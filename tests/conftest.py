@@ -4,7 +4,7 @@ import pytest
 from wmdlab.analysis import dim_comparison, sample_document_pairs
 from wmdlab.embeddings import EmbeddingStore, l2_normalize
 from wmdlab.ot_core import TransportProblem
-from wmdlab.textrep import build_vocabulary
+from wmdlab.textrep import VectorMetric, build_vocabulary, vector_distance
 from wmdlab.wmd import Method, Resources, representations
 
 
@@ -27,8 +27,8 @@ def random_simplex_pair(rng, vocab_size, grain=200):
 
 def dim_sweep(corpus, store, dims, sample_pairs, seed):
     """``dim_comparison`` on the inputs ``wmdlab analyze`` gives it: seeded
-    pairs of non-empty documents, their L1 count vectors and measures, and
-    the corpus vocabulary as the PCA fit vocabulary."""
+    pairs of non-empty documents, their L1/L1 count distances and measures,
+    and the corpus vocabulary as the PCA fit vocabulary."""
     tokens = corpus.tokens_by_id()
     res = Resources(tokens=tokens,
                     vocab=build_vocabulary(list(tokens.values())))
@@ -36,7 +36,10 @@ def dim_sweep(corpus, store, dims, sample_pairs, seed):
         list(tokens), Method.parse("wmd"), res).items() if m is not None}
     bows = representations(list(measures), Method.parse("bow(l1,l1)"), res)
     pairs = sample_document_pairs(sorted(measures), sample_pairs, seed)
-    return dim_comparison(pairs, bows, measures, store, dims, res.vocab.words)
+    bow_distances = [vector_distance(bows[a], bows[b], VectorMetric.L1)
+                     for a, b in pairs]
+    return dim_comparison(pairs, bow_distances, measures, store, dims,
+                          res.vocab.words)
 
 
 @pytest.fixture

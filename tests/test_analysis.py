@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wmdlab import analysis
 from wmdlab.analysis import (
     CROSS_SPLIT,
     LEAVE_ONE_OUT,
     TransportHistogram,
     bow_wmd_scatter,
+    dim_comparison,
     nearest_neighbor_pairs,
     pearson,
     sample_document_pairs,
@@ -214,6 +216,29 @@ def test_bow_wmd_scatter_scores_each_pair_in_order(onehot_store):
                              measures_for(token_lists), onehot_store)
     assert points == [pytest.approx((1.0, 1.0)), pytest.approx((2.0, 2.0)),
                       (0.0, 0.0)]
+
+
+def test_dim_comparison_reuses_the_bow_column(monkeypatch):
+    # the L1/L1 distances come from the scatter; only transport is re-solved
+    rng = np.random.default_rng(48)
+    words = [f"w{i}" for i in range(30)]
+    store = l2_normalize(EmbeddingStore(words, rng.normal(size=(30, 6))))
+    token_lists = [list(rng.choice(words, size=5)) for _ in range(12)]
+    vocab = build_vocabulary(token_lists)
+    bows = {i: normalize(bow_vector(t, vocab)[0], NormScheme.L1)
+            for i, t in enumerate(token_lists)}
+    measures = measures_for(token_lists)
+    pairs = sample_document_pairs(sorted(measures), 30, seed=4)
+    points = bow_wmd_scatter(pairs, bows, measures, store)
+    calls = []
+    monkeypatch.setattr(analysis, "vector_distance",
+                        lambda *a: calls.append(a))
+    table = dim_comparison(pairs, [x for x, _ in points], measures, store,
+                           [2, 6], vocab.words)
+    assert calls == []
+    assert table[6] == pearson([x for x, _ in points],
+                               [y for _, y in points])
+    assert set(table) == {2, 6}
 
 
 def test_dim_comparison_full_dim_beats_low_dim():

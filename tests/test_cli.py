@@ -13,7 +13,9 @@ from wmdlab.cli import DistanceCache, RunConfig, _cache_key, build_config, \
     main, make_parser, read_config_file
 from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, load_embeddings
 from wmdlab.errors import ParseError
-from wmdlab.wmd import DistanceMatrix, Method
+from wmdlab.wmd import DistanceMatrix, Method, read_distance_matrix
+
+from helpers import corrupt_cache_files
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +83,13 @@ def test_dists_cache_reused(workspace, tmp_path, caplog):
             workspace / "emb.txt", "--folds", "1", "--seed", "2",
             "--workers", "1", "--method", "wmd,bow(l1,l1)", "--out", out]
     assert run(args) == 0
-    cache_files = list((out / "cache").glob("*.dists"))
+    cache_files = list((out / "cache").glob("*.npy"))
     assert len(cache_files) == 2  # one per (fold, method)
+    assert sorted((out / "cache").iterdir()) == sorted(cache_files)
     with caplog.at_level(logging.INFO, logger="wmdlab"):
         assert run(args) == 0
     assert sum("cache hit" in r.message for r in caplog.records) == 2
-    assert len(list((out / "cache").glob("*.dists"))) == 2
+    assert len(list((out / "cache").glob("*.npy"))) == 2
 
 
 def test_corrupted_cache_recomputed(workspace, tmp_path, caplog):
@@ -95,12 +98,34 @@ def test_corrupted_cache_recomputed(workspace, tmp_path, caplog):
             workspace / "emb.txt", "--folds", "1", "--seed", "2",
             "--workers", "1", "--method", "bow(l1,l1)", "--out", out]
     assert run(args) == 0
-    cache_file = next((out / "cache").glob("*.dists"))
+    cache_file = next((out / "cache").glob("*.npy"))
     cache_file.write_text("garbage\n")
     with caplog.at_level(logging.WARNING, logger="wmdlab"):
         assert run(args) == 0
     assert any("corrupted cache" in r.message for r in caplog.records)
-    assert cache_file.read_text() != "garbage\n"
+    assert cache_file.read_bytes() != b"garbage\n"
+
+
+@pytest.mark.parametrize("case", list(corrupt_cache_files(np.eye(2))))
+def test_corrupt_cache_file_recomputed_by_eval(workspace, tmp_path, caplog,
+                                               case):
+    out = tmp_path / "run"
+    args = base_args(workspace, out, ["--method", "bow(l1,l1)",
+                                      "--folds", "1"])
+    assert run(args) == 0
+    report = (out / "report.csv").read_bytes()
+    cache_file, = (out / "cache").iterdir()
+    values = np.load(cache_file)
+    bad = corrupt_cache_files(values)[case]
+    cache_file.write_bytes(bad)
+    with pytest.raises(ParseError):
+        read_distance_matrix(cache_file, range(values.shape[0]),
+                             range(values.shape[1]))
+    with caplog.at_level(logging.WARNING, logger="wmdlab"):
+        assert run(args) == 0
+    assert any("corrupted cache" in r.message for r in caplog.records)
+    assert (out / "report.csv").read_bytes() == report
+    assert np.load(cache_file).tobytes() == values.tobytes()
 
 
 def test_no_compute_fails_without_cache(workspace, tmp_path, capsys):
@@ -117,7 +142,7 @@ def test_cache_dir_env_override(workspace, tmp_path, monkeypatch):
             workspace / "emb.txt", "--folds", "1", "--seed", "0",
             "--workers", "1", "--method", "bow(l1,l1)", "--out", out]
     assert run(args) == 0
-    assert list(cache_dir.glob("*.dists"))
+    assert list(cache_dir.glob("*.npy"))
     assert not (out / "cache").exists()
 
 
@@ -184,7 +209,7 @@ def test_warm_run_matches_cold_with_unusable_document(workspace, tmp_path,
             "--out", out]
     assert run(args) == 0
     cold = _files(out)
-    assert list((out / "cache").glob("*.dists"))
+    assert list((out / "cache").glob("*.npy"))
     assert run(args) == 0
     assert _files(out) == cold
     assert not list(out.rglob("*.tmp"))
@@ -235,12 +260,12 @@ def test_caches_opened_together_keep_every_entry(tmp_path):
     second.put("b" * 64, b)
     fresh = DistanceCache(tmp_path)
     for key, dm in (("a" * 64, a), ("b" * 64, b)):
-        got = fresh.get(key)
+        got = fresh.get(key, dm.row_ids, dm.col_ids)
         assert (got.row_ids, got.col_ids) == (dm.row_ids, dm.col_ids)
         assert np.array_equal(got.values, dm.values)
-    assert fresh.get("c" * 64) is None
+    assert fresh.get("c" * 64, (0,), (0,)) is None
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["a" * 64 + ".dists", "b" * 64 + ".dists"]
+        ["a" * 64 + ".npy", "b" * 64 + ".npy"]
 
 
 def test_concurrent_writers_lose_no_entry(tmp_path):
@@ -257,7 +282,7 @@ def test_concurrent_writers_lose_no_entry(tmp_path):
         "cache = DistanceCache(Path(sys.argv[1]))\n"
         "for i in range(100):\n"
         "    cache.put(f'{w}-{i}', DistanceMatrix((w,), (i,), [[i / 8]]))\n"
-        "    cache.put('shared', DistanceMatrix((w,), (i,), [[i / 8]]))\n"
+        "    cache.put('shared', DistanceMatrix((0,), (0,), [[i / 8 + w]]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(cli.__file__).parents[1]),
@@ -269,11 +294,12 @@ def test_concurrent_writers_lose_no_entry(tmp_path):
     fresh = DistanceCache(tmp_path)
     for w in range(3):
         for i in range(100):
-            dm = fresh.get(f"{w}-{i}")
+            dm = fresh.get(f"{w}-{i}", (w,), (i,))
             assert (dm.row_ids, dm.col_ids) == ((w,), (i,))
             assert dm.values[0, 0] == i / 8
-    shared = fresh.get("shared")
-    assert shared.values[0, 0] == shared.col_ids[0] / 8
+    # the shared key holds one whole matrix that one of the writers put
+    shared = fresh.get("shared", (0,), (0,)).values[0, 0]
+    assert shared in {i / 8 + w for w in range(3) for i in range(100)}
     assert len(list(tmp_path.iterdir())) == 301
 
 
@@ -341,6 +367,34 @@ def test_keep_oov_rejected_for_transport_methods(workspace, tmp_path, capsys):
     assert run(base_args(workspace, tmp_path / "x",
                          ["--method", "wmd", "--keep-oov"])) == 1
     assert "keep-oov" in capsys.readouterr().err
+
+
+def test_keep_oov_rejected_by_analyze(workspace, tmp_path, capsys):
+    # a document's out-of-vocabulary word would reach the transport solver
+    assert run(["analyze", "--dataset", workspace / "docs.txt",
+                "--embeddings", workspace / "emb.txt", "--keep-oov",
+                "--folds", "1", "--workers", "1", "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert "keep-oov" in err and err.startswith("error: ")
+
+
+def test_keep_oov_accepted_for_vector_methods(workspace, tmp_path):
+    assert run(base_args(workspace, tmp_path / "x",
+                         ["--method", "bow(l1,l1),tfidf(l2,l2)",
+                          "--keep-oov"])) == 0
+
+
+def test_dedup_drops_stopwords_without_embeddings(workspace, tmp_path):
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("w0\nw11\n")
+    out = tmp_path / "dedup"
+    assert run(["dedup", "--dataset", workspace / "docs.txt",
+                "--stopwords", stopwords, "--out", out]) == 0
+    clean = [line.split("\t")[1].split() for line in
+             (out / "docs.clean.txt").read_text().splitlines()]
+    assert not {"w0", "w11"} & {t for toks in clean for t in toks}
+    # without embeddings, out-of-vocabulary words stay
+    assert ["zzz", "qqq"] in clean
 
 
 def test_config_file_and_flag_precedence(workspace, tmp_path):

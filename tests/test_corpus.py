@@ -16,7 +16,7 @@ from wmdlab.corpus import (
     read_stopwords,
     write_corpus,
 )
-from wmdlab.errors import InvalidInput, MissingFoldFile, ParseError, TooSmall
+from wmdlab.errors import InvalidInput, ParseError, TooSmall
 
 
 def corpus_of(token_lists, labels=None, folds=()):
@@ -80,13 +80,6 @@ def test_fold_discovery_orders_numerically(tmp_path):
     assert [p.name for p in found] == [
         "c.fold0.txt", "c.fold1.txt", "c.fold2.txt", "c.fold10.txt",
     ]
-
-
-def test_missing_fold_file(tmp_path):
-    p = tmp_path / "c.txt"
-    p.write_text("a\tx\nb\ty\n")
-    with pytest.raises(MissingFoldFile):
-        load_corpus(p, expect_folds=5)
 
 
 def test_fold_file_validation(tmp_path):

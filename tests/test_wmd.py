@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from wmdlab.wmd import (
     write_distance_matrix,
 )
 
-from helpers import vector_to_dense
+from helpers import corrupt_cache_files, vector_to_dense
 from oracle import brute_force_transport
 
 
@@ -166,7 +167,8 @@ def test_method_parse_variants():
     m = Method.parse("bow(l1,l2)")
     assert m.norm is NormScheme.L1 and m.metric is VectorMetric.L2
     assert m.label == "bow(l1,l2)"
-    assert Method.parse("tfidf", "none", "l2").label == "tfidf(none,l2)"
+    assert Method.parse("tfidf").label == "tfidf(l1,l1)"
+    assert Method.parse(" BOW ") == Method.parse("bow(l1,l1)")
 
 
 def test_method_parse_rejects_garbage():
@@ -279,12 +281,13 @@ def test_distance_matrix_submatrix():
 def test_cache_round_trip(tmp_path, small_resources):
     ids = [0, 1, 2, 6]
     dm = pairwise_distances(ids, ids, Method.parse("wmd"), small_resources)
-    path = tmp_path / "cache.dists"
+    path = tmp_path / "cache.npy"
     write_distance_matrix(dm, str(path))
-    back = read_distance_matrix(str(path))
+    back = read_distance_matrix(str(path), dm.row_ids, dm.col_ids)
     assert back.row_ids == dm.row_ids and back.col_ids == dm.col_ids
-    # 17 significant digits round-trip float64 exactly, inf included
-    assert np.array_equal(back.values, dm.values)
+    # float64 round-trips bit for bit, inf included
+    assert np.isinf(dm.values).any()
+    assert back.values.tobytes() == dm.values.tobytes()
 
 
 def test_cache_file_bytes(tmp_path):
@@ -292,20 +295,28 @@ def test_cache_file_bytes(tmp_path):
         [math.inf, 0.0, 5e-324],
         [0.1, 1 / 3, 1.7976931348623157e308],
     ])
-    path = tmp_path / "pinned.dists"
+    path = tmp_path / "pinned.npy"
     write_distance_matrix(dm, str(path))
-    assert path.read_bytes() == (
-        b"2 3\n3 10\n7 0 1\n"
-        b"inf 0 4.9406564584124654e-324\n"
-        b"0.10000000000000001 0.33333333333333331 1.7976931348623157e+308\n"
-    )
+    # a plain float64 .npy of the values alone, as np.save writes it
+    expected = io.BytesIO()
+    np.save(expected, dm.values)
+    assert path.read_bytes() == expected.getvalue()
+    loaded = np.load(path)
+    assert loaded.dtype == np.float64 and loaded.shape == (2, 3)
+    assert loaded.tobytes() == dm.values.tobytes()
 
 
 def test_cache_rejects_corrupt_file(tmp_path):
-    path = tmp_path / "bad.dists"
-    path.write_text("2 2\n0 1\n0 1\n1.0 2.0\n")
+    values = np.array([[0.0, 1.5, np.inf], [2.5, 0.0, 4.0]])
+    for name, data in corrupt_cache_files(values).items():
+        path = tmp_path / f"{name}.npy"
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            read_distance_matrix(str(path), (0, 1), (0, 1, 2))
+    # the ids a matrix is read for must match its shape
+    path = tmp_path / "good.npy"
+    write_distance_matrix(DistanceMatrix((0, 1), (0, 1, 2), values), path)
     with pytest.raises(ParseError):
-        read_distance_matrix(str(path))
-    path.write_text("2 2\n0 1\n0 1\n1.0 2.0\n3.0 x\n")
-    with pytest.raises(ParseError):
-        read_distance_matrix(str(path))
+        read_distance_matrix(str(path), (0, 1, 2), (0, 1))
+    assert np.array_equal(read_distance_matrix(path, (5, 6), (7, 8, 9))
+                          .values, values)
