@@ -3,13 +3,7 @@ the evaluation/analysis harness around them."""
 
 __version__ = "0.1.0"
 
-from .ot_core import (
-    TransportPlan,
-    TransportProblem,
-    ot_uniform,
-    solve_transport,
-    uniform_cost_matrix,
-)
+from .ot_core import TransportPlan, TransportProblem, solve_transport
 from .textrep import (
     NormScheme,
     SparseVector,

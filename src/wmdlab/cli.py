@@ -34,15 +34,14 @@ from .embeddings import (
     project_pca,
 )
 from .errors import ParseError, WmdlabError
-from .textrep import build_vocabulary, document_frequencies
+from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
-from .textrep import bow_vector, normalize, vector_distance  # noqa: F401
+from .textrep import normalize, vector_distance  # noqa: F401
 from .wmd import Method, Resources, pairwise_distances, read_distance_matrix, \
     write_distance_matrix
 
 logger = logging.getLogger("wmdlab")
 
-CACHE_ENV = "WMDLAB_CACHE_DIR"
 DEFAULT_METHODS = "bow(l1,l1),wmd"
 BASE_METHOD = "bow(l1,l1)"
 
@@ -90,7 +89,8 @@ class RunConfig:
         specs = [s.strip() for s in specs if s.strip()]
         if not specs:
             raise CliError("empty method list")
-        return [Method.parse(s) for s in specs]
+        # a method named twice, e.g. as bow and bow(l1,l1), runs once
+        return list(dict.fromkeys(Method.parse(s) for s in specs))
 
     def dim_list(self) -> list[int]:
         if not self.dims:
@@ -104,9 +104,6 @@ class RunConfig:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
     def resolved_cache_dir(self) -> Path:
-        env = os.environ.get(CACHE_ENV)
-        if env:
-            return Path(env)
         if self.cache_dir:
             return Path(self.cache_dir)
         return Path(self.out) / "cache"
@@ -218,7 +215,8 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
     docs = corp.tokens_by_id()
     vocab = build_vocabulary(list(docs.values()))
     df = document_frequencies(docs.values(), vocab)
-    resources = Resources(tokens=docs, vocab=vocab, store=store,
+    counts = {i: bow_vector(doc, vocab) for i, doc in docs.items()}
+    resources = Resources(counts=counts, vocab=vocab, store=store,
                           doc_freq=df, n_docs=len(docs),
                           workers=cfg.effective_workers())
     return Pipeline(cfg=cfg, corpus=corp, store=store, resources=resources)
@@ -437,7 +435,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     dm = _distances(pipe, cache, manifest, wmd_method, list(queries),
                     list(refs))
     measures = {i: m for i, m in wmd.representations(
-        list(res.tokens), wmd_method, res).items() if m is not None}
+        list(res.counts), wmd_method, res).items() if m is not None}
     bows = wmd.representations(list(measures), Method.parse(BASE_METHOD), res)
     # documents without a measure are unusable: their cells are all +inf
     dm_usable = dm.submatrix([r for r in dm.row_ids if r in measures],
@@ -525,8 +523,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-fraction", dest="train_fraction", type=float)
     p.add_argument("--bin-width", dest="bin_width", type=float)
     p.add_argument("--pairs", type=int, help="sampled pairs for scatter/dims")
-    p.add_argument("--cache-dir", dest="cache_dir",
-                   help=f"cache directory (or ${CACHE_ENV})")
+    p.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
 
 
 def make_parser() -> argparse.ArgumentParser:

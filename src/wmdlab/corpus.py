@@ -77,9 +77,6 @@ class Corpus:
     def labels_by_id(self) -> dict[int, str]:
         return {d.doc_id: d.label for d in self.documents}
 
-    def empty_ids(self) -> tuple[int, ...]:
-        return tuple(d.doc_id for d in self.documents if not d.tokens)
-
 
 @dataclass(frozen=True)
 class DuplicateReport:
@@ -179,7 +176,7 @@ def filter_vocabulary(corpus: Corpus, store: Container[str] | None,
 
     With ``keep_oov`` only stopwords are removed and ``store`` is never
     consulted, so it may be None. Documents may end up empty; they are
-    retained (``Corpus.empty_ids`` reports them).
+    retained.
     """
     docs = []
     for d in corpus.documents:

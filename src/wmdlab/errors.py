@@ -13,10 +13,6 @@ class UnbalancedProblem(WmdlabError):
     """Supply and demand totals differ beyond the repairable tolerance."""
 
 
-class NotNormalized(WmdlabError):
-    """A vector expected to sum to one does not."""
-
-
 class EmptyCorpus(WmdlabError):
     """No documents were supplied."""
 

@@ -21,17 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    InvalidInput,
-    NotNormalized,
-    SolverStalled,
-    UnbalancedProblem,
-)
-from .textrep import SparseVector, VectorMetric, vector_distance
+from .errors import InvalidInput, SolverStalled, UnbalancedProblem
 
 BALANCE_TOL = 1e-9
-_MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -266,29 +258,3 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
             entries.append((row_ids[i], col_ids[j], m))
     entries.sort()
     return TransportPlan(entries=tuple(entries), objective=math.fsum(terms))
-
-
-def uniform_cost_matrix(n: int) -> np.ndarray:
-    """Cost matrix with zero diagonal and 2 off the diagonal.
-
-    This is the word-to-word geometry induced by mutually orthogonal unit
-    embeddings scaled to diameter 2: staying on a word is free, any move
-    costs the maximum.
-    """
-    return 2.0 * (np.ones((n, n)) - np.eye(n))
-
-
-def ot_uniform(x: SparseVector, y: SparseVector) -> float:
-    """Transport cost between L1-normalized vectors under the uniform geometry.
-
-    Under the 0/2 cost matrix the optimal plan keeps min(x_i, y_i) in place
-    for every coordinate, so the optimum collapses to the closed form
-    ||x - y||_1; no LP solve is needed.
-    """
-    if x.dim != y.dim:
-        raise DimMismatch(f"dimensions differ: {x.dim} != {y.dim}")
-    for name, vec in (("x", x), ("y", y)):
-        total = vec.sum()
-        if abs(total - 1.0) > _MARGINAL_TOL:
-            raise NotNormalized(f"{name} sums to {total!r}, expected 1")
-    return vector_distance(x, y, VectorMetric.L1)

@@ -67,11 +67,11 @@ class SparseVector:
         if ids.ndim != 1 or values.ndim != 1 or ids.size != values.size:
             raise InvalidInput("ids and values must be 1-D arrays of equal length")
         if ids.size:
-            if not np.all(np.diff(ids) > 0):
+            if not (ids[1:] > ids[:-1]).all():
                 raise InvalidInput("ids must be strictly increasing")
             if ids[0] < 0 or ids[-1] >= dim:
                 raise InvalidInput("ids out of range")
-            if not np.all(np.isfinite(values)) or not np.all(values > 0):
+            if not ((values > 0) & (values < math.inf)).all():
                 raise InvalidInput("values must be finite and > 0")
         ids.setflags(write=False)
         values.setflags(write=False)
@@ -82,23 +82,9 @@ class SparseVector:
     def __setattr__(self, name, value):
         raise AttributeError("SparseVector is immutable")
 
-    @classmethod
-    def from_pairs(cls, dim: int, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        pairs = sorted((int(i), float(v)) for i, v in pairs if v != 0.0)
-        ids = np.array([i for i, _ in pairs], dtype=np.int64)
-        values = np.array([v for _, v in pairs], dtype=np.float64)
-        return cls(dim, ids, values)
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return list(zip(self.ids.tolist(), self.values.tolist()))
-
     @property
     def nnz(self) -> int:
         return int(self.ids.size)
-
-    def sum(self) -> float:
-        return math.fsum(self.values.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
@@ -127,18 +113,12 @@ def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
     return Vocabulary(words=tuple(index), index=index)
 
 
-def bow_vector(doc: Sequence[str], vocab: Vocabulary) -> tuple[SparseVector, int]:
-    """Count in-vocabulary occurrences; returns (vector, number of dropped tokens)."""
-    counts: Counter[int] = Counter()
-    dropped = 0
-    for tok in doc:
-        i = vocab.index.get(tok)
-        if i is None:
-            dropped += 1
-        else:
-            counts[i] += 1
-    vec = SparseVector.from_pairs(len(vocab), counts.items())
-    return vec, dropped
+def bow_vector(doc: Sequence[str], vocab: Vocabulary) -> SparseVector:
+    """Count each in-vocabulary token of ``doc``; other tokens are ignored."""
+    counts = Counter(vocab.index[t] for t in doc if t in vocab.index)
+    ids = sorted(counts)
+    return SparseVector(len(vocab), np.array(ids, dtype=np.int64),
+                        np.array([counts[i] for i in ids], dtype=np.float64))
 
 
 def document_frequencies(
@@ -153,31 +133,25 @@ def document_frequencies(
     return df
 
 
-def tfidf_vector(
-    doc: Sequence[str],
-    vocab: Vocabulary,
-    doc_freq: np.ndarray,
-    n_docs: int,
-) -> SparseVector:
-    """Weight each in-vocabulary word by count * log2(n_docs / doc_freq).
+def tfidf_vector(counts: SparseVector, doc_freq: np.ndarray,
+                 n_docs: int) -> SparseVector:
+    """Weight each count by log2(n_docs / doc_freq).
 
     Words occurring in every document get weight zero and are omitted.
     """
     if n_docs < 1:
         raise InconsistentStats(f"n_docs must be >= 1, got {n_docs}")
-    counts, _ = bow_vector(doc, vocab)
-    pairs = []
-    for i, c in zip(counts.ids.tolist(), counts.values.tolist()):
-        df = int(doc_freq[i])
-        if df < 1 or df > n_docs:
+    df = doc_freq[counts.ids].tolist()
+    for i, d in zip(counts.ids.tolist(), df):
+        if d < 1 or d > n_docs:
             raise InconsistentStats(
-                f"word {vocab.words[i]!r} has document frequency {df} "
+                f"word id {i} has document frequency {d} "
                 f"out of range [1, {n_docs}]"
             )
-        w = c * math.log2(n_docs / df)
-        if w > 0.0:
-            pairs.append((i, w))
-    return SparseVector.from_pairs(len(vocab), pairs)
+    # math.log2, not np.log2: the two may differ in the last bit
+    weights = counts.values * np.array([math.log2(n_docs / d) for d in df])
+    keep = weights > 0.0
+    return SparseVector(counts.dim, counts.ids[keep], weights[keep])
 
 
 def normalize(v: SparseVector, scheme: NormScheme) -> SparseVector:

@@ -19,18 +19,14 @@ from .textrep import (
     VectorBlock,
     VectorMetric,
     Vocabulary,
-    bow_vector,
     distance_row,
     normalize,
     tfidf_vector,
 )
-# unused here; perfbench/tracer.py rebinds it at this name
-from .textrep import vector_distance  # noqa: F401
+# unused here; perfbench/tracer.py rebinds them at these names
+from .textrep import bow_vector, vector_distance  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-UNIFORM_COUNT = "uniform-count"
-TFIDF_WEIGHTING = "tfidf"
 
 
 @dataclass(frozen=True)
@@ -149,12 +145,12 @@ class DistanceMatrix:
 class Resources:
     """Shared inputs for batch distance computation.
 
-    ``tokens`` maps document id to its (already vocabulary-filtered)
-    token sequence. ``doc_freq``/``n_docs`` are corpus-level statistics
-    used by the tfidf weightings.
+    ``counts`` maps document id to its count vector over ``vocab``.
+    ``doc_freq``/``n_docs`` are corpus-level statistics used by the tfidf
+    weightings.
     """
 
-    tokens: Mapping[int, Sequence[str]]
+    counts: Mapping[int, SparseVector]
     vocab: Vocabulary
     store: EmbeddingStore | None = None
     doc_freq: np.ndarray | None = None
@@ -162,27 +158,14 @@ class Resources:
     workers: int = 1
 
 
-def make_measure(
-    doc: Sequence[str],
-    weighting: str,
-    vocab: Vocabulary,
-    doc_freq: np.ndarray | None = None,
-    n_docs: int | None = None,
-) -> DocumentMeasure:
-    """Turn a token list into an L1-normalized measure over its support."""
-    if weighting == UNIFORM_COUNT:
-        vec, _ = bow_vector(doc, vocab)
-    elif weighting == TFIDF_WEIGHTING:
-        if doc_freq is None or n_docs is None:
-            raise InvalidInput("tfidf weighting needs doc_freq and n_docs")
-        vec = tfidf_vector(doc, vocab, doc_freq, n_docs)
-    else:
-        raise InvalidInput(f"unknown weighting {weighting!r}")
+def make_measure(vec: SparseVector, vocab: Vocabulary) -> DocumentMeasure:
+    """The L1-normalized measure of a count or TF-IDF vector over its
+    support words."""
     if vec.nnz == 0:
         raise EmptySupport("document has no usable words")
-    total = math.fsum(vec.values.tolist())
+    vec = normalize(vec, NormScheme.L1)
     words = tuple(vocab.words[i] for i in vec.ids.tolist())
-    return DocumentMeasure(words=words, weights=vec.values / total)
+    return DocumentMeasure(words=words, weights=vec.values)
 
 
 def transport_plan(
@@ -213,28 +196,21 @@ def representations(ids: Sequence[int], method: Method,
     transport methods, its normalized vector for the others, or None when
     the document is unusable (no support, or an empty vector that the norm
     cannot scale)."""
+    tfidf = method.kind in ("tfidf", "wmd-tfidf")
+    if tfidf and (res.doc_freq is None or res.n_docs is None):
+        raise InvalidInput("tfidf methods need doc_freq and n_docs")
     reps: dict[int, object] = {}
     for doc_id in ids:
-        doc = res.tokens[doc_id]
-        if method.uses_transport:
-            weighting = (UNIFORM_COUNT if method.kind == "wmd"
-                         else TFIDF_WEIGHTING)
-            try:
-                reps[doc_id] = make_measure(doc, weighting, res.vocab,
-                                            res.doc_freq, res.n_docs)
-            except EmptySupport:
-                reps[doc_id] = None
+        vec = res.counts[doc_id]
+        if tfidf:
+            vec = tfidf_vector(vec, res.doc_freq, res.n_docs)
+        # a transport method has no norm: an empty measure is unusable too
+        if vec.nnz == 0 and method.norm is not NormScheme.NONE:
+            reps[doc_id] = None
+        elif method.uses_transport:
+            reps[doc_id] = make_measure(vec, res.vocab)
         else:
-            if method.kind == "bow":
-                vec, _ = bow_vector(doc, res.vocab)
-            else:
-                if res.doc_freq is None or res.n_docs is None:
-                    raise InvalidInput("tfidf methods need doc_freq and n_docs")
-                vec = tfidf_vector(doc, res.vocab, res.doc_freq, res.n_docs)
-            if vec.nnz == 0 and method.norm is not NormScheme.NONE:
-                reps[doc_id] = None
-            else:
-                reps[doc_id] = normalize(vec, method.norm)
+            reps[doc_id] = normalize(vec, method.norm)
     return reps
 
 

@@ -7,6 +7,8 @@ from wmdlab.ot_core import TransportProblem
 from wmdlab.textrep import VectorMetric, build_vocabulary, vector_distance
 from wmdlab.wmd import Method, Resources, representations
 
+from helpers import counts_of
+
 
 def random_balanced_problem(rng, max_side=6, total=64, cost_scale=1.0):
     """Exactly balanced random instance: integer masses over a shared total."""
@@ -30,8 +32,8 @@ def dim_sweep(corpus, store, dims, sample_pairs, seed):
     pairs of non-empty documents, their L1/L1 count distances and measures,
     and the corpus vocabulary as the PCA fit vocabulary."""
     tokens = corpus.tokens_by_id()
-    res = Resources(tokens=tokens,
-                    vocab=build_vocabulary(list(tokens.values())))
+    vocab = build_vocabulary(list(tokens.values()))
+    res = Resources(counts=counts_of(tokens, vocab), vocab=vocab)
     measures = {i: m for i, m in representations(
         list(tokens), Method.parse("wmd"), res).items() if m is not None}
     bows = representations(list(measures), Method.parse("bow(l1,l1)"), res)

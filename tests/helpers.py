@@ -1,15 +1,38 @@
-"""Dense views of sparse library objects, and broken cache files, for the
-tests."""
+"""Sparse vectors from pairs and dense views of sparse library objects,
+count vectors of token lists, and broken cache files, for the tests."""
 
 from __future__ import annotations
 
 import io
+import math
 import pickle
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from wmdlab.ot_core import TransportPlan
-from wmdlab.textrep import SparseVector
+from wmdlab.textrep import SparseVector, Vocabulary, bow_vector
+
+
+def from_pairs(dim: int, pairs: Iterable[tuple[int, float]]) -> SparseVector:
+    pairs = sorted((int(i), float(v)) for i, v in pairs if v != 0.0)
+    ids = np.array([i for i, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    return SparseVector(dim, ids, values)
+
+
+def entries(v: SparseVector) -> list[tuple[int, float]]:
+    return list(zip(v.ids.tolist(), v.values.tolist()))
+
+
+def vector_sum(v: SparseVector) -> float:
+    return math.fsum(v.values.tolist())
+
+
+def counts_of(tokens: Mapping[int, Sequence[str]],
+              vocab: Vocabulary) -> dict[int, SparseVector]:
+    """Each document's count vector, as ``Resources.counts`` holds it."""
+    return {i: bow_vector(doc, vocab) for i, doc in tokens.items()}
 
 
 def row_sums(plan: TransportPlan, n_rows: int) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Reference optimum for small transportation instances.
+"""Reference optima for transportation instances.
 
 ``brute_force_transport`` is a deliberately independent cross-check of
 ``wmdlab.ot_core.solve_transport``: exhaustive vertex enumeration for tiny
 instances, an LP solve through SciPy's HiGHS simplex for the rest of its
-size range. Only the tests use it, so the library does not import SciPy's
-optimizer.
+size range. ``ot_uniform`` is the closed form of the uniform-cost geometry.
+Only the tests use them, so the library does not import SciPy's optimizer.
 """
 
 from __future__ import annotations
@@ -14,8 +14,11 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from wmdlab.errors import SolverStalled, WmdlabError
+from wmdlab.errors import DimMismatch, SolverStalled, WmdlabError
 from wmdlab.ot_core import TransportProblem, _repair_balance
+from wmdlab.textrep import SparseVector, VectorMetric, vector_distance
+
+_MARGINAL_TOL = 1e-9
 
 BRUTE_FORCE_CELL_LIMIT = 36
 # Largest instance routed to exhaustive vertex enumeration; bigger ones
@@ -25,6 +28,10 @@ ENUMERATION_CELL_LIMIT = 9
 
 class TooLarge(WmdlabError):
     """Instance exceeds the size bound of an exhaustive routine."""
+
+
+class NotNormalized(WmdlabError):
+    """A vector expected to sum to one does not."""
 
 
 def _enumerate_min_cost(
@@ -105,3 +112,29 @@ def brute_force_transport(problem: TransportProblem) -> float:
     if s.size * d.size <= ENUMERATION_CELL_LIMIT:
         return _enumerate_min_cost(s.tolist(), d.tolist(), cost)
     return _linprog_min_cost(s, d, cost)
+
+
+def uniform_cost_matrix(n: int) -> np.ndarray:
+    """Cost matrix with zero diagonal and 2 off the diagonal.
+
+    This is the word-to-word geometry induced by mutually orthogonal unit
+    embeddings scaled to diameter 2: staying on a word is free, any move
+    costs the maximum.
+    """
+    return 2.0 * (np.ones((n, n)) - np.eye(n))
+
+
+def ot_uniform(x: SparseVector, y: SparseVector) -> float:
+    """Transport cost between L1-normalized vectors under the uniform geometry.
+
+    Under the 0/2 cost matrix the optimal plan keeps min(x_i, y_i) in place
+    for every coordinate, so the optimum collapses to the closed form
+    ||x - y||_1; no LP solve is needed.
+    """
+    if x.dim != y.dim:
+        raise DimMismatch(f"dimensions differ: {x.dim} != {y.dim}")
+    for name, vec in (("x", x), ("y", y)):
+        total = math.fsum(vec.values.tolist())
+        if abs(total - 1.0) > _MARGINAL_TOL:
+            raise NotNormalized(f"{name} sums to {total!r}, expected 1")
+    return vector_distance(x, y, VectorMetric.L1)

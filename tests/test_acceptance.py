@@ -28,18 +28,13 @@ from wmdlab.knn_eval import (
     tune,
     wknn_predict,
 )
-from wmdlab.ot_core import (
-    TransportProblem,
-    solve_transport,
-    uniform_cost_matrix,
-)
-from wmdlab.textrep import build_vocabulary
-from wmdlab.wmd import Method, Resources, UNIFORM_COUNT, make_measure, \
-    pairwise_distances
+from wmdlab.ot_core import TransportProblem, solve_transport
+from wmdlab.textrep import bow_vector, build_vocabulary
+from wmdlab.wmd import Method, Resources, make_measure, pairwise_distances
 
 from conftest import dim_sweep, random_balanced_problem, random_simplex_pair
-from helpers import col_sums, plan_to_dense, row_sums
-from oracle import brute_force_transport
+from helpers import col_sums, counts_of, plan_to_dense, row_sums
+from oracle import brute_force_transport, uniform_cost_matrix
 
 
 def report(num, name, ok):
@@ -237,7 +232,7 @@ def test_criterion_7_histogram_mass_conservation():
     token_lists = [rng.choice(words, size=int(rng.integers(3, 9))).tolist()
                    for _ in range(40)]
     vocab = build_vocabulary(token_lists)
-    measures = {i: make_measure(t, UNIFORM_COUNT, vocab)
+    measures = {i: make_measure(bow_vector(t, vocab), vocab)
                 for i, t in enumerate(token_lists)}
     pairs = [tuple(rng.choice(40, size=2, replace=False)) for _ in range(100)]
     hist = transport_histogram(pairs, measures, store, bin_width=0.02)
@@ -291,7 +286,8 @@ def test_criterion_9_bbcsport_error_bands():
     docs = corp.tokens_by_id()
     vocab = build_vocabulary(list(docs.values()))
     from wmdlab.textrep import document_frequencies
-    resources = Resources(tokens=docs, vocab=vocab, store=store,
+    resources = Resources(counts=counts_of(docs, vocab), vocab=vocab,
+                          store=store,
                           doc_freq=document_frequencies(docs.values(), vocab),
                           n_docs=len(docs), workers=8)
     labels = corp.labels_by_id()

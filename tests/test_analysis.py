@@ -21,14 +21,14 @@ from wmdlab.corpus import Corpus, Document
 from wmdlab.embeddings import EmbeddingStore, l2_normalize
 from wmdlab.errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
 from wmdlab.textrep import NormScheme, bow_vector, build_vocabulary, normalize
-from wmdlab.wmd import DistanceMatrix, UNIFORM_COUNT, make_measure
+from wmdlab.wmd import DistanceMatrix, make_measure
 
 from conftest import dim_sweep
 
 
 def measures_for(token_lists):
     vocab = build_vocabulary(token_lists)
-    return {i: make_measure(toks, UNIFORM_COUNT, vocab)
+    return {i: make_measure(bow_vector(toks, vocab), vocab)
             for i, toks in enumerate(token_lists)}
 
 
@@ -210,7 +210,7 @@ def test_bow_wmd_scatter_scores_each_pair_in_order(onehot_store):
     # under the uniform geometry the transport distance is the L1 distance
     token_lists = [["w0", "w1"], ["w0", "w0", "w2"], ["w3"]]
     vocab = build_vocabulary(token_lists)
-    bows = {i: normalize(bow_vector(t, vocab)[0], NormScheme.L1)
+    bows = {i: normalize(bow_vector(t, vocab), NormScheme.L1)
             for i, t in enumerate(token_lists)}
     points = bow_wmd_scatter([(0, 1), (2, 0), (1, 1)], bows,
                              measures_for(token_lists), onehot_store)
@@ -225,7 +225,7 @@ def test_dim_comparison_reuses_the_bow_column(monkeypatch):
     store = l2_normalize(EmbeddingStore(words, rng.normal(size=(30, 6))))
     token_lists = [list(rng.choice(words, size=5)) for _ in range(12)]
     vocab = build_vocabulary(token_lists)
-    bows = {i: normalize(bow_vector(t, vocab)[0], NormScheme.L1)
+    bows = {i: normalize(bow_vector(t, vocab), NormScheme.L1)
             for i, t in enumerate(token_lists)}
     measures = measures_for(token_lists)
     pairs = sample_document_pairs(sorted(measures), 30, seed=4)

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -134,16 +135,30 @@ def test_no_compute_fails_without_cache(workspace, tmp_path, capsys):
     assert "missing cache" in capsys.readouterr().err
 
 
-def test_cache_dir_env_override(workspace, tmp_path, monkeypatch):
-    cache_dir = tmp_path / "elsewhere"
-    monkeypatch.setenv("WMDLAB_CACHE_DIR", str(cache_dir))
+def test_cache_dir_flag_ignores_env(workspace, tmp_path, monkeypatch):
+    env_dir, flag_dir = tmp_path / "from-env", tmp_path / "from-flag"
+    monkeypatch.setenv("WMDLAB_CACHE_DIR", str(env_dir))
     out = tmp_path / "run"
-    args = ["dists", "--dataset", workspace / "docs.txt", "--embeddings",
-            workspace / "emb.txt", "--folds", "1", "--seed", "0",
-            "--workers", "1", "--method", "bow(l1,l1)", "--out", out]
-    assert run(args) == 0
-    assert list(cache_dir.glob("*.npy"))
+    assert run(base_args(workspace, out, ["--method", "bow(l1,l1)",
+                                          "--cache-dir", flag_dir])) == 0
+    assert len(list(flag_dir.glob("*.npy"))) == 2  # one per fold
+    assert not env_dir.exists()
     assert not (out / "cache").exists()
+
+
+def test_method_named_twice_runs_once(workspace, tmp_path):
+    out = tmp_path / "run"
+    assert run(base_args(workspace, out,
+                         ["--method", "bow, bow(l1,l1), tfidf"])) == 0
+    with open(out / "report.csv", newline="") as fh:
+        methods = [row["method"] for row in csv.DictReader(fh)]
+    assert sorted(methods) == ["bow(l1,l1)"] * 2 + ["tfidf(l1,l1)"] * 2
+    summary = json.loads((out / "summary.json").read_text())
+    for method in ("bow(l1,l1)", "tfidf(l1,l1)"):
+        (entry,) = summary["methods"][method].values()
+        assert entry["folds"] == 2
+    assert RunConfig(methods="wmd,bow,WMD,bow(l1,l1)").method_list() == [
+        Method.parse("wmd"), Method.parse("bow")]
 
 
 def test_dedup_outputs(workspace, tmp_path):

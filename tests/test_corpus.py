@@ -149,7 +149,7 @@ def test_filter_never_lengthens_and_flags_empty():
     out = filter_vocabulary(corp, FakeStore(["a"]))
     assert all(len(o.tokens) <= len(c.tokens)
                for o, c in zip(out.documents, corp.documents))
-    assert out.empty_ids() == (1,)
+    assert tuple(d.doc_id for d in out.documents if not d.tokens) == (1,)
 
 
 # -- duplicates ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from wmdlab.textrep import (
 from wmdlab.wmd import Method, Resources, _row_values, pairwise_distances, \
     representations
 
+from helpers import counts_of, from_pairs
 from reference_vector import reference_distance
 
 GRID = [f"{kind}({norm},{metric})" for kind in ("bow", "tfidf")
@@ -54,7 +55,7 @@ def vectors(draw, dim, like=None):
     else:
         ids = set(range(dim)) - set(like.ids.tolist())
     vals = draw(st.lists(values, min_size=len(ids), max_size=len(ids)))
-    return SparseVector.from_pairs(dim, zip(sorted(ids), vals))
+    return from_pairs(dim, zip(sorted(ids), vals))
 
 
 @st.composite
@@ -98,7 +99,7 @@ def test_row_values_unusable_and_self_cells(row, spec, data):
 
 
 def test_row_rejects_other_dimension():
-    q = SparseVector.from_pairs(3, [(0, 1.0)])
+    q = from_pairs(3, [(0, 1.0)])
     with pytest.raises(DimMismatch):
         distance_row(q, VectorBlock([], 4), VectorMetric.L1)
     with pytest.raises(DimMismatch):
@@ -106,7 +107,7 @@ def test_row_rejects_other_dimension():
 
 
 def test_row_against_no_references():
-    q = SparseVector.from_pairs(3, [(0, 1.0)])
+    q = from_pairs(3, [(0, 1.0)])
     assert distance_row(q, VectorBlock([], 3), VectorMetric.L2).shape == (0,)
 
 
@@ -126,7 +127,7 @@ def grid_resources():
         7: ("d", "e", "f", "g", "h", "c", "b", "a", "all"),
     }
     vocab = build_vocabulary([t for t in tokens.values() if t])
-    return Resources(tokens=tokens, vocab=vocab,
+    return Resources(counts=counts_of(tokens, vocab), vocab=vocab,
                      doc_freq=document_frequencies(tokens.values(), vocab),
                      n_docs=len(tokens))
 

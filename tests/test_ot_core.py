@@ -5,29 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmdlab.errors import (
-    DimMismatch,
-    InvalidInput,
-    NotNormalized,
-    UnbalancedProblem,
-)
-from wmdlab.ot_core import (
-    TransportPlan,
-    TransportProblem,
-    ot_uniform,
-    solve_transport,
-    uniform_cost_matrix,
-)
-from wmdlab.textrep import SparseVector
+from wmdlab.errors import DimMismatch, InvalidInput, UnbalancedProblem
+from wmdlab.ot_core import TransportPlan, TransportProblem, solve_transport
 
 from conftest import random_balanced_problem, random_simplex_pair
-from helpers import col_sums, plan_to_dense, row_sums
-from oracle import TooLarge, _enumerate_min_cost, _linprog_min_cost, \
-    brute_force_transport
+from helpers import col_sums, from_pairs, plan_to_dense, row_sums
+from oracle import NotNormalized, TooLarge, _enumerate_min_cost, \
+    _linprog_min_cost, brute_force_transport, ot_uniform, uniform_cost_matrix
 
 
 def sparse_from_dense(v):
-    return SparseVector.from_pairs(len(v), enumerate(v))
+    return from_pairs(len(v), enumerate(v))
 
 
 # -- problem validation ---------------------------------------------------------

@@ -14,11 +14,11 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from wmdlab.ot_core import TransportProblem, solve_transport, \
-    uniform_cost_matrix
+from wmdlab.ot_core import TransportProblem, solve_transport
 
 from conftest import random_simplex_pair
 from helpers import col_sums, row_sums
+from oracle import uniform_cost_matrix
 from reference_simplex import reference_solve
 
 

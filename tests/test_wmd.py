@@ -8,10 +8,8 @@ from wmdlab.embeddings import EmbeddingStore, cost_submatrix, l2_normalize
 from wmdlab.errors import EmptySupport, InvalidInput, ParseError
 from wmdlab.ot_core import TransportProblem, solve_transport
 from wmdlab.textrep import NormScheme, VectorMetric, build_vocabulary, \
-    bow_vector, document_frequencies, normalize, vector_distance
+    bow_vector, document_frequencies, normalize, tfidf_vector, vector_distance
 from wmdlab.wmd import (
-    UNIFORM_COUNT,
-    TFIDF_WEIGHTING,
     DistanceMatrix,
     DocumentMeasure,
     Method,
@@ -23,7 +21,7 @@ from wmdlab.wmd import (
     write_distance_matrix,
 )
 
-from helpers import corrupt_cache_files, vector_to_dense
+from helpers import corrupt_cache_files, counts_of, vector_to_dense
 from oracle import brute_force_transport
 
 
@@ -37,7 +35,7 @@ def orthogonal_store():
 
 def uniform_measure(tokens):
     vocab = build_vocabulary([tokens])
-    return make_measure(tokens, UNIFORM_COUNT, vocab)
+    return make_measure(bow_vector(tokens, vocab), vocab)
 
 
 # -- measures --------------------------------------------------------------------
@@ -45,14 +43,14 @@ def uniform_measure(tokens):
 
 def test_measure_counts_normalized():
     vocab = build_vocabulary([["a", "b"]])
-    m = make_measure(["a", "a", "b"], UNIFORM_COUNT, vocab)
+    m = make_measure(bow_vector(["a", "a", "b"], vocab), vocab)
     assert m.words == ("a", "b")
     assert m.weights.tolist() == [2 / 3, 1 / 3]
 
 
 def test_measure_singleton():
     vocab = build_vocabulary([["a"]])
-    m = make_measure(["a"], UNIFORM_COUNT, vocab)
+    m = make_measure(bow_vector(["a"], vocab), vocab)
     assert m.words == ("a",) and m.weights.tolist() == [1.0]
 
 
@@ -60,7 +58,8 @@ def test_measure_tfidf_drops_zero_idf_words():
     docs = [["a", "a", "b"], ["a"]]
     vocab = build_vocabulary(docs)
     df = document_frequencies(docs, vocab)  # a in both docs, b in one
-    m = make_measure(["a", "a", "b"], TFIDF_WEIGHTING, vocab, df, n_docs=2)
+    m = make_measure(
+        tfidf_vector(bow_vector(["a", "a", "b"], vocab), df, n_docs=2), vocab)
     assert m.words == ("b",)
     assert m.weights.tolist() == [1.0]
 
@@ -68,7 +67,7 @@ def test_measure_tfidf_drops_zero_idf_words():
 def test_measure_empty_support():
     vocab = build_vocabulary([["a"]])
     with pytest.raises(EmptySupport):
-        make_measure(["zzz"], UNIFORM_COUNT, vocab)
+        make_measure(bow_vector(["zzz"], vocab), vocab)
 
 
 def test_measure_validates_weights():
@@ -106,11 +105,11 @@ def test_wmd_reduces_to_l1_bow_under_onehot_geometry(orthogonal_store):
     for _ in range(20):
         d1 = rng.choice(words, size=rng.integers(1, 8)).tolist()
         d2 = rng.choice(words, size=rng.integers(1, 8)).tolist()
-        m1 = make_measure(d1, UNIFORM_COUNT, vocab)
-        m2 = make_measure(d2, UNIFORM_COUNT, vocab)
+        m1 = make_measure(bow_vector(d1, vocab), vocab)
+        m2 = make_measure(bow_vector(d2, vocab), vocab)
         got = wmd_distance(m1, m2, orthogonal_store)
-        a = normalize(bow_vector(d1, vocab)[0], NormScheme.L1)
-        b = normalize(bow_vector(d2, vocab)[0], NormScheme.L1)
+        a = normalize(bow_vector(d1, vocab), NormScheme.L1)
+        b = normalize(bow_vector(d2, vocab), NormScheme.L1)
         want = vector_distance(a, b, VectorMetric.L1)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -148,12 +147,12 @@ def test_support_restriction_matches_full_problem(orthogonal_store):
     words = list(orthogonal_store.tokens)
     vocab = build_vocabulary([words])
     d1, d2 = ["w0", "w1", "w1"], ["w1", "w3"]
-    m1 = make_measure(d1, UNIFORM_COUNT, vocab)
-    m2 = make_measure(d2, UNIFORM_COUNT, vocab)
+    m1 = make_measure(bow_vector(d1, vocab), vocab)
+    m2 = make_measure(bow_vector(d2, vocab), vocab)
     restricted = wmd_distance(m1, m2, orthogonal_store)
     full_cost = cost_submatrix(orthogonal_store, words, words)
-    x = vector_to_dense(normalize(bow_vector(d1, vocab)[0], NormScheme.L1))
-    y = vector_to_dense(normalize(bow_vector(d2, vocab)[0], NormScheme.L1))
+    x = vector_to_dense(normalize(bow_vector(d1, vocab), NormScheme.L1))
+    y = vector_to_dense(normalize(bow_vector(d2, vocab), NormScheme.L1))
     full = solve_transport(TransportProblem(x, y, full_cost)).objective
     assert restricted == pytest.approx(full, abs=1e-9)
 
@@ -198,8 +197,8 @@ def small_resources(clustered_store):
     tokens[6] = ()  # vocabulary-filtered to nothing
     vocab = build_vocabulary([t for t in tokens.values() if t])
     df = document_frequencies(tokens.values(), vocab)
-    return Resources(tokens=tokens, vocab=vocab, store=clustered_store,
-                     doc_freq=df, n_docs=len(tokens))
+    return Resources(counts=counts_of(tokens, vocab), vocab=vocab,
+                     store=clustered_store, doc_freq=df, n_docs=len(tokens))
 
 
 def test_pairwise_wmd_zero_diagonal(small_resources):
@@ -215,10 +214,8 @@ def test_pairwise_bow_matches_direct_distance(small_resources):
     dm = pairwise_distances(ids, ids, method, small_resources)
     for i in ids:
         for j in ids:
-            a = normalize(bow_vector(small_resources.tokens[i],
-                                     small_resources.vocab)[0], NormScheme.L1)
-            b = normalize(bow_vector(small_resources.tokens[j],
-                                     small_resources.vocab)[0], NormScheme.L1)
+            a = normalize(small_resources.counts[i], NormScheme.L1)
+            b = normalize(small_resources.counts[j], NormScheme.L1)
             want = 0.0 if i == j else vector_distance(a, b, VectorMetric.L1)
             assert dm.values[i, j] == want
 
