@@ -11,6 +11,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore, project_pca
 from .errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
+from .knn_eval import neighbor_order
 from .textrep import SparseVector, VectorMetric, vector_distance
 from .wmd import DistanceMatrix, DocumentMeasure, transport_plan, wmd_distance
 # unused here; perfbench/tracer.py rebinds them at these names
@@ -49,24 +50,18 @@ def nearest_neighbor_pairs(dist: DistanceMatrix,
     """For each query row, its closest reference document.
 
     ``leave-one-out`` skips the reference with the same document id as the
-    query. Distance ties go to the lower reference id.
+    query. Distance ties go to the lower reference id, as in
+    ``knn_eval.neighbor_order``.
     """
     if mode not in (CROSS_SPLIT, LEAVE_ONE_OUT):
         raise InvalidInput(f"unknown mode {mode!r}")
     col_ids = np.asarray(dist.col_ids)
     pairs: list[tuple[int, int]] = []
-    for i, rid in enumerate(dist.row_ids):
-        row = dist.values[i]
-        order = np.lexsort((col_ids, row))
-        chosen = -1
-        for pos in order.tolist():
-            if not math.isfinite(row[pos]):
-                break  # order puts inf last; nothing further is finite
-            if mode == LEAVE_ONE_OUT and dist.col_ids[pos] == rid:
-                continue
-            chosen = pos
-            break
-        if chosen < 0:
+    for row, rid in zip(dist.values, dist.row_ids):
+        chosen = next((pos for pos in neighbor_order(row, col_ids).tolist()
+                       if mode == CROSS_SPLIT or dist.col_ids[pos] != rid),
+                      None)
+        if chosen is None:
             raise NoFiniteNeighbor(f"query {rid} has no finite neighbor")
         pairs.append((rid, dist.col_ids[chosen]))
     return pairs

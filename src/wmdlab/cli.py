@@ -153,6 +153,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    for key in ("seed", "workers"):
+        if getattr(cfg, key) < 0:
+            raise CliError(f"--{key} must be >= 0, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -426,7 +429,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     corp, res = pipe.corpus, pipe.resources
 
     wmd_method = Method.parse("wmd")
-    if corp.split_type == corpus_mod.ONE_FOLD:
+    if len(corp.folds) == 1:
         queries, refs = corp.folds[0].train_ids, corp.folds[0].test_ids
         mode = analysis.CROSS_SPLIT
     else:

@@ -20,9 +20,6 @@ from .errors import InvalidInput, ParseError, TooSmall
 
 logger = logging.getLogger(__name__)
 
-ONE_FOLD = "one-fold"
-FIVE_FOLD = "five-fold"
-
 
 @dataclass(frozen=True)
 class Document:
@@ -59,14 +56,6 @@ class Corpus:
                 raise InvalidInput("fold train/test ids overlap")
             if not (train | test) <= id_set:
                 raise InvalidInput("fold references unknown document ids")
-
-    @property
-    def split_type(self) -> str:
-        if len(self.folds) == 1:
-            return ONE_FOLD
-        if len(self.folds) == 5:
-            return FIVE_FOLD
-        return f"{len(self.folds)}-fold" if self.folds else "unsplit"
 
     def ids(self) -> tuple[int, ...]:
         return tuple(d.doc_id for d in self.documents)

@@ -48,12 +48,6 @@ class EmbeddingStore:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def vector(self, token: str) -> np.ndarray:
-        try:
-            return self.matrix[self.index[token]]
-        except KeyError:
-            raise MissingWord(token) from None
-
     def rows(self, words: Sequence[str]) -> np.ndarray:
         idx = []
         for w in words:

@@ -69,103 +69,75 @@ class EvalResult:
     predictions: Mapping[int, str]
 
 
-def _nearest(dist_row: np.ndarray, k: int,
-             train_ids: np.ndarray) -> np.ndarray:
-    """Positions of the k smallest finite distances; ties go to lower ids."""
-    dist_row = np.asarray(dist_row, dtype=np.float64)
-    order = np.lexsort((train_ids, dist_row))
-    finite = order[np.isfinite(dist_row[order])]
-    if finite.size == 0:
-        raise NotEnoughNeighbors("no finite-distance training sample")
-    if finite.size < k:
-        warnings.warn(
-            f"only {finite.size} finite neighbors available, clamping k={k}",
-            stacklevel=3,
-        )
-        k = finite.size
-    return finite[:k]
+def neighbor_order(row: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of the row's finite cells, nearest first; equal distances
+    go to the lower id. Prediction, tuning and analysis all rank rows here."""
+    row = np.asarray(row, dtype=np.float64)
+    order = np.lexsort((ids, row))
+    return order[np.isfinite(row[order])]
 
 
-def _vote(picked: np.ndarray, dist_row: np.ndarray,
-          train_labels: Sequence[str], weights: np.ndarray) -> str:
-    """Weighted majority with deterministic tie-breaks.
+def _valid(classifier: str, k: int, gamma: float | None) -> Hyperparams:
+    """The hyperparameters ``classifier`` votes with; kNN drops gamma."""
+    if classifier not in (KNN, WKNN):
+        raise InvalidInput(f"unknown classifier {classifier!r}")
+    if classifier == WKNN and gamma is None:
+        raise InvalidInput("wknn needs a gamma")
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
+    if classifier == WKNN and not gamma > 0:
+        raise InvalidInput(f"gamma must be > 0, got {gamma}")
+    return Hyperparams(k, gamma if classifier == WKNN else None)
 
-    Vote ties are resolved by the smaller summed distance among the tied
-    labels, then by the lexicographically smallest label.
-    """
+
+def _predict(ranked: np.ndarray, row: np.ndarray, labels: Sequence[str],
+             hp: Hyperparams) -> str:
+    """Weighted majority of the first ``hp.k`` positions of ``ranked``.
+
+    A vote weighs 1 for kNN (``hp.gamma is None``), else
+    exp(-(d - d_nearest) / gamma): the offset scales all votes alike and
+    keeps tiny gammas from underflowing every weight to zero. Vote ties go
+    to the smaller summed distance, then to the smallest label."""
+    picked = ranked[:hp.k]
+    d = row[picked]
+    weights = (np.ones(picked.size) if hp.gamma is None
+               else np.exp(-(d - d[0]) / hp.gamma))
     votes: dict[str, float] = {}
     dist_sum: dict[str, float] = {}
-    for pos, w in zip(picked.tolist(), weights.tolist()):
-        lab = train_labels[pos]
+    for pos, w, dist in zip(picked.tolist(), weights.tolist(), d.tolist()):
+        lab = labels[pos]
         votes[lab] = votes.get(lab, 0.0) + w
-        dist_sum[lab] = dist_sum.get(lab, 0.0) + float(dist_row[pos])
+        dist_sum[lab] = dist_sum.get(lab, 0.0) + dist
     return min(votes, key=lambda lab: (-votes[lab], dist_sum[lab], lab))
+
+
+def _predict_alone(row: np.ndarray, labels: Sequence[str],
+                   ids: Sequence[int] | None, hp: Hyperparams) -> str:
+    """Vote of a row ranked for this one prediction (``ids`` default to the
+    positions); warns when fewer than ``hp.k`` cells are finite."""
+    row = np.asarray(row, dtype=np.float64)
+    ranked = neighbor_order(row, np.arange(len(labels)) if ids is None
+                            else np.asarray(ids))
+    if ranked.size == 0:
+        raise NotEnoughNeighbors("no finite-distance training sample")
+    if ranked.size < hp.k:
+        warnings.warn(f"only {ranked.size} finite neighbors available, "
+                      f"clamping k={hp.k}", stacklevel=3)
+    return _predict(ranked, row, labels, hp)
 
 
 def knn_predict(dist_row: np.ndarray, train_labels: Sequence[str], k: int,
                 train_ids: Sequence[int] | None = None) -> str:
     """Majority label of the k nearest training samples."""
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    ids = (np.arange(len(train_labels)) if train_ids is None
-           else np.asarray(train_ids))
-    picked = _nearest(dist_row, k, ids)
-    return _vote(picked, np.asarray(dist_row, dtype=np.float64), train_labels,
-                 np.ones(picked.size))
+    return _predict_alone(dist_row, train_labels, train_ids,
+                          _valid(KNN, k, None))
 
 
 def wknn_predict(dist_row: np.ndarray, train_labels: Sequence[str], k: int,
-                 gamma: float,
-                 train_ids: Sequence[int] | None = None) -> str:
-    """Label with the largest exp(-d/gamma)-weighted vote among the k nearest.
-
-    Weights are computed relative to the nearest distance, which multiplies
-    every vote by the same positive constant (the argmax is unchanged) and
-    keeps tiny gamma values from underflowing all weights to zero.
-    """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    if not gamma > 0:
-        raise InvalidInput(f"gamma must be > 0, got {gamma}")
-    ids = (np.arange(len(train_labels)) if train_ids is None
-           else np.asarray(train_ids))
-    dist_row = np.asarray(dist_row, dtype=np.float64)
-    picked = _nearest(dist_row, k, ids)
-    d = dist_row[picked]
-    weights = np.exp(-(d - d.min()) / gamma)
-    return _vote(picked, dist_row, train_labels, weights)
-
-
-def _predict(classifier: str, row: np.ndarray, labels: Sequence[str],
-             ids: np.ndarray, hp: Hyperparams) -> str:
-    if classifier == KNN:
-        return knn_predict(row, labels, hp.k, train_ids=ids)
-    if classifier == WKNN:
-        if hp.gamma is None:
-            raise InvalidInput("wknn needs a gamma")
-        return wknn_predict(row, labels, hp.k, hp.gamma, train_ids=ids)
-    raise InvalidInput(f"unknown classifier {classifier!r}")
-
-
-def _error_rate(sub: DistanceMatrix, labels: Mapping[int, str],
-                classifier: str, hp: Hyperparams) -> tuple[float, int, int,
-                                                           dict[int, str]]:
-    col_labels = [labels[c] for c in sub.col_ids]
-    col_ids = np.asarray(sub.col_ids)
-    wrong = used = excluded = 0
-    preds: dict[int, str] = {}
-    for i, rid in enumerate(sub.row_ids):
-        try:
-            p = _predict(classifier, sub.values[i], col_labels, col_ids, hp)
-        except NotEnoughNeighbors:
-            excluded += 1
-            continue
-        preds[rid] = p
-        used += 1
-        if p != labels[rid]:
-            wrong += 1
-    rate = wrong / used if used else math.nan
-    return rate, used, excluded, preds
+                 gamma: float, train_ids: Sequence[int] | None = None) -> str:
+    """Label with the largest exp(-d/gamma)-weighted vote among the k nearest."""
+    return _predict_alone(dist_row, train_labels, train_ids,
+                          _valid(WKNN, k, gamma))
 
 
 def make_validation_split(split: LabeledSplit, fraction: float = 0.2,
@@ -201,36 +173,48 @@ def tune(dist: DistanceMatrix, split: LabeledSplit, classifier: str,
     sub = dist.submatrix(val, ref)
 
     if classifier == KNN:
-        candidates = [Hyperparams(k=k) for k in grid.k_candidates]
+        candidates = [_valid(KNN, k, None) for k in grid.k_candidates]
     elif classifier == WKNN:
-        candidates = [Hyperparams(k=WKNN_FIXED_K, gamma=g)
+        candidates = [_valid(WKNN, WKNN_FIXED_K, g)
                       for g in grid.gamma_candidates]
     else:
         raise InvalidInput(f"unknown classifier {classifier!r}")
 
-    best: Hyperparams | None = None
-    best_err = math.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # clamp warnings on tiny fixtures
-        for hp in candidates:
-            err, used, _, _ = _error_rate(sub, split.labels, classifier, hp)
-            if used and err < best_err:
-                best_err = err
-                best = hp
-    if best is None:
+    labels = [split.labels[c] for c in sub.col_ids]
+    ids = np.asarray(sub.col_ids)
+    used, wrong = 0, [0] * len(candidates)
+    for row, rid in zip(sub.values, sub.row_ids):
+        ranked = neighbor_order(row, ids)
+        if ranked.size == 0:
+            continue
+        used += 1
+        for c, hp in enumerate(candidates):
+            wrong[c] += _predict(ranked, row, labels, hp) != split.labels[rid]
+    if not used or not candidates:
         raise EmptyValidation("no usable validation document")
-    return best
+    return candidates[wrong.index(min(wrong))]
 
 
 def evaluate(dist: DistanceMatrix, split: LabeledSplit, classifier: str,
              hyperparams: Hyperparams) -> EvalResult:
     """Test error in percent; unusable test documents are excluded and counted."""
     sub = dist.submatrix(split.test_ids, split.train_ids)
-    rate, used, excluded, preds = _error_rate(sub, split.labels, classifier,
-                                              hyperparams)
-    pct = 100.0 * rate if used else math.nan
-    return EvalResult(error_percent=pct, n_used=used, n_excluded=excluded,
-                      predictions=preds)
+    hp = _valid(classifier, hyperparams.k, hyperparams.gamma)
+    labels = [split.labels[c] for c in sub.col_ids]
+    ids = np.asarray(sub.col_ids)
+    wrong = used = 0
+    preds: dict[int, str] = {}
+    for row, rid in zip(sub.values, sub.row_ids):
+        try:
+            preds[rid] = label = _predict_alone(row, labels, ids, hp)
+        except NotEnoughNeighbors:
+            continue
+        used += 1
+        wrong += label != split.labels[rid]
+    # the rate first: 100.0 * wrong / used can differ in the last bit
+    pct = 100.0 * (wrong / used) if used else math.nan
+    return EvalResult(error_percent=pct, n_used=used,
+                      n_excluded=len(sub.row_ids) - used, predictions=preds)
 
 
 def relative_performance(

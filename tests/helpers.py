@@ -1,5 +1,6 @@
 """Sparse vectors from pairs and dense views of sparse library objects,
-count vectors of token lists, and broken cache files, for the tests."""
+count vectors of token lists, embedding rows by word, and broken cache
+files, for the tests."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from wmdlab.embeddings import EmbeddingStore
 from wmdlab.ot_core import TransportPlan
 from wmdlab.textrep import SparseVector, Vocabulary, bow_vector
 
@@ -33,6 +35,10 @@ def counts_of(tokens: Mapping[int, Sequence[str]],
               vocab: Vocabulary) -> dict[int, SparseVector]:
     """Each document's count vector, as ``Resources.counts`` holds it."""
     return {i: bow_vector(doc, vocab) for i, doc in tokens.items()}
+
+
+def word_vector(store: EmbeddingStore, token: str) -> np.ndarray:
+    return store.matrix[store.index[token]]
 
 
 def row_sums(plan: TransportPlan, n_rows: int) -> np.ndarray:

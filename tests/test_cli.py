@@ -432,6 +432,24 @@ def test_config_file_and_flag_precedence(workspace, tmp_path):
     assert cfg.dataset == str(workspace / "docs.txt")
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"),
+                                         ("--workers", "-3")])
+def test_negative_seed_or_workers_rejected(workspace, tmp_path, capsys, flag,
+                                           value):
+    assert run(base_args(workspace, tmp_path / "x", [flag, value])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
+def test_negative_seed_in_config_file_rejected(workspace, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed = -1\n")
+    assert run(["eval", "--config", cfg_path, "--dataset",
+                workspace / "docs.txt", "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("not_a_key = 1\n")

@@ -37,7 +37,7 @@ def test_load_two_documents(tmp_path):
     assert len(corp.documents) == 2
     assert corp.documents[0] == Document(0, "sport", ("game", "ball"))
     assert corp.name == "c"
-    assert corp.split_type == "unsplit"
+    assert len(corp.folds) == 0
 
 
 def test_load_rejects_missing_tab(tmp_path):
@@ -68,7 +68,7 @@ def test_load_attaches_fold_files(tmp_path):
     (tmp_path / "c.txt").write_text("a\tx\nb\ty\nc\tz\na\tw\n")
     (tmp_path / "c.fold0.txt").write_text("train: 0 1 2\ntest: 3\n")
     corp = load_corpus(tmp_path / "c.txt")
-    assert corp.split_type == "one-fold"
+    assert len(corp.folds) == 1
     assert corp.folds[0] == Fold((0, 1, 2), (3,))
 
 
@@ -257,7 +257,7 @@ def test_make_folds_deterministic():
     c = make_folds(corp, 5, 0.7, seed=10)
     assert a.folds == b.folds
     assert a.folds != c.folds
-    assert a.split_type == "five-fold"
+    assert len(a.folds) == 5
     assert len({f.train_ids for f in a.folds}) > 1  # folds differ
 
 

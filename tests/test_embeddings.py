@@ -24,6 +24,8 @@ from wmdlab.errors import (
     ZeroVector,
 )
 
+from helpers import word_vector
+
 
 def write_binary(path, records, dim):
     with open(path, "wb") as fh:
@@ -42,7 +44,7 @@ def test_load_text(tmp_path):
     p.write_text("a 1.0 0.0\nb 0.0 1.0\n")
     store = load_embeddings(str(p), TEXT)
     assert store.dim == 2 and len(store) == 2
-    assert store.vector("a").tolist() == [1.0, 0.0]
+    assert word_vector(store, "a").tolist() == [1.0, 0.0]
 
 
 def test_load_text_with_header(tmp_path):
@@ -72,7 +74,7 @@ def test_load_text_duplicates_keep_first(tmp_path):
     p.write_text("a 1.0\na 2.0\n")
     store = load_embeddings(str(p), TEXT)
     assert len(store) == 1
-    assert store.vector("a").tolist() == [1.0]
+    assert word_vector(store, "a").tolist() == [1.0]
 
 
 def test_load_binary(tmp_path):
@@ -80,7 +82,7 @@ def test_load_binary(tmp_path):
     write_binary(p, [("a", [1, 2, 3]), ("b", [4, 5, 6])], dim=3)
     store = load_embeddings(str(p), WORD2VEC_BINARY)
     assert store.dim == 3 and store.tokens == ("a", "b")
-    assert store.vector("b").tolist() == [4.0, 5.0, 6.0]
+    assert word_vector(store, "b").tolist() == [4.0, 5.0, 6.0]
 
 
 def test_load_binary_without_trailing_newline(tmp_path):
@@ -90,7 +92,7 @@ def test_load_binary_without_trailing_newline(tmp_path):
         fh.write(b"a " + struct.pack("<2f", 1, 2))
         fh.write(b"b " + struct.pack("<2f", 3, 4))
     store = load_embeddings(str(p), WORD2VEC_BINARY)
-    assert store.vector("b").tolist() == [3.0, 4.0]
+    assert word_vector(store, "b").tolist() == [3.0, 4.0]
 
 
 def test_load_binary_truncated_record(tmp_path):
@@ -167,7 +169,7 @@ def test_filtered_duplicates_keep_first(tmp_path, fmt, vocabulary):
     store = load_embeddings(str(p), fmt, vocabulary)
     assert store.tokens == tuple(t for t in ("a", "b") if t in vocabulary)
     if "a" in vocabulary:
-        assert store.vector("a").tolist() == [1.0, 2.0]
+        assert word_vector(store, "a").tolist() == [1.0, 2.0]
     load_normalized(p, fmt, vocabulary)
     # a zero first copy is the file's zero row, kept or dropped
     write_records(p, fmt, [("a", [0, 0]), ("b", [3, 4]), ("a", [5, 6])],
@@ -275,13 +277,13 @@ def test_load_logs_kept_rows(tmp_path, caplog):
 def test_l2_normalize_three_four_five():
     store = EmbeddingStore(["w"], np.array([[3.0, 4.0]]))
     out = l2_normalize(store)
-    assert out.vector("w").tolist() == [0.6, 0.8]
+    assert word_vector(out, "w").tolist() == [0.6, 0.8]
     assert out.normalized
 
 
 def test_l2_normalize_unit_vector_unchanged():
     store = EmbeddingStore(["w"], np.array([[0.0, 1.0]]))
-    assert l2_normalize(store).vector("w").tolist() == [0.0, 1.0]
+    assert word_vector(l2_normalize(store), "w").tolist() == [0.0, 1.0]
 
 
 def test_l2_normalize_zero_vector(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wmdlab import knn_eval
 from wmdlab.errors import (
     DivisionByZero,
     EmptyValidation,
@@ -21,6 +22,7 @@ from wmdlab.knn_eval import (
     evaluate,
     knn_predict,
     make_validation_split,
+    neighbor_order,
     relative_performance,
     summarize,
     tune,
@@ -29,6 +31,15 @@ from wmdlab.knn_eval import (
     write_summary_json,
 )
 from wmdlab.wmd import DistanceMatrix
+
+
+# -- neighbor_order --------------------------------------------------------------
+
+
+def test_neighbor_order_finite_nearest_first_ties_to_lower_id():
+    row = [0.5, math.inf, 0.2, 0.5]
+    assert neighbor_order(row, np.array([9, 0, 4, 3])).tolist() == [2, 3, 0]
+    assert neighbor_order([math.inf], np.array([0])).tolist() == []
 
 
 # -- knn_predict -----------------------------------------------------------------
@@ -228,6 +239,24 @@ def test_tune_wknn_fixes_k_and_returns_gamma():
     assert hp.gamma in TuningGrid().gamma_candidates
 
 
+def test_tune_ranks_each_validation_row_once(monkeypatch):
+    ranked = []
+
+    def counting(row, ids):
+        ranked.append(len(ids))
+        return neighbor_order(row, ids)
+
+    monkeypatch.setattr(knn_eval, "neighbor_order", counting)
+    ids = tuple(range(6))
+    labels = {i: ("A" if i < 3 else "B") for i in ids}
+    values = np.random.default_rng(5).random((6, 6))
+    split = LabeledSplit(ids, (), labels, validation_ids=(0, 3))
+    for classifier in (KNN, WKNN):
+        ranked.clear()
+        tune(_train_matrix(values, ids), split, classifier)
+        assert ranked == [4, 4]  # two validation rows, 19 or 20 candidates
+
+
 def test_tune_requires_validation():
     split = LabeledSplit((0, 1), (), {0: "A", 1: "B"})
     with pytest.raises(EmptyValidation):
@@ -273,6 +302,15 @@ def test_evaluate_excludes_unusable_rows():
                       Hyperparams(k=1))
     assert result.n_used == 1 and result.n_excluded == 1
     assert result.error_percent == 0.0
+
+
+def test_evaluate_checks_classifier_without_test_rows():
+    split = LabeledSplit((0, 1), (), {0: "A", 1: "B"})
+    dm = _train_matrix(np.zeros((2, 2)), (0, 1))
+    with pytest.raises(InvalidInput, match="unknown classifier"):
+        evaluate(dm, split, "svm", Hyperparams(k=1))
+    with pytest.raises(InvalidInput, match="needs a gamma"):
+        evaluate(dm, split, WKNN, Hyperparams(k=1))
 
 
 def test_evaluate_permutation_invariant():
