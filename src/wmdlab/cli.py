@@ -62,7 +62,7 @@ class RunConfig:
     stopwords: str | None = None
     dims: str = ""
     seed: int = 0
-    workers: int = 0  # 0 -> available parallelism
+    workers: int = 0  # 0 -> the CPUs this process may run on
     out: str = "runs"
     no_compute: bool = False
     folds: int = 1
@@ -101,7 +101,10 @@ class RunConfig:
             raise CliError(f"bad --dims value: {exc}") from None
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        if self.workers > 0:
+            return self.workers
+        affinity = getattr(os, "sched_getaffinity", None)  # not on macOS
+        return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
     def resolved_cache_dir(self) -> Path:
         if self.cache_dir:
@@ -408,7 +411,6 @@ def cmd_dedup(cfg: RunConfig) -> int:
         "cross_split": [list(p) for p in report.cross_split],
         "conflicting": [list(p) for p in report.conflicting],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"{corp.name}.duplicates.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -423,6 +425,13 @@ def cmd_dedup(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     pipe = build_pipeline(cfg, need_store=True)
+    dims = cfg.dim_list()
+    if cfg.pairs < 2:
+        raise CliError(f"--pairs must be >= 2, got {cfg.pairs}")
+    if not cfg.bin_width > 0:
+        raise CliError(f"--bin-width must be > 0, got {cfg.bin_width}")
+    if not all(1 <= d <= pipe.store.dim for d in dims):
+        raise CliError(f"--dims values must lie in [1, {pipe.store.dim}]")
     out_dir = Path(cfg.out)
     manifest = write_manifest(cfg, out_dir)
     cache = DistanceCache(cfg.resolved_cache_dir())
@@ -457,7 +466,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
         json.dump({"pearson": r, "n_pairs": len(points)}, fh, indent=2)
         fh.write("\n")
 
-    dims = cfg.dim_list()
     if dims:
         table = analysis.dim_comparison(pairs, [x for x, _ in points],
                                         measures, pipe.store, dims,
@@ -571,10 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
-    except WmdlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WmdlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -147,7 +147,8 @@ class Resources:
 
     ``counts`` maps document id to its count vector over ``vocab``.
     ``doc_freq``/``n_docs`` are corpus-level statistics used by the tfidf
-    weightings.
+    weightings. ``workers`` processes solve the rows of a transport matrix;
+    BOW/TF-IDF matrices are computed in the calling process.
     """
 
     counts: Mapping[int, SparseVector]
@@ -214,34 +215,38 @@ def representations(ids: Sequence[int], method: Method,
     return reps
 
 
+def _vector_rows(queries: Sequence[int], refs: Sequence[int], reps: Mapping,
+                 metric: VectorMetric, dim: int) -> np.ndarray:
+    """BOW/TF-IDF cells a query row at a time, +inf where either document is
+    unusable; a vector's distance to itself is already an exact 0.0."""
+    cols = [j for j, r in enumerate(refs) if reps[r] is not None]
+    block = VectorBlock([reps[refs[j]] for j in cols], dim)
+    values = np.full((len(queries), len(refs)), np.inf)
+    for i, q in enumerate(queries):
+        if reps[q] is not None:
+            values[i, cols] = distance_row(reps[q], block, metric)
+    return values
+
+
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
-                method: Method, store, block: VectorBlock | None) -> np.ndarray:
-    """One query's row: transport cells one by one, vector cells all at
-    once from ``block`` (the reference vectors, in ``ref_ids`` order)."""
+                store: EmbeddingStore) -> np.ndarray:
+    """One query's row of a transport matrix: +inf for an unusable query or
+    reference, 0.0 on a document against itself, the WMD elsewhere."""
     a = reps[query_id]
-    if a is None:
-        return np.full(len(ref_ids), np.inf)
-    transport = method.uses_transport
-    out = (np.empty(len(ref_ids)) if transport
-           else distance_row(a, block, method.metric))
+    out = np.full(len(ref_ids), np.inf)
     for j, ref_id in enumerate(ref_ids):
         b = reps[ref_id]
-        if b is None:
-            out[j] = np.inf
-        elif query_id == ref_id:
-            out[j] = 0.0
-        elif transport:
-            out[j] = wmd_distance(a, b, store)
+        if a is not None and b is not None:
+            out[j] = 0.0 if query_id == ref_id else wmd_distance(a, b, store)
     return out
 
 
-def _init_worker(reps, ref_ids, method, store, block):
-    _STATE["args"] = (reps, ref_ids, method, store, block)
+def _init_worker(reps, ref_ids, store):
+    _STATE["args"] = (reps, ref_ids, store)
 
 
-def _worker_row(args):
-    idx, query_id = args
-    return idx, _row_values(query_id, *_STATE["args"])
+def _worker_row(query_id):
+    return _row_values(query_id, *_STATE["args"])
 
 
 def pairwise_distances(
@@ -252,11 +257,11 @@ def pairwise_distances(
 ) -> DistanceMatrix:
     """Distance matrix between query and reference documents.
 
-    Rows are computed independently (optionally across processes); cells
-    between a document and itself are 0 by definition, and documents with
-    no usable representation produce +inf sentinel cells.
+    BOW/TF-IDF matrices are computed in the calling process, transport rows
+    by ``resources.workers`` processes. Self cells are 0; documents with no
+    usable representation produce +inf sentinel cells.
     """
-    store = resources.store if method.uses_transport else None
+    store = resources.store
     if method.uses_transport and store is None:
         raise InvalidInput(f"method {method.label} needs an embedding store")
     all_ids = list(dict.fromkeys(list(queries) + list(refs)))
@@ -265,31 +270,20 @@ def pairwise_distances(
     if unusable:
         logger.warning("%s: %d unusable document(s): %s", method.label,
                        len(unusable), unusable[:10])
-
-    block = None
-    if not method.uses_transport:
-        empty = SparseVector(len(resources.vocab), [], [])
-        block = VectorBlock([empty if reps[r] is None else reps[r]
-                             for r in refs], len(resources.vocab))
-
-    values = np.empty((len(queries), len(refs)))
     workers = max(1, int(resources.workers))
-    if workers == 1 or len(queries) < 2:
-        for i, q in enumerate(queries):
-            values[i] = _row_values(q, reps, refs, method, store, block)
+    if not method.uses_transport:
+        values = _vector_rows(queries, refs, reps, method.metric,
+                              len(resources.vocab))
+    elif workers == 1 or len(queries) < 2:
+        values = [_row_values(q, reps, refs, store) for q in queries]
     else:
-        if method.uses_transport:
-            load_scipy()  # once here, not once in every forked worker
-        tasks = list(enumerate(queries))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(reps, tuple(refs), method, store, block),
-        ) as pool:
-            for idx, row in pool.map(_worker_row, tasks,
-                                     chunksize=max(1, len(tasks) // (4 * workers))):
-                values[idx] = row
-    return DistanceMatrix(tuple(queries), tuple(refs), values)
+        load_scipy()  # once here, not once in every forked worker
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(reps, tuple(refs), store)) as pool:
+            values = list(pool.map(_worker_row, queries, chunksize=max(
+                1, len(queries) // (4 * workers))))
+    return DistanceMatrix(tuple(queries), tuple(refs),
+                          np.reshape(values, (len(queries), len(refs))))
 
 
 # -- cache file format ---------------------------------------------------------

@@ -207,6 +207,23 @@ def test_analyze_outputs(workspace, tmp_path):
     assert len(dims) == 3
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--pairs", "1"), ("--bin-width", "0"), ("--bin-width", "nan"),
+    ("--dims", "0"), ("--dims", "2,9")])
+def test_analyze_rejects_bad_option_before_any_work(workspace, tmp_path,
+                                                    capsys, option, value):
+    # the embeddings have 8 dimensions
+    out = tmp_path / "an"
+    assert run(["analyze", "--dataset", workspace / "docs.txt",
+                "--embeddings", workspace / "emb.txt", "--folds", "1",
+                "--workers", "1", "--out", out, option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+    # no cached matrix and no output file, not even the manifest
+    assert not list(tmp_path.rglob("*.npy"))
+    assert not out.exists()
+
+
 def _files(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -439,6 +456,17 @@ def test_negative_seed_or_workers_rejected(workspace, tmp_path, capsys, flag,
     assert run(base_args(workspace, tmp_path / "x", [flag, value])) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+def test_zero_workers_uses_cpus_this_process_may_run_on(monkeypatch):
+    # pinned to 2 of the machine's 64 CPUs (taskset, a cpuset container)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert RunConfig(workers=0).effective_workers() == 2
+    assert RunConfig(workers=5).effective_workers() == 5
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+    assert RunConfig(workers=0).effective_workers() == 64
 
 
 def test_negative_seed_in_config_file_rejected(workspace, tmp_path, capsys):

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from wmdlab.errors import DimMismatch
 from wmdlab.textrep import (
-    SparseVector,
     VectorBlock,
     VectorMetric,
     build_vocabulary,
     distance_row,
     document_frequencies,
 )
-from wmdlab.wmd import Method, Resources, _row_values, pairwise_distances, \
+from wmdlab.wmd import Method, Resources, _vector_rows, pairwise_distances, \
     representations
 
 from helpers import counts_of, from_pairs
@@ -78,8 +77,8 @@ def test_row_bit_identical_to_reference(row, metric):
 
 @settings(max_examples=150, deadline=None)
 @given(rows(), st.sampled_from(GRID), st.data())
-def test_row_values_unusable_and_self_cells(row, spec, data):
-    """``_row_values`` fills +inf for an unusable query or reference, 0.0 on
+def test_vector_rows_unusable_and_self_cells(row, spec, data):
+    """``_vector_rows`` fills +inf for an unusable query or reference, 0.0 on
     a document against itself, and the reference distance elsewhere."""
     q, refs = row
     method = Method.parse(spec)
@@ -87,10 +86,7 @@ def test_row_values_unusable_and_self_cells(row, spec, data):
     for j, b in enumerate(refs, start=1):
         reps[j] = data.draw(st.sampled_from([b, None]))
     ref_ids = data.draw(st.permutations(list(reps)))
-    empty = SparseVector(q.dim, [], [])
-    block = VectorBlock([empty if reps[r] is None else reps[r]
-                         for r in ref_ids], q.dim)
-    got = _row_values(0, reps, ref_ids, method, None, block)
+    got = _vector_rows([0], ref_ids, reps, method.metric, q.dim)[0]
     want = [math.inf if reps[0] is None or reps[r] is None
             else 0.0 if r == 0
             else reference_distance(reps[0], reps[r], method.metric)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wmdlab import wmd
 from wmdlab.embeddings import EmbeddingStore, cost_submatrix, l2_normalize
 from wmdlab.errors import EmptySupport, InvalidInput, ParseError
 from wmdlab.ot_core import TransportProblem, solve_transport
@@ -17,12 +18,14 @@ from wmdlab.wmd import (
     make_measure,
     pairwise_distances,
     read_distance_matrix,
+    representations,
     wmd_distance,
     write_distance_matrix,
 )
 
 from helpers import corrupt_cache_files, counts_of, vector_to_dense
 from oracle import brute_force_transport
+from reference_vector import reference_distance
 
 
 @pytest.fixture
@@ -241,6 +244,24 @@ def test_pairwise_deterministic_across_worker_counts(small_resources):
     small_resources.workers = 2
     parallel = pairwise_distances(ids, ids, method, small_resources)
     assert np.array_equal(serial.values, parallel.values)
+
+
+def test_vector_matrix_starts_no_pool(small_resources, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a BOW/TF-IDF matrix started a process pool")
+
+    monkeypatch.setattr(wmd, "ProcessPoolExecutor", no_pool)
+    small_resources.workers = 2
+    ids = list(range(7))  # document 6 is empty: unusable once normalized
+    for spec in ("bow(l1,l1)", "tfidf(l2,l2)"):
+        method = Method.parse(spec)
+        dm = pairwise_distances(ids, ids, method, small_resources)
+        reps = representations(ids, method, small_resources)
+        want = [[math.inf if reps[a] is None or reps[b] is None
+                 else 0.0 if a == b
+                 else reference_distance(reps[a], reps[b], method.metric)
+                 for b in ids] for a in ids]
+        assert np.array_equal(dm.values, want)
 
 
 def test_pairwise_tfidf_method(small_resources):
