@@ -1,23 +1,32 @@
 """Exact solver for the balanced transportation linear program.
 
 ``solve_transport`` runs a network simplex on the bipartite transportation
-graph. The basis is a spanning tree rooted at the first row, started with
-the northwest-corner rule and kept as parent, depth and potential arrays
-over the row and column nodes. Each pivot prices every arc at once: the
-entering arc is the most negative reduced cost (ties broken by lowest
-row-major arc index); a streak of degenerate pivots falls back to Bland's
-lowest-index rule, which cannot cycle. The cycle is found by walking both
-ends of the entering arc up to their lowest common ancestor, and the
-leaving arc is the lowest index among the blocking arcs. Only the subtree
-cut off by the leaving arc is re-hung and has its depths and potentials
-recomputed, each from its parent, so the potentials equal those of a full
-tree traversal bit for bit.
+graph. The basis is a spanning tree rooted at the first row, kept as
+parent, depth and potential arrays over the row and column nodes. It
+starts from the least-cost rule: cells in ascending cost, each shipping
+the lesser of its row's remaining supply and its column's remaining
+demand and closing one of the two, so the start already follows the
+costs. Each pivot prices every arc at once: the entering arc is the most
+negative reduced cost (ties broken by lowest row-major arc index); a
+streak of degenerate pivots falls back to Bland's lowest-index rule, which
+cannot cycle. The cycle is found by walking both ends of the entering arc
+up to their lowest common ancestor, and the leaving arc is the lowest
+index among the blocking arcs. Only the subtree cut off by the leaving arc
+is re-hung, by the same walk that hangs the starting tree, and has its
+depths and potentials recomputed, each from its parent; potentials depend
+only on the tree path, so they equal those of a full traversal bit for
+bit.
+
+The returned plan carries its certificate: the final potentials are
+optimal duals u, v with u_i + v_j <= c_ij on every cell (to the pricing
+tolerance), equality on the support, and the objective equal to
+u . supply + v . demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,10 +89,21 @@ def _check_entries(supply: np.ndarray, demand: np.ndarray,
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Sparse optimal coupling: positive-mass entries plus the optimal value."""
+    """Sparse optimal coupling: positive-mass entries plus the optimal value.
+
+    ``row_potentials`` and ``col_potentials`` are the optimal duals u and v
+    over the original indices, the plan's certificate: u_i + v_j <= c_ij on
+    every cell, with equality on the support, and the objective equals
+    u . supply + v . demand. ``pivots`` counts the simplex pivots and
+    ``bland_pivots`` those chosen by Bland's rule.
+    """
 
     entries: tuple[tuple[int, int, float], ...]
     objective: float
+    row_potentials: np.ndarray = field(compare=False, repr=False)
+    col_potentials: np.ndarray = field(compare=False, repr=False)
+    pivots: int = field(compare=False)
+    bland_pivots: int = field(compare=False)
 
 
 def _repair_balance(problem: TransportProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -101,46 +121,97 @@ def _repair_balance(problem: TransportProblem) -> tuple[np.ndarray, np.ndarray]:
     return supply / ssum, demand / dsum
 
 
-def _northwest_corner(
-    supply: list[float], demand: list[float]
-) -> list[tuple[int, int, float]]:
-    """Initial basis via the staircase walk.
+def _least_cost_start(supply: list[float], demand: list[float],
+                      cost: np.ndarray) -> list[tuple[int, float]]:
+    """Initial basis by the least-cost rule.
 
-    Returns the n_s + n_t - 1 basic cells as (row, col, flow) in walk order
-    (some may carry zero flow on degenerate instances). Each cell after the
-    first adds exactly one new row or column to the tree.
+    Cells are taken in ascending cost, ties by lower row-major index; each
+    ships min(remaining supply, remaining demand) and closes one of its
+    lines: the row when it is spent first and another row is open, or when
+    its column is the last open one; otherwise the column. The last cell
+    closes both. Returns the n_s + n_t - 1 basic cells as (arc, flow), some
+    with zero flow on degenerate instances. They form a spanning tree: no
+    later cell meets the line a cell closes.
     """
     ns, nt = len(supply), len(demand)
-    cells: list[tuple[int, int, float]] = []
-    rs = list(supply)
-    rd = list(demand)
-    i = j = 0
-    while True:
+    rs, rd = list(supply), list(demand)
+    row_open, col_open = [True] * ns, [True] * nt
+    open_rows, open_cols = ns, nt
+    cells: list[tuple[int, float]] = []
+    for arc in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(arc, nt)
+        if not (row_open[i] and col_open[j]):
+            continue
         q = min(rs[i], rd[j])
-        cells.append((i, j, q))
+        cells.append((arc, q))
+        if open_rows == open_cols == 1:
+            break
         rs[i] -= q
         rd[j] -= q
-        if i == ns - 1 and j == nt - 1:
-            break
-        if j == nt - 1 or (rs[i] <= rd[j] and i < ns - 1):
-            i += 1
+        if open_cols == 1 or (rs[i] <= rd[j] and open_rows > 1):
+            row_open[i] = False
+            open_rows -= 1
         else:
-            j += 1
+            col_open[j] = False
+            open_cols -= 1
     return cells
+
+
+def _hang(root: int, adj: list[dict[int, int]], parent: list[int],
+          parc: list[int], depth: list[int], pot: list[float],
+          c: list[float]) -> None:
+    """Hang the tree below ``root`` from it: every node beneath gets its
+    parent, parent arc, depth and potential, each from its parent's."""
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        px, dx, ux = parent[x], depth[x] + 1, pot[x]
+        for y, arc in adj[x].items():
+            if y != px:
+                parent[y], parc[y], depth[y] = x, arc, dx
+                pot[y] = c[arc] - ux
+                stack.append(y)
+
+
+def _potentials(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                pot: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column potentials over the original indices.
+
+    Kept rows and columns take their tree potentials. A dropped zero-mass
+    row takes its tightest feasible value against the kept columns,
+    min_j(c_ij - v_j); a dropped column then takes min_i(c_ij - u_i) over
+    every row.
+    """
+    u = np.zeros(cost.shape[0])
+    v = np.zeros(cost.shape[1])
+    u[rows] = pot[:rows.size]
+    v[cols] = pot[rows.size:]
+    if rows.size < u.size and cols.size:
+        dropped = np.ones(u.size, dtype=bool)
+        dropped[rows] = False
+        u[dropped] = (cost[dropped][:, cols] - v[cols]).min(axis=1)
+    if cols.size < v.size and u.size:
+        dropped = np.ones(v.size, dtype=bool)
+        dropped[cols] = False
+        v[dropped] = (cost[:, dropped] - u[:, None]).min(axis=0)
+    return u, v
 
 
 def solve_transport(problem: TransportProblem) -> TransportPlan:
     """Optimal coupling of a balanced transportation instance.
 
     Zero-mass rows and columns are dropped before solving (they carry no
-    transport); the returned entries use the original indices. The
-    objective is accumulated with compensated summation.
+    transport); the returned entries and potentials use the original
+    indices. The objective is accumulated with compensated summation.
     """
     supply, demand = _repair_balance(problem)
     rows = np.flatnonzero(supply > 0)
     cols = np.flatnonzero(demand > 0)
     if rows.size == 0 or cols.size == 0:
-        return TransportPlan(entries=(), objective=0.0)
+        u, v = _potentials(problem.cost, rows, cols,
+                           [0.0] * (rows.size + cols.size))
+        return TransportPlan(entries=(), objective=0.0, row_potentials=u,
+                             col_potentials=v, pivots=0, bland_pivots=0)
     cost = problem.cost[np.ix_(rows, cols)]
     ns, nt = rows.size, cols.size
     c = cost.ravel().tolist()
@@ -154,17 +225,12 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
     pot = [0.0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> arc
     flow: dict[int, float] = {}
-    prev_i = 0
-    for i, j, q in _northwest_corner(supply[rows].tolist(),
-                                     demand[cols].tolist()):
-        arc = i * nt + j
+    for arc, q in _least_cost_start(supply[rows].tolist(),
+                                    demand[cols].tolist(), cost):
         flow[arc] = q
-        child, up = (i, ns + j) if i != prev_i else (ns + j, i)
-        prev_i = i
-        parent[child], parc[child] = up, arc
-        depth[child] = depth[up] + 1
-        pot[child] = c[arc] - pot[up]
-        adj[child][up] = adj[up][child] = arc
+        i, j = divmod(arc, nt)
+        adj[i][ns + j] = adj[ns + j][i] = arc
+    _hang(0, adj, parent, parc, depth, pot, c)
 
     tol = 1e-12 * max(1.0, float(cost.max()))
     max_pivots = 100 * ns * nt + 1000
@@ -175,7 +241,8 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
     # cycle, until an improving pivot occurs.
     bland_threshold = 2 * (ns + nt)
     degenerate_streak = 0
-    for _ in range(max_pivots):
+    bland_pivots = 0
+    for pivots in range(max_pivots):
         np.subtract(cost, np.array(pot[:ns])[:, None], out=reduced)
         np.subtract(reduced, np.array(pot[ns:]), out=reduced)
         if degenerate_streak < bland_threshold:
@@ -187,6 +254,7 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
             if not negative.any():
                 break
             enter = int(negative.argmax())
+            bland_pivots += 1
         ei, ej = divmod(enter, nt)
 
         # Walk both ends up to their lowest common ancestor. Around the cycle
@@ -227,7 +295,7 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
         flow[enter] = delta
 
         # Swap the arcs, then re-hang the cut subtree from the entering arc's
-        # end inside it, resetting parents, depths and potentials top-down.
+        # end inside it.
         up = parent[leave_node]
         del adj[leave_node][up], adj[up][leave_node]
         a, b = (ei, ns + ej) if from_x else (ns + ej, ei)
@@ -235,15 +303,7 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
         parent[a], parc[a] = b, enter
         depth[a] = depth[b] + 1
         pot[a] = c[enter] - pot[b]
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            px, dx, ux = parent[x], depth[x] + 1, pot[x]
-            for y, arc in adj[x].items():
-                if y != px:
-                    parent[y], parc[y], depth[y] = x, arc, dx
-                    pot[y] = c[arc] - ux
-                    stack.append(y)
+        _hang(a, adj, parent, parc, depth, pot, c)
     else:
         raise SolverStalled(f"no convergence within {max_pivots} pivots")
 
@@ -257,4 +317,7 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
             i, j = divmod(arc, nt)
             entries.append((row_ids[i], col_ids[j], m))
     entries.sort()
-    return TransportPlan(entries=tuple(entries), objective=math.fsum(terms))
+    u, v = _potentials(problem.cost, rows, cols, pot)
+    return TransportPlan(entries=tuple(entries), objective=math.fsum(terms),
+                         row_potentials=u, col_potentials=v, pivots=pivots,
+                         bland_pivots=bland_pivots)

@@ -1,6 +1,6 @@
 """Sparse vectors from pairs and dense views of sparse library objects,
-count vectors of token lists, embedding rows by word, and broken cache
-files, for the tests."""
+count vectors of token lists, embedding rows by word, broken cache files,
+and the dual certificate of a transport plan, for the tests."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from wmdlab.embeddings import EmbeddingStore
-from wmdlab.ot_core import TransportPlan
+from wmdlab.ot_core import TransportPlan, TransportProblem
 from wmdlab.textrep import SparseVector, Vocabulary, bow_vector
 
 
@@ -53,6 +53,32 @@ def col_sums(plan: TransportPlan, n_cols: int) -> np.ndarray:
     for _, j, m in plan.entries:
         out[j] += m
     return out
+
+
+def certify(problem: TransportProblem, plan: TransportPlan) -> None:
+    """Assert that ``plan`` is optimal for ``problem`` by its own duals u, v.
+
+    The plan meets the marginals; u_i + v_j <= c_ij on every cell, with
+    equality on the support; and the objective equals u . supply +
+    v . demand. Tolerances scale with the largest cost or potential.
+    """
+    ns, nt = problem.cost.shape
+    u, v = plan.row_potentials, plan.col_potentials
+    assert u.shape == (ns,) and v.shape == (nt,)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    assert np.all(np.abs(row_sums(plan, ns) - problem.supply) <= 1e-9)
+    assert np.all(np.abs(col_sums(plan, nt) - problem.demand) <= 1e-9)
+    scale = max(1.0, float(np.abs(problem.cost).max(initial=0.0)),
+                float(np.abs(u).max(initial=0.0)),
+                float(np.abs(v).max(initial=0.0)))
+    tol = 1e-12 * scale
+    slack = problem.cost - u[:, None] - v[None, :]
+    assert slack.min(initial=0.0) >= -tol
+    for i, j, _ in plan.entries:
+        assert abs(slack[i, j]) <= tol
+    dual = math.fsum((u * problem.supply).tolist()
+                     + (v * problem.demand).tolist())
+    assert math.isclose(plan.objective, dual, rel_tol=1e-12, abs_tol=tol)
 
 
 def plan_to_dense(plan: TransportPlan, n_rows: int, n_cols: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Reference network simplex: the original full-rebuild pivot loop.
 
 Every pivot recomputes all potentials and searches the whole tree for the
-cycle. It is kept verbatim so tests can assert that the incremental solver
-in ``wmdlab.ot_core`` makes the same pivots and returns the same plans,
-bit for bit.
+cycle. It is kept so tests can assert that the incremental solver in
+``wmdlab.ot_core`` makes the same pivots and returns the same plans, bit
+for bit. Its least-cost start is written apart from the solver's: each cell
+is the first minimum of the costs over the still-open rows and columns.
+``start="northwest"`` keeps the solver's former staircase start, so tests
+can compare objectives and pivot counts across the two starts.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from wmdlab.ot_core import TransportPlan, TransportProblem, _repair_balance
 
 
 def _northwest_corner(
-    supply: np.ndarray, demand: np.ndarray
+    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Initial spanning-tree flow via the staircase walk.
+    """Initial spanning-tree flow via the staircase walk (costs unused).
 
     Returns the flow matrix and the n_s + n_t - 1 basic cells (some may
     carry zero flow on degenerate instances).
@@ -43,6 +46,47 @@ def _northwest_corner(
         else:
             j += 1
     return flow, basis
+
+
+def _least_cost(
+    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Initial spanning-tree flow via the least-cost rule.
+
+    Each step takes the cheapest cell whose row and column are both open
+    (ties -> lowest row-major index) and ships min(remaining supply,
+    remaining demand) on it. The row closes when it is spent no later than
+    the column and is not the last open row, or when the column is the
+    last open one; otherwise the column closes. The step that meets the
+    last open row and column closes both.
+    """
+    ns, nt = supply.size, demand.size
+    flow = np.zeros((ns, nt))
+    basis: list[tuple[int, int]] = []
+    rs = supply.copy()
+    rd = demand.copy()
+    row_open = np.ones(ns, dtype=bool)
+    col_open = np.ones(nt, dtype=bool)
+    while True:
+        open_cost = np.where(row_open[:, None] & col_open[None, :], cost,
+                             np.inf)
+        i, j = divmod(int(np.argmin(open_cost)), nt)
+        q = min(rs[i], rd[j])
+        flow[i, j] = q
+        basis.append((i, j))
+        rs[i] -= q
+        rd[j] -= q
+        n_rows, n_cols = int(row_open.sum()), int(col_open.sum())
+        if n_rows == 1 and n_cols == 1:
+            break
+        if n_cols == 1 or (rs[i] <= rd[j] and n_rows > 1):
+            row_open[i] = False
+        else:
+            col_open[j] = False
+    return flow, basis
+
+
+STARTS = {"least-cost": _least_cost, "northwest": _northwest_corner}
 
 
 def _tree_duals(
@@ -108,7 +152,27 @@ def _tree_path(
     return path
 
 
-def reference_solve(problem: TransportProblem) -> TransportPlan:
+def _full_potentials(
+    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, u: np.ndarray,
+    v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Duals over the original indices; a dropped row, then a dropped
+    column, takes its tightest value that keeps every cell feasible."""
+    n_rows, n_cols = cost.shape
+    u_all = np.zeros(n_rows)
+    v_all = np.zeros(n_cols)
+    u_all[rows] = u
+    v_all[cols] = v
+    for i in sorted(set(range(n_rows)) - set(rows.tolist())):
+        if cols.size:
+            u_all[i] = min(cost[i, j] - v_all[j] for j in cols.tolist())
+    for j in sorted(set(range(n_cols)) - set(cols.tolist())):
+        v_all[j] = min(cost[i, j] - u_all[i] for i in range(n_rows))
+    return u_all, v_all
+
+
+def reference_solve(problem: TransportProblem,
+                    start: str = "least-cost") -> TransportPlan:
     """Optimal coupling of a balanced transportation instance.
 
     Zero-mass rows and columns are dropped before solving (they carry no
@@ -119,13 +183,16 @@ def reference_solve(problem: TransportProblem) -> TransportPlan:
     rows = np.flatnonzero(supply > 0)
     cols = np.flatnonzero(demand > 0)
     if rows.size == 0 or cols.size == 0:
-        return TransportPlan(entries=(), objective=0.0)
+        u, v = _full_potentials(problem.cost, rows, cols,
+                                np.zeros(rows.size), np.zeros(cols.size))
+        return TransportPlan(entries=(), objective=0.0, row_potentials=u,
+                             col_potentials=v, pivots=0, bland_pivots=0)
     s = supply[rows]
     d = demand[cols]
     cost = problem.cost[np.ix_(rows, cols)]
     ns, nt = s.size, d.size
 
-    flow, basis = _northwest_corner(s, d)
+    flow, basis = STARTS[start](s, d, cost)
     row_adj: list[set[int]] = [set() for _ in range(ns)]
     col_adj: list[set[int]] = [set() for _ in range(nt)]
     for i, j in basis:
@@ -139,6 +206,7 @@ def reference_solve(problem: TransportProblem) -> TransportPlan:
     # cycle, until an improving pivot occurs.
     bland_threshold = 2 * (ns + nt)
     degenerate_streak = 0
+    pivots = bland_pivots = 0
     for _ in range(max_pivots):
         u, v = _tree_duals(ns, nt, cost, row_adj, col_adj)
         reduced = cost - u[:, None] - v[None, :]
@@ -151,6 +219,8 @@ def reference_solve(problem: TransportProblem) -> TransportPlan:
             if not negative.any():
                 break
             flat = int(np.argmax(negative))
+            bland_pivots += 1
+        pivots += 1
         ei, ej = divmod(flat, nt)
 
         path = _tree_path(ei, ej, row_adj, col_adj)
@@ -190,4 +260,7 @@ def reference_solve(problem: TransportProblem) -> TransportPlan:
             if m > 0.0:
                 entries.append((oi, int(cols[j]), float(m)))
     entries.sort()
-    return TransportPlan(entries=tuple(entries), objective=math.fsum(terms))
+    u, v = _full_potentials(problem.cost, rows, cols, u, v)
+    return TransportPlan(entries=tuple(entries), objective=math.fsum(terms),
+                         row_potentials=u, col_potentials=v, pivots=pivots,
+                         bland_pivots=bland_pivots)

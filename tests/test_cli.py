@@ -1,4 +1,5 @@
 import csv
+import importlib.metadata
 import json
 import logging
 import os
@@ -261,6 +262,21 @@ def test_cache_key_covers_format_and_version(monkeypatch):
     cfg.format = TEXT
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
     assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) != key
+
+
+def test_cache_key_covers_scipy_version_of_transport_methods(monkeypatch):
+    cfg = RunConfig()
+    manifest = {"inputs": {"dataset": "d", "embeddings": "e",
+                           "stopwords": None}}
+    wmd_method, bow = Method.parse("wmd"), Method.parse("bow(l1,l1)")
+    keys = [_cache_key(cfg, manifest, m, [0, 1], [1])
+            for m in (wmd_method, bow)]
+    real_version = importlib.metadata.version
+    monkeypatch.setattr(
+        importlib.metadata, "version",
+        lambda name: "0.0.0-other" if name == "scipy" else real_version(name))
+    assert _cache_key(cfg, manifest, wmd_method, [0, 1], [1]) != keys[0]
+    assert _cache_key(cfg, manifest, bow, [0, 1], [1]) == keys[1]
 
 
 def test_edited_fold_file_recomputes_its_matrices(workspace, tmp_path):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmdlab.errors import DimMismatch, InvalidInput, UnbalancedProblem
-from wmdlab.ot_core import TransportPlan, TransportProblem, solve_transport
+from wmdlab.ot_core import TransportProblem, solve_transport
 
 from conftest import random_balanced_problem, random_simplex_pair
-from helpers import col_sums, from_pairs, plan_to_dense, row_sums
+from helpers import certify, from_pairs, plan_to_dense
 from oracle import NotNormalized, TooLarge, _enumerate_min_cost, \
     _linprog_min_cost, brute_force_transport, ot_uniform, uniform_cost_matrix
 
@@ -137,17 +137,37 @@ def test_matches_oracle_on_random_4x4():
         supply = rng.multinomial(64, np.ones(4) / 4) / 64
         demand = rng.multinomial(64, np.ones(4) / 4) / 64
         problem = TransportProblem(supply, demand, rng.random((4, 4)))
-        got = solve_transport(problem).objective
+        plan = solve_transport(problem)
+        certify(problem, plan)
         want = brute_force_transport(problem)
-        assert got == pytest.approx(want, abs=1e-9)
+        assert plan.objective == pytest.approx(want, abs=1e-9)
 
 
 def test_zero_mass_marginals_are_dropped():
-    plan = solve_transport(
-        TransportProblem([0.0, 1.0], [1.0, 0.0], [[9.0, 9.0], [3.0, 9.0]])
-    )
+    problem = TransportProblem([0.0, 1.0], [1.0, 0.0],
+                               [[9.0, 9.0], [3.0, 9.0]])
+    plan = solve_transport(problem)
     assert plan.entries == ((1, 0, 1.0),)
     assert plan.objective == 3.0
+    # the dropped row and column take their tightest feasible duals
+    assert plan.row_potentials.tolist() == [9.0 - 3.0, 0.0]
+    assert plan.col_potentials.tolist() == [3.0, min(9.0 - 6.0, 9.0 - 0.0)]
+    certify(problem, plan)
+
+
+@pytest.mark.parametrize("supply, demand", [
+    ([0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0], [1e-10, 0.0, 0.0]),
+    ([], []),
+])
+def test_massless_problem_has_feasible_duals(supply, demand):
+    cost = np.arange(len(supply) * len(demand), dtype=float).reshape(
+        len(supply), len(demand))
+    problem = TransportProblem(supply, demand, cost)
+    plan = solve_transport(problem)
+    assert plan.entries == () and plan.objective == 0.0
+    assert plan.pivots == plan.bland_pivots == 0
+    certify(problem, plan)
 
 
 # -- brute force -----------------------------------------------------------------
@@ -230,21 +250,13 @@ def test_ot_uniform_matches_explicit_solver():
         m = int(rng.integers(1, 21))
         x, y = random_simplex_pair(rng, m)
         closed_form = ot_uniform(sparse_from_dense(x), sparse_from_dense(y))
-        solved = solve_transport(
-            TransportProblem(x, y, uniform_cost_matrix(m))
-        ).objective
-        assert closed_form == pytest.approx(solved, abs=1e-9)
+        problem = TransportProblem(x, y, uniform_cost_matrix(m))
+        plan = solve_transport(problem)
+        certify(problem, plan)
+        assert closed_form == pytest.approx(plan.objective, abs=1e-9)
 
 
 # -- invariants ------------------------------------------------------------------
-
-
-def _feasible(plan: TransportPlan, problem: TransportProblem) -> bool:
-    rows_ok = np.all(np.abs(row_sums(plan, problem.supply.size)
-                            - problem.supply) <= 1e-9)
-    cols_ok = np.all(np.abs(col_sums(plan, problem.demand.size)
-                            - problem.demand) <= 1e-9)
-    return bool(rows_ok and cols_ok)
 
 
 def test_plans_feasible_and_basic():
@@ -252,7 +264,7 @@ def test_plans_feasible_and_basic():
     for _ in range(100):
         problem = random_balanced_problem(rng, max_side=6)
         plan = solve_transport(problem)
-        assert _feasible(plan, problem)
+        certify(problem, plan)
         assert len(plan.entries) <= problem.supply.size + problem.demand.size - 1
         assert all(m > 0 for _, _, m in plan.entries)
         recomputed = math.fsum(problem.cost[i, j] * m
@@ -264,9 +276,10 @@ def test_optimality_on_random_small_instances():
     rng = np.random.default_rng(12)
     for _ in range(150):
         problem = random_balanced_problem(rng, max_side=6)
-        got = solve_transport(problem).objective
+        plan = solve_transport(problem)
+        certify(problem, plan)
         want = brute_force_transport(problem)
-        assert got == pytest.approx(want, abs=1e-9 * max(1.0, want))
+        assert plan.objective == pytest.approx(want, abs=1e-9 * max(1.0, want))
 
 
 @st.composite
@@ -298,9 +311,10 @@ def balanced_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(balanced_instances())
 def test_property_solver_matches_enumeration(problem):
-    got = solve_transport(problem).objective
+    plan = solve_transport(problem)
+    certify(problem, plan)
     want = brute_force_transport(problem)
-    assert got == pytest.approx(want, abs=1e-9 * max(1.0, want))
+    assert plan.objective == pytest.approx(want, abs=1e-9 * max(1.0, want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,6 +344,7 @@ def test_uniform_cost_equals_l1_and_saturates_diagonal():
         x, y = random_simplex_pair(rng, m)
         problem = TransportProblem(x, y, uniform_cost_matrix(m))
         plan = solve_transport(problem)
+        certify(problem, plan)
         assert plan.objective == pytest.approx(np.abs(x - y).sum(), abs=1e-9)
         dense = plan_to_dense(plan, m, m)
         assert np.allclose(np.diag(dense), np.minimum(x, y), atol=1e-9)
