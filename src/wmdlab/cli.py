@@ -278,11 +278,6 @@ def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
         "rows": row_ids,
         "cols": col_ids,
     }
-    if method.uses_transport:
-        # transport cells hold SciPy's cdist bits; reading the installed
-        # version from package metadata leaves SciPy unimported
-        import importlib.metadata
-        payload["scipy"] = importlib.metadata.version("scipy")
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()

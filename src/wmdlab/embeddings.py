@@ -1,9 +1,23 @@
-"""Word embedding storage: loading, unit-norm scaling, cost matrices, PCA."""
+"""Word embedding storage: loading, unit-norm scaling, cost matrices, PCA.
+
+Cost matrices are slices of one word x word Euclidean distance table per
+store, built with NumPy alone and bit-identical to SciPy's ``cdist``: for
+each pair the kernel forms (a_k - b_k)**2 and adds the squares over k from
+left to right, starting at 0.0, then takes the square root, which is what
+``cdist`` computes. Each of those is a single IEEE-754 float64 operation,
+correctly rounded, so the same operations in the same order give the same
+bits whichever library runs them. A NumPy reduction (``sum``, ``einsum``,
+``linalg.norm``, a dot product) may add in another order and differs from
+``cdist`` in the last bits of most cells. The table is kept while it takes
+at most ``_TABLE_BYTES`` (256 MiB, up to 5,792 words); a larger store
+computes blocks of just the words a query row or a pair needs.
+"""
 
 from __future__ import annotations
 
 import logging
-from typing import Container, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,9 +37,15 @@ logger = logging.getLogger(__name__)
 
 
 class EmbeddingStore:
-    """Immutable token -> dense vector map."""
+    """Immutable token -> dense vector map.
 
-    __slots__ = ("tokens", "matrix", "index", "dim", "normalized")
+    ``distances`` gives the Euclidean distances between its words, from a
+    table of every pair that is built on first use and kept, or, when that
+    table would exceed ``_TABLE_BYTES``, from a block of just the words
+    asked for.
+    """
+
+    __slots__ = ("tokens", "matrix", "index", "dim", "normalized", "_table")
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray,
                  normalized: bool = False):
@@ -38,9 +58,16 @@ class EmbeddingStore:
         object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
         object.__setattr__(self, "dim", int(matrix.shape[1]))
         object.__setattr__(self, "normalized", bool(normalized))
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddingStore is immutable")
+
+    def __reduce__(self):
+        # a worker started by spawn or forkserver gets the table, once built
+        table = None if self._table is None else self._table.values
+        return _restore_store, (self.tokens, self.matrix, self.normalized,
+                                table)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -49,13 +76,42 @@ class EmbeddingStore:
         return token in self.index
 
     def rows(self, words: Sequence[str]) -> np.ndarray:
-        idx = []
-        for w in words:
-            i = self.index.get(w)
-            if i is None:
-                raise MissingWord(w)
-            idx.append(i)
-        return self.matrix[idx]
+        return self.matrix[_positions(self.index, words)]
+
+    def table(self) -> WordDistances | None:
+        """Distances between every pair of the store's words, built on
+        first use and kept; None when it would take more than
+        ``_TABLE_BYTES`` (V**2 * 8 bytes for V words)."""
+        if self._table is None and len(self) ** 2 * 8 <= _TABLE_BYTES:
+            values = _euclidean(self.matrix, self.matrix, self.normalized,
+                                symmetric=True)
+            self._set_table(values)
+        return self._table
+
+    def distances(self, src_words: Sequence[str],
+                  dst_words: Sequence[str]) -> WordDistances:
+        """Distances covering ``src_words`` x ``dst_words``: the store's
+        table, or beyond its bound a new block of just these words."""
+        table = self.table()
+        if table is not None:
+            return table
+        src, dst = list(dict.fromkeys(src_words)), list(dict.fromkeys(dst_words))
+        values = _euclidean(self.rows(src), self.rows(dst), self.normalized)
+        values.setflags(write=False)
+        return WordDistances({w: i for i, w in enumerate(src)},
+                             {w: j for j, w in enumerate(dst)}, values)
+
+    def _set_table(self, values: np.ndarray) -> None:
+        values.setflags(write=False)
+        object.__setattr__(self, "_table",
+                           WordDistances(self.index, self.index, values))
+
+
+def _restore_store(tokens, matrix, normalized, table) -> EmbeddingStore:
+    store = EmbeddingStore(tokens, matrix, normalized)
+    if table is not None:
+        store._set_table(table)
+    return store
 
 
 # Bytes read from a word2vec-binary file at a time: a load holds the kept
@@ -273,24 +329,81 @@ def l2_normalize(store: EmbeddingStore) -> EmbeddingStore:
                           normalized=True)
 
 
-def load_scipy() -> None:
-    """Import the SciPy module ``cost_submatrix`` needs. It is most of a
-    command's start-up time and only transport methods use it, so it is
-    imported on first use; a process about to fork workers that compute
-    cost matrices calls this first, so they inherit the import."""
-    import scipy.spatial.distance  # noqa: F401
+# The whole word x word table is kept only while it takes at most this many
+# bytes, V**2 * 8 <= _TABLE_BYTES, i.e. V <= 5,792 words. Beyond it each
+# query row, or single pair, gets a block of just the words it needs.
+_TABLE_BYTES = 256 << 20
+# rows of the left operand per kernel pass: bounds the work arrays to
+# 2 * _KERNEL_ROWS * len(b) * 8 bytes
+_KERNEL_ROWS = 64
 
 
-def cost_submatrix(store: EmbeddingStore, src_words: Sequence[str],
-                   dst_words: Sequence[str]) -> np.ndarray:
-    """Pairwise Euclidean distances between two word lists' embeddings."""
-    from scipy.spatial.distance import cdist  # see load_scipy
+def _euclidean(a: np.ndarray, b: np.ndarray, clip: bool,
+               symmetric: bool = False) -> np.ndarray:
+    """``out[i, j]`` = sqrt(sum_k (a[i, k] - b[j, k])**2), summed over k left
+    to right, as SciPy's ``cdist`` sums it.
 
-    out = cdist(store.rows(src_words), store.rows(dst_words))
-    if store.normalized:
-        # unit vectors are at most diameter 2 apart; trim float overshoot
+    Each subtraction, square, addition and square root is one IEEE operation
+    on float64, correctly rounded, and the additions come in the same order,
+    so every bit equals ``cdist``'s. Reductions (``sum``, ``einsum``, norms,
+    dot products) may pair terms in another order, and differ in most cells.
+    With ``clip`` every distance is capped at 2.0, the diameter of the unit
+    sphere. With ``symmetric`` (``a`` is ``b``) only the upper half is
+    computed; (x - y)**2 and (y - x)**2 are the same bits, so the mirror is
+    exact.
+    """
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for r0 in range(0, a.shape[0], _KERNEL_ROWS):
+        r1 = min(r0 + _KERNEL_ROWS, a.shape[0])
+        c0 = r0 if symmetric else 0
+        acc = np.zeros((r1 - r0, b.shape[0] - c0))
+        diff = np.empty_like(acc)
+        for ak, bk in zip(at[:, r0:r1], bt[:, c0:]):
+            np.subtract(ak[:, None], bk[None, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(acc, diff, out=acc)
+        np.sqrt(acc, out=acc)
+        out[r0:r1, c0:] = acc
+        if symmetric:
+            out[r1:, r0:r1] = acc[:, r1 - r0:].T
+    if clip:
         np.minimum(out, 2.0, out=out)
     return out
+
+
+@dataclass(frozen=True)
+class WordDistances:
+    """Euclidean distances from the embeddings of the ``rows`` words to those
+    of the ``cols`` words (each a word -> position map); read-only."""
+
+    rows: Mapping[str, int]
+    cols: Mapping[str, int]
+    values: np.ndarray
+
+    def cost(self, src_words: Sequence[str],
+             dst_words: Sequence[str]) -> np.ndarray:
+        """The ``src_words`` x ``dst_words`` distances, as a new array."""
+        return self.values[np.ix_(_positions(self.rows, src_words),
+                                  _positions(self.cols, dst_words))]
+
+
+def _positions(index: Mapping[str, int], words: Sequence[str]) -> list[int]:
+    try:
+        return [index[w] for w in words]
+    except KeyError as exc:
+        raise MissingWord(exc.args[0]) from None
+
+
+def cost_submatrix(store: EmbeddingStore | WordDistances,
+                   src_words: Sequence[str],
+                   dst_words: Sequence[str]) -> np.ndarray:
+    """Pairwise Euclidean distances between two word lists' embeddings, as a
+    new array: a slice of ``store``'s table (``EmbeddingStore.distances``),
+    or of a block of distances that covers these words."""
+    if isinstance(store, EmbeddingStore):
+        store = store.distances(src_words, dst_words)
+    return store.cost(src_words, dst_words)
 
 
 def project_pca(store: EmbeddingStore, target_dim: int,

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, cost_submatrix, load_scipy
+from .embeddings import EmbeddingStore, WordDistances, cost_submatrix
 from .errors import EmptySupport, InvalidInput, ParseError
 from .ot_core import TransportPlan, TransportProblem, solve_transport
 from .textrep import (
@@ -170,16 +170,21 @@ def make_measure(vec: SparseVector, vocab: Vocabulary) -> DocumentMeasure:
 
 
 def transport_plan(
-    m1: DocumentMeasure, m2: DocumentMeasure, store: EmbeddingStore
+    m1: DocumentMeasure, m2: DocumentMeasure,
+    store: EmbeddingStore | WordDistances,
 ) -> tuple[TransportPlan, np.ndarray]:
-    """Optimal coupling between two document measures plus its cost matrix."""
+    """Optimal coupling between two document measures plus its cost matrix.
+
+    ``store`` gives the word distances: an embedding store, or a block of
+    distances covering both documents' words."""
     cost = cost_submatrix(store, m1.words, m2.words)
     plan = solve_transport(TransportProblem(m1.weights, m2.weights, cost))
     return plan, cost
 
 
 def wmd_distance(
-    m1: DocumentMeasure, m2: DocumentMeasure, store: EmbeddingStore
+    m1: DocumentMeasure, m2: DocumentMeasure,
+    store: EmbeddingStore | WordDistances,
 ) -> float:
     """Minimum total embedding distance to move one document onto the other."""
     plan, _ = transport_plan(m1, m2, store)
@@ -231,13 +236,22 @@ def _vector_rows(queries: Sequence[int], refs: Sequence[int], reps: Mapping,
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
                 store: EmbeddingStore) -> np.ndarray:
     """One query's row of a transport matrix: +inf for an unusable query or
-    reference, 0.0 on a document against itself, the WMD elsewhere."""
+    reference, 0.0 on a document against itself, the WMD elsewhere. Every
+    cost matrix is a slice of the store's table or, beyond its bound, of one
+    block: the query's words x the words of the row's references."""
     a = reps[query_id]
     out = np.full(len(ref_ids), np.inf)
+    if a is None:
+        return out
+    cells = []
     for j, ref_id in enumerate(ref_ids):
-        b = reps[ref_id]
-        if a is not None and b is not None:
-            out[j] = 0.0 if query_id == ref_id else wmd_distance(a, b, store)
+        if ref_id == query_id:
+            out[j] = 0.0
+        elif reps[ref_id] is not None:
+            cells.append((j, reps[ref_id]))
+    costs = store.distances(a.words, [w for _, b in cells for w in b.words])
+    for j, b in cells:
+        out[j] = wmd_distance(a, b, costs)
     return out
 
 
@@ -277,7 +291,7 @@ def pairwise_distances(
     elif workers == 1 or len(queries) < 2:
         values = [_row_values(q, reps, refs, store) for q in queries]
     else:
-        load_scipy()  # once here, not once in every forked worker
+        store.table()  # built once here, so the forked workers share it
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=(reps, tuple(refs), store)) as pool:
             values = list(pool.map(_worker_row, queries, chunksize=max(

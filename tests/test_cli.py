@@ -264,19 +264,19 @@ def test_cache_key_covers_format_and_version(monkeypatch):
     assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) != key
 
 
-def test_cache_key_covers_scipy_version_of_transport_methods(monkeypatch):
+def test_cache_key_reads_no_package_metadata(monkeypatch):
     cfg = RunConfig()
     manifest = {"inputs": {"dataset": "d", "embeddings": "e",
                            "stopwords": None}}
-    wmd_method, bow = Method.parse("wmd"), Method.parse("bow(l1,l1)")
-    keys = [_cache_key(cfg, manifest, m, [0, 1], [1])
-            for m in (wmd_method, bow)]
-    real_version = importlib.metadata.version
-    monkeypatch.setattr(
-        importlib.metadata, "version",
-        lambda name: "0.0.0-other" if name == "scipy" else real_version(name))
-    assert _cache_key(cfg, manifest, wmd_method, [0, 1], [1]) != keys[0]
-    assert _cache_key(cfg, manifest, bow, [0, 1], [1]) == keys[1]
+    methods = [Method.parse("wmd"), Method.parse("bow(l1,l1)")]
+    keys = [_cache_key(cfg, manifest, m, [0, 1], [1]) for m in methods]
+
+    def no_metadata(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", no_metadata)
+    assert [_cache_key(cfg, manifest, m, [0, 1], [1])
+            for m in methods] == keys
 
 
 def test_edited_fold_file_recomputes_its_matrices(workspace, tmp_path):
@@ -351,14 +351,14 @@ def test_concurrent_writers_lose_no_entry(tmp_path):
     assert len(list(tmp_path.iterdir())) == 301
 
 
-def _python_here(script, *args):
+def _python_here(script, *args, cwd=None):
     """Run ``script`` in a fresh interpreter that imports this wmdlab."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(cli.__file__).parents[1]),
                     os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 
@@ -371,20 +371,57 @@ def test_cli_import_leaves_scipy_unloaded():
         == ["False"]
 
 
-def test_only_transport_methods_load_scipy(workspace, tmp_path):
-    # a pool of workers forked for a transport method finds SciPy loaded
-    script = (
-        "import sys\n"
-        "from wmdlab import cli\n"
-        "ws, out, method = sys.argv[1:]\n"
-        "cli.main(['eval', '--dataset', ws + '/docs.txt', '--embeddings',\n"
-        "          ws + '/emb.txt', '--folds', '2', '--workers', '2',\n"
-        "          '--method', method, '--out', out])\n"
-        f"print({SCIPY_LOADED})\n"
-    )
-    grid = "bow(l1,l1),bow(none,l2),tfidf(l2,l1)"
-    assert _python_here(script, workspace, tmp_path / "a", grid) == ["False"]
-    assert _python_here(script, workspace, tmp_path / "b", "wmd") == ["True"]
+# `eval` and `analyze` with a pool of 2 workers, run in the current
+# directory. Workers are forked, except in mode "spawn", where they start
+# from a fresh interpreter and receive the embedding store pickled; mode
+# "no-scipy" makes every import of SciPy fail, in the workers too.
+TRANSPORT_COMMANDS = (
+    "import multiprocessing, sys\n"
+    "ws, mode = sys.argv[1:]\n"
+    "if mode == 'no-scipy':\n"
+    "    sys.modules['scipy'] = None\n"
+    "multiprocessing.set_start_method('spawn' if mode == 'spawn'\n"
+    "                                 else 'fork')\n"
+    "from wmdlab import cli\n"
+    "inputs = ['--dataset', ws + '/docs.txt', '--embeddings', ws + '/emb.txt',\n"
+    "          '--workers', '2', '--cache-dir', 'cache']\n"
+    "assert cli.main(['eval', '--method', 'wmd', '--folds', '2',\n"
+    "                 '--out', 'eval', *inputs]) == 0\n"
+    "assert cli.main(['analyze', '--folds', '1', '--pairs', '20',\n"
+    "                 '--dims', '3', '--out', 'analyze', *inputs]) == 0\n"
+    f"print({SCIPY_LOADED})\n"
+)
+
+
+def _transport_run(workspace, cwd, mode):
+    """Every file the commands wrote, and whether SciPy was loaded."""
+    cwd.mkdir()
+    loaded = _python_here(TRANSPORT_COMMANDS, workspace, mode, cwd=cwd)
+    return _files(cwd), loaded
+
+
+@pytest.fixture(scope="module")
+def fork_run(workspace, tmp_path_factory):
+    return _transport_run(workspace, tmp_path_factory.mktemp("fork") / "run",
+                          "fork")
+
+
+def test_no_command_loads_scipy(fork_run):
+    files, loaded = fork_run
+    assert loaded == ["False"]
+    assert {p.parts[0] for p in files} == {"eval", "analyze", "cache"}
+
+
+def test_outputs_identical_with_scipy_import_blocked(workspace, tmp_path,
+                                                     fork_run):
+    files, _ = _transport_run(workspace, tmp_path / "run", "no-scipy")
+    assert files == fork_run[0]
+
+
+def test_spawned_workers_give_the_forked_workers_outputs(workspace, tmp_path,
+                                                         fork_run):
+    files, _ = _transport_run(workspace, tmp_path / "run", "spawn")
+    assert files == fork_run[0]
 
 
 def test_project_roundtrip(workspace, tmp_path):

@@ -1,9 +1,11 @@
 import logging
 import math
+import pickle
 import struct
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from wmdlab import embeddings
 from wmdlab.embeddings import (
@@ -322,6 +324,8 @@ def test_cost_antipodal_unit_vectors(unit_store):
 def test_cost_missing_word(unit_store):
     with pytest.raises(MissingWord, match="sideways"):
         cost_submatrix(unit_store, ["east"], ["sideways"])
+    with pytest.raises(MissingWord, match="sideways"):
+        cost_submatrix(unit_store, ["sideways", "up"], ["east"])
 
 
 def test_cost_bounds_symmetry_and_transpose():
@@ -336,6 +340,111 @@ def test_cost_bounds_symmetry_and_transpose():
     ab = cost_submatrix(store, a, b)
     ba = cost_submatrix(store, b, a)
     assert np.all(np.abs(ab - ba.T) <= 1e-12)
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _cdist(store, src, dst):
+    want = cdist(store.rows(src), store.rows(dst))
+    return np.minimum(want, 2.0) if store.normalized else want
+
+
+def _unit_store(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return l2_normalize(EmbeddingStore([f"w{i}" for i in range(n)],
+                                       rng.normal(size=(n, dim))))
+
+
+def _word_lists(store, seed):
+    rng = np.random.default_rng(seed)
+    for n_src, n_dst in ((1, 1), (7, 30), (30, 7), (60, 60)):
+        yield (rng.choice(store.tokens, n_src, replace=False).tolist(),
+               rng.choice(store.tokens, n_dst, replace=False).tolist())
+
+
+def test_table_has_cdist_bits():
+    # more rows than one kernel pass, to cover the mirrored blocks
+    store = _unit_store(300, 300, seed=20)
+    table = store.table()
+    assert table.values.shape == (300, 300)
+    _same_bits(table.values, _cdist(store, store.tokens, store.tokens))
+    _same_bits(table.values, table.values.T)
+    for src, dst in _word_lists(store, seed=21):
+        _same_bits(cost_submatrix(store, src, dst), _cdist(store, src, dst))
+
+
+def test_blocks_beyond_the_table_bound_have_cdist_bits(monkeypatch):
+    monkeypatch.setattr(embeddings, "_TABLE_BYTES", 0)
+    store = _unit_store(300, 300, seed=22)
+    for src, dst in _word_lists(store, seed=23):
+        _same_bits(cost_submatrix(store, src, dst), _cdist(store, src, dst))
+        block = store.distances(src, dst)
+        assert block.values.shape == (len(src), len(dst))
+    assert store.table() is None
+    with pytest.raises(MissingWord, match="sideways"):
+        cost_submatrix(store, ["w0"], ["w1", "sideways"])
+    # a block may cover repeated words; each row and column is kept once
+    block = store.distances(["w1", "w2", "w1"], ["w3", "w3"])
+    assert block.values.shape == (2, 1)
+    _same_bits(block.cost(["w1", "w2", "w1"], ["w3", "w3"]),
+               _cdist(store, ["w1", "w2", "w1"], ["w3", "w3"]))
+
+
+def test_projected_store_costs_are_not_clipped():
+    rng = np.random.default_rng(24)
+    tokens = [f"w{i}" for i in range(80)]
+    store = project_pca(EmbeddingStore(tokens, rng.normal(size=(80, 12)) * 3),
+                        5, tokens)
+    assert not store.normalized
+    _same_bits(store.table().values, cdist(store.matrix, store.matrix))
+    assert store.table().values.max() > 2.0
+
+
+def test_near_antipodal_costs_are_clipped_at_two():
+    # unit vectors and their slightly perturbed opposites: cdist overshoots
+    # 2.0 on some of these pairs, and both sides clip to exactly 2.0
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(100, 50))
+    near = -x + rng.normal(size=x.shape) * 1e-9
+    store = l2_normalize(EmbeddingStore(
+        [f"p{i}" for i in range(100)] + [f"n{i}" for i in range(100)],
+        np.vstack([x, near])))
+    raw = cdist(store.matrix, store.matrix)
+    assert (raw > 2.0).any()
+    _same_bits(store.table().values, np.minimum(raw, 2.0))
+    assert store.table().values.max() == 2.0
+
+
+def test_table_is_read_only_and_costs_are_fresh(unit_store):
+    table = unit_store.table()
+    assert not table.values.flags.writeable
+    with pytest.raises(ValueError):
+        table.values[0, 1] = 5.0
+    assert unit_store.table() is table  # built once
+    cost = cost_submatrix(unit_store, ["east", "mix"], ["north"])
+    assert cost.flags.writeable
+    assert not np.shares_memory(cost, table.values)
+    cost[:] = 7.0
+    assert cost_submatrix(unit_store, ["east"], ["north"])[0, 0] == \
+        table.values[0, 1]
+
+
+def test_store_pickles_with_and_without_its_table():
+    store = _unit_store(20, 6, seed=26)
+    fresh = pickle.loads(pickle.dumps(store))
+    assert (fresh.tokens, fresh.normalized) == (store.tokens, True)
+    assert np.array_equal(fresh.matrix, store.matrix)
+    assert fresh._table is None
+    table = store.table()
+    copy = pickle.loads(pickle.dumps(store))
+    _same_bits(copy._table.values, table.values)
+    assert not copy.table().values.flags.writeable
+    assert copy.table().rows == copy.index
+    with pytest.raises(AttributeError, match="immutable"):
+        copy.dim = 3
 
 
 # -- pca -------------------------------------------------------------------------

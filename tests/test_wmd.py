@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wmdlab import wmd
+from wmdlab import embeddings, wmd
 from wmdlab.embeddings import EmbeddingStore, cost_submatrix, l2_normalize
 from wmdlab.errors import EmptySupport, InvalidInput, ParseError
 from wmdlab.ot_core import TransportProblem, solve_transport
@@ -244,6 +244,24 @@ def test_pairwise_deterministic_across_worker_counts(small_resources):
     small_resources.workers = 2
     parallel = pairwise_distances(ids, ids, method, small_resources)
     assert np.array_equal(serial.values, parallel.values)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pairwise_wmd_same_bits_beyond_the_table_bound(small_resources,
+                                                       monkeypatch, workers):
+    # beyond the bound each query row slices its own block of distances
+    ids = [0, 1, 2, 3, 4, 5, 6]
+    method = Method.parse("wmd-tfidf")
+    with_table = pairwise_distances(ids, ids[2:], method, small_resources)
+    monkeypatch.setattr(embeddings, "_TABLE_BYTES", 0)
+    store = small_resources.store
+    small_resources.store = EmbeddingStore(store.tokens, store.matrix,
+                                           store.normalized)
+    small_resources.workers = workers
+    blocks = pairwise_distances(ids, ids[2:], method, small_resources)
+    assert small_resources.store.table() is None
+    assert np.array_equal(blocks.values.view(np.int64),
+                          with_table.values.view(np.int64))
 
 
 def test_vector_matrix_starts_no_pool(small_resources, monkeypatch):
