@@ -13,10 +13,10 @@ from .embeddings import EmbeddingStore, project_pca
 from .errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
 from .knn_eval import neighbor_order
 from .textrep import SparseVector, VectorMetric, vector_distance
-from .wmd import DistanceMatrix, DocumentMeasure, transport_plan, wmd_distance
+from .wmd import DistanceMatrix, DocumentMeasure, pair_distances, transport_plan
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import build_vocabulary, bow_vector, normalize  # noqa: F401
-from .wmd import make_measure  # noqa: F401
+from .wmd import make_measure, wmd_distance  # noqa: F401
 
 CROSS_SPLIT = "cross-split"
 LEAVE_ONE_OUT = "leave-one-out"
@@ -133,17 +133,15 @@ def sample_document_pairs(ids: Sequence[int], count: int,
 def bow_wmd_scatter(
     pairs: Sequence[tuple[int, int]],
     bows: Mapping[int, SparseVector],
-    measures: Mapping[int, DocumentMeasure],
-    store: EmbeddingStore,
+    wmd_distances: Sequence[float],
 ) -> list[tuple[float, float]]:
     """``(L1/L1 count distance, transport distance)`` of each document pair.
 
-    ``bows`` holds L1-normalized count vectors and ``measures`` the
-    uniform-count measures of the same documents.
+    ``bows`` holds L1-normalized count vectors, and ``wmd_distances`` each
+    pair's transport distance.
     """
-    return [(vector_distance(bows[a], bows[b], VectorMetric.L1),
-             wmd_distance(measures[a], measures[b], store))
-            for a, b in pairs]
+    return [(vector_distance(bows[a], bows[b], VectorMetric.L1), w)
+            for (a, b), w in zip(pairs, wmd_distances, strict=True)]
 
 
 def dim_comparison(
@@ -153,25 +151,32 @@ def dim_comparison(
     store: EmbeddingStore,
     dims: Sequence[int],
     fit_vocab: Sequence[str],
+    workers: int = 1,
+    wmd_distances: Sequence[float] | None = None,
 ) -> dict[int, float]:
     """Correlation of transport distance with the L1/L1 count baseline per dimension.
 
     ``bow_distances`` holds each pair's L1/L1 count distance (the first
     column of ``bow_wmd_scatter``). Each requested dimension below
     ``store.dim`` projects the embeddings first, with the PCA fitted on
-    ``fit_vocab``; the full dimension uses the store as-is. Every dimension
-    scores the same ``pairs``, so the series are directly comparable.
+    ``fit_vocab``, and ``workers`` processes solve its pairs. The full
+    dimension uses the store as-is, or ``wmd_distances`` (the second column
+    of ``bow_wmd_scatter``) when given. Every dimension scores the same
+    ``pairs``, so the series are directly comparable.
     """
     for d in dims:
         if not 1 <= d <= store.dim:
             raise InvalidInput(f"dimension {d} out of range [1, {store.dim}]")
     out: dict[int, float] = {}
     for d in dims:
+        if d == store.dim and wmd_distances is not None:
+            out[int(d)] = pearson(bow_distances, wmd_distances)
+            continue
         store_d = store if d == store.dim else project_pca(
             store, d, fit_vocab=fit_vocab
         )
-        out[int(d)] = pearson(bow_distances, [
-            wmd_distance(measures[a], measures[b], store_d) for a, b in pairs])
+        out[int(d)] = pearson(bow_distances, pair_distances(
+            pairs, measures, store_d, workers).tolist())
     return out
 
 

@@ -1,7 +1,7 @@
 """Command-line entry point: reproducible distance, evaluation, and analysis runs.
 
 Subcommands:
-  dists    compute and cache distance matrices per (fold, method)
+  dists    compute and cache the distances the folds need, per method
   eval     tune + evaluate classifiers from the cached distances
   dedup    audit and remove duplicate documents
   analyze  transport histograms, distance scatter, dimension sweep
@@ -24,6 +24,8 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, analysis, corpus as corpus_mod, knn_eval, wmd
 from .embeddings import (
     TEXT,
@@ -37,8 +39,8 @@ from .errors import ParseError, WmdlabError
 from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
-from .wmd import Method, Resources, pairwise_distances, read_distance_matrix, \
-    write_distance_matrix
+from .wmd import Method, PairStore, Resources, pairwise_distances, \
+    read_distance_matrix, write_distance_matrix
 
 logger = logging.getLogger("wmdlab")
 
@@ -264,10 +266,9 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
 # -- distance caching ----------------------------------------------------------
 
 
-def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
-               row_ids: list[int], col_ids: list[int]) -> str:
-    # fold files, seed, folds and train fraction change a matrix only
-    # through its row and column ids
+def _cache_key(cfg: RunConfig, manifest: dict, method: Method) -> str:
+    # one pair store per method over the corpus's documents: fold files,
+    # seed, folds and train fraction only choose which pairs are read
     payload = {
         "version": __version__,
         "inputs": manifest["inputs"],
@@ -275,8 +276,6 @@ def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
         "method": method.label,
         "clean": cfg.clean,
         "keep_oov": cfg.keep_oov,
-        "rows": row_ids,
-        "cols": col_ids,
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -284,55 +283,95 @@ def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
 
 
 class DistanceCache:
-    """Distance matrices on disk, one ``<key>.npy`` file per cache key."""
+    """Pair stores on disk, one ``<key>.npy`` file per cache key."""
 
     def __init__(self, directory: Path):
         self.directory = directory
 
-    def get(self, key: str, row_ids: list[int],
-            col_ids: list[int]) -> wmd.DistanceMatrix | None:
-        """The matrix cached under ``key``, whose rows and columns are
-        ``row_ids`` and ``col_ids``; None when missing or unreadable."""
+    def get(self, key: str, ids: list[int]) -> PairStore | None:
+        """The pair store cached under ``key`` over the documents ``ids``;
+        None when missing or unreadable."""
         path = self.directory / f"{key}.npy"
         if not path.exists():
             return None
         try:
-            dm = read_distance_matrix(path, row_ids, col_ids)
+            pairs = read_distance_matrix(path, ids)
         except (ParseError, OSError) as exc:
             logger.warning("corrupted cache %s (%s); recomputing", path.name,
                            exc)
             return None
         logger.info("cache hit: %s", path.name)
-        return dm
+        return pairs
 
-    def put(self, key: str, dm: wmd.DistanceMatrix) -> None:
-        """Write a temporary sibling and rename it over the cache file:
-        readers see the old file or the new one, never a partial one."""
+    def put(self, key: str, pairs: PairStore) -> None:
+        """Take into ``pairs`` every pair that the file on disk holds and it
+        lacks, then write a temporary sibling and rename it over the file:
+        readers see the old file or the new one, never a partial one. A run
+        renaming in between loses only fills, which are computed again."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"{key}.npy"
+        try:
+            pairs.merge(read_distance_matrix(path, pairs.ids))
+        except (ParseError, OSError):
+            pass  # no file yet, or a corrupt one to replace
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            write_distance_matrix(dm, str(tmp))
+            write_distance_matrix(pairs, str(tmp))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
 
 
+def _pair_store(pipe: Pipeline, cache: DistanceCache, manifest: dict,
+                method: Method) -> tuple[str, PairStore]:
+    key = _cache_key(pipe.cfg, manifest, method)
+    ids = list(pipe.corpus.ids())
+    pairs = cache.get(key, ids)
+    return key, PairStore.empty(ids) if pairs is None else pairs
+
+
+def _may_compute(cfg: RunConfig, key: str, missing: int) -> None:
+    if cfg.no_compute:
+        raise CliError(f"missing cache: {key}.npy lacks {missing} "
+                       "distance(s) and --no-compute is set")
+
+
 def _distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
                method: Method, queries: list[int],
                refs: list[int]) -> wmd.DistanceMatrix:
-    """The ``queries`` x ``refs`` matrix of ``method``, cached."""
-    key = _cache_key(pipe.cfg, manifest, method, queries, refs)
-    dm = cache.get(key, queries, refs)
-    if dm is not None:
-        return dm
-    if pipe.cfg.no_compute:
-        raise CliError(f"missing cache {key}.npy and --no-compute is set")
-    logger.info("computing %s (%d x %d)", method.label, len(queries),
-                len(refs))
-    dm = pairwise_distances(queries, refs, method, pipe.resources)
-    cache.put(key, dm)
+    """The ``queries`` x ``refs`` matrix of ``method`` from its pair store;
+    the cells the store lacks are computed and stored first."""
+    key, pairs = _pair_store(pipe, cache, manifest, method)
+    known = pairs.matrix(queries, refs)
+    missing = int(np.isnan(known).sum())
+    if not missing:
+        return wmd.DistanceMatrix(tuple(queries), tuple(refs), known)
+    _may_compute(pipe.cfg, key, missing)
+    logger.info("computing %s (%d of %d x %d cells)", method.label, missing,
+                len(queries), len(refs))
+    dm = pairwise_distances(queries, refs, method, pipe.resources, known)
+    pairs.update(dm)
+    cache.put(key, pairs)
     return dm
+
+
+def _pair_distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
+                    method: Method, pairs: list[tuple[int, int]],
+                    reps: dict) -> list[float]:
+    """The transport distance of each pair of distinct usable documents,
+    read from the pair store once the pairs it lacks are solved, from the
+    lower id, and stored."""
+    key, store = _pair_store(pipe, cache, manifest, method)
+    values = store.pair_values(pairs)
+    missing = sorted({(min(p), max(p))
+                      for p, miss in zip(pairs, np.isnan(values)) if miss})
+    if missing:
+        _may_compute(pipe.cfg, key, len(missing))
+        store.set_pair_values(missing, wmd.pair_distances(
+            missing, reps, pipe.store, pipe.resources.workers))
+        cache.put(key, store)
+        values = store.pair_values(pairs)
+    return values.tolist()
 
 
 def _fold_matrices(cfg: RunConfig):
@@ -459,7 +498,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     pairs = analysis.sample_document_pairs(sorted(measures), cfg.pairs,
                                            cfg.seed)
-    points = analysis.bow_wmd_scatter(pairs, bows, measures, pipe.store)
+    wmds = _pair_distances(pipe, cache, manifest, wmd_method, pairs, measures)
+    points = analysis.bow_wmd_scatter(pairs, bows, wmds)
     analysis.write_scatter_csv(points, str(out_dir / "scatter.csv"))
     r = analysis.pearson([p[0] for p in points], [p[1] for p in points])
     with open(out_dir / "scatter_pearson.json", "w", encoding="utf-8") as fh:
@@ -469,7 +509,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if dims:
         table = analysis.dim_comparison(pairs, [x for x, _ in points],
                                         measures, pipe.store, dims,
-                                        res.vocab.words)
+                                        res.vocab.words, res.workers, wmds)
         with open(out_dir / "dim_comparison.csv", "w", encoding="utf-8") as fh:
             fh.write("dim,pearson\n")
             for d in dims:
@@ -546,7 +586,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
-        ("dists", "compute and cache distance matrices"),
+        ("dists", "compute and cache the distances the folds need"),
         ("eval", "tune and evaluate classifiers"),
         ("dedup", "report and remove duplicate documents"),
         ("analyze", "histograms, scatter, and dimension sweep"),

@@ -147,7 +147,7 @@ class Resources:
 
     ``counts`` maps document id to its count vector over ``vocab``.
     ``doc_freq``/``n_docs`` are corpus-level statistics used by the tfidf
-    weightings. ``workers`` processes solve the rows of a transport matrix;
+    weightings. ``workers`` processes solve the pairs of a transport matrix;
     BOW/TF-IDF matrices are computed in the calling process.
     """
 
@@ -235,32 +235,47 @@ def _vector_rows(queries: Sequence[int], refs: Sequence[int], reps: Mapping,
 
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
                 store: EmbeddingStore) -> np.ndarray:
-    """One query's row of a transport matrix: +inf for an unusable query or
-    reference, 0.0 on a document against itself, the WMD elsewhere. Every
-    cost matrix is a slice of the store's table or, beyond its bound, of one
-    block: the query's words x the words of the row's references."""
+    """The transport distances from one document to each of ``ref_ids``,
+    all usable and other than it. Every cost matrix is a slice of the
+    store's table or, beyond its bound, of one block: the query's words x
+    the words of its references."""
     a = reps[query_id]
-    out = np.full(len(ref_ids), np.inf)
-    if a is None:
-        return out
-    cells = []
-    for j, ref_id in enumerate(ref_ids):
-        if ref_id == query_id:
-            out[j] = 0.0
-        elif reps[ref_id] is not None:
-            cells.append((j, reps[ref_id]))
-    costs = store.distances(a.words, [w for _, b in cells for w in b.words])
-    for j, b in cells:
-        out[j] = wmd_distance(a, b, costs)
-    return out
+    costs = store.distances(a.words,
+                            [w for r in ref_ids for w in reps[r].words])
+    return np.array([wmd_distance(a, reps[r], costs) for r in ref_ids])
 
 
-def _init_worker(reps, ref_ids, store):
-    _STATE["args"] = (reps, ref_ids, store)
+def _init_worker(reps, store):
+    _STATE["args"] = (reps, store)
 
 
-def _worker_row(query_id):
-    return _row_values(query_id, *_STATE["args"])
+def _worker_row(task):
+    reps, store = _STATE["args"]
+    return _row_values(task[0], reps, task[1], store)
+
+
+def pair_distances(pairs: Sequence[tuple[int, int]], reps: Mapping,
+                   store: EmbeddingStore, workers: int = 1) -> np.ndarray:
+    """The transport distance of each ``(source, target)`` pair of distinct
+    usable documents (``reps`` maps both to their measures), solved from
+    the source, each distinct pair once. A source's pairs are one task, so
+    beyond the table bound its word block is built once; ``workers``
+    processes solve the tasks."""
+    by_source: dict[int, list[int]] = {}
+    for a, b in dict.fromkeys(pairs):
+        by_source.setdefault(a, []).append(b)
+    tasks = list(by_source.items())
+    if workers <= 1 or len(tasks) < 2:
+        rows = [_row_values(a, reps, refs, store) for a, refs in tasks]
+    else:
+        store.table()  # built once here, so the forked workers share it
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(reps, store)) as pool:
+            rows = list(pool.map(_worker_row, tasks, chunksize=max(
+                1, len(tasks) // (4 * workers))))
+    solved = {(a, b): v for (a, refs), row in zip(tasks, rows)
+              for b, v in zip(refs, row.tolist())}
+    return np.array([solved[p] for p in pairs], dtype=np.float64)
 
 
 def pairwise_distances(
@@ -268,51 +283,140 @@ def pairwise_distances(
     refs: Sequence[int],
     method: Method,
     resources: Resources,
+    known: np.ndarray | None = None,
 ) -> DistanceMatrix:
     """Distance matrix between query and reference documents.
 
-    BOW/TF-IDF matrices are computed in the calling process, transport rows
-    by ``resources.workers`` processes. Self cells are 0; documents with no
+    ``known``, a ``queries`` x ``refs`` array, holds cells computed before
+    and NaN where a cell is missing; only the missing cells are computed.
+    A BOW/TF-IDF matrix computes each query row that misses a cell whole,
+    in the calling process. A transport matrix solves each missing
+    unordered pair once, from the document with the lower id, in
+    ``resources.workers`` processes. Self cells are 0; documents with no
     usable representation produce +inf sentinel cells.
     """
     store = resources.store
     if method.uses_transport and store is None:
         raise InvalidInput(f"method {method.label} needs an embedding store")
+    values = np.full((len(queries), len(refs)), np.nan) if known is None \
+        else np.array(known, dtype=np.float64)
+    todo = np.isnan(values)
     all_ids = list(dict.fromkeys(list(queries) + list(refs)))
     reps = representations(all_ids, method, resources)
     unusable = sorted(d for d, r in reps.items() if r is None)
     if unusable:
         logger.warning("%s: %d unusable document(s): %s", method.label,
                        len(unusable), unusable[:10])
-    workers = max(1, int(resources.workers))
     if not method.uses_transport:
-        values = _vector_rows(queries, refs, reps, method.metric,
-                              len(resources.vocab))
-    elif workers == 1 or len(queries) < 2:
-        values = [_row_values(q, reps, refs, store) for q in queries]
-    else:
-        store.table()  # built once here, so the forked workers share it
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(reps, tuple(refs), store)) as pool:
-            values = list(pool.map(_worker_row, queries, chunksize=max(
-                1, len(queries) // (4 * workers))))
-    return DistanceMatrix(tuple(queries), tuple(refs),
-                          np.reshape(values, (len(queries), len(refs))))
+        rows = np.flatnonzero(todo.any(axis=1))
+        computed = _vector_rows([queries[i] for i in rows], refs, reps,
+                                method.metric, len(resources.vocab))
+        values[rows] = np.where(todo[rows], computed, values[rows])
+        return DistanceMatrix(tuple(queries), tuple(refs), values)
+    q, r = np.asarray(queries, dtype=np.int64), np.asarray(refs, dtype=np.int64)
+    q_ok = np.array([reps[d] is not None for d in queries], dtype=bool)
+    r_ok = np.array([reps[d] is not None for d in refs], dtype=bool)
+    rows, cols = np.nonzero(todo)
+    solve = q_ok[rows] & r_ok[cols] & (q[rows] != r[cols])
+    ends = np.sort(np.stack([q[rows], r[cols]], axis=1)[solve], axis=1)
+    pairs, which = np.unique(ends, axis=0, return_inverse=True)
+    solved = pair_distances([(int(a), int(b)) for a, b in pairs], reps, store,
+                            resources.workers)
+    values[rows, cols] = np.inf
+    values[rows[solve], cols[solve]] = solved[which.reshape(-1)]
+    same = q[:, None] == r[None, :]
+    values[same] = np.where(q_ok[:, None] & r_ok[None, :], 0.0, np.inf)[same]
+    return DistanceMatrix(tuple(queries), tuple(refs), values)
 
 
 # -- cache file format ---------------------------------------------------------
 
 
-def write_distance_matrix(dm: DistanceMatrix, path: str) -> None:
-    """Save the values as one float64 ``.npy`` array. The ids are not
-    stored: the cache key that names the file covers them."""
+class PairStore:
+    """Distances between every two of ``ids``, each unordered pair stored
+    once: ``values`` is the upper triangle of the ``ids`` x ``ids`` matrix,
+    condensed row by row (N(N-1)/2 cells for N ids). NaN marks a pair not
+    computed yet, +inf a pair with an unusable document. A document's
+    distance to itself is not stored: a matrix read from the store gives
+    0.0 where the row or column of the self cell holds a finite distance,
+    else +inf (an unusable document's)."""
+
+    def __init__(self, ids: Sequence[int], values: np.ndarray):
+        n = len(ids)
+        if values.shape != (n * (n - 1) // 2,):
+            raise InvalidInput(f"values shape {values.shape} does not match "
+                               f"{n} ids")
+        if np.any(values < 0):
+            raise InvalidInput("distances must be >= 0")
+        self.ids = tuple(ids)
+        self.values = values
+        self._pos = {d: p for p, d in enumerate(self.ids)}
+
+    @classmethod
+    def empty(cls, ids: Sequence[int]) -> "PairStore":
+        return cls(ids, np.full(len(ids) * (len(ids) - 1) // 2, np.nan))
+
+    def _positions(self, ids: Sequence[int]) -> np.ndarray:
+        return np.array([self._pos[d] for d in ids], dtype=np.int64)
+
+    def _cells(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Condensed index of each (r, c) cell of id positions, broadcast;
+        ``len(values)`` on a self cell."""
+        i, j = np.minimum(r, c), np.maximum(r, c)
+        n = len(self.ids)
+        return np.where(i == j, self.values.size,
+                        i * (2 * n - i - 1) // 2 + j - i - 1)
+
+    def _read(self, cells: np.ndarray) -> np.ndarray:
+        return np.append(self.values, np.nan)[cells]
+
+    def matrix(self, queries: Sequence[int],
+               refs: Sequence[int]) -> np.ndarray:
+        """The ``queries`` x ``refs`` distances, NaN where a pair is
+        missing."""
+        cells = self._cells(self._positions(queries)[:, None],
+                            self._positions(refs)[None, :])
+        out = self._read(cells)
+        i, j = np.nonzero(cells == self.values.size)
+        finite = np.isfinite(out)  # self cells read NaN here
+        out[i, j] = np.where(finite[i].any(axis=1) | finite[:, j].any(axis=0),
+                             0.0, np.inf)
+        return out
+
+    def pair_values(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+        """The distance of each pair of distinct documents, NaN where
+        missing."""
+        return self._read(self._pair_cells(pairs))
+
+    def set_pair_values(self, pairs: Sequence[tuple[int, int]],
+                        values: Sequence[float]) -> None:
+        self.values[self._pair_cells(pairs)] = values
+
+    def _pair_cells(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+        return self._cells(self._positions([a for a, _ in pairs]),
+                           self._positions([b for _, b in pairs]))
+
+    def update(self, dm: DistanceMatrix) -> None:
+        """Store every cell of ``dm`` but its self cells."""
+        cells = self._cells(self._positions(dm.row_ids)[:, None],
+                            self._positions(dm.col_ids)[None, :])
+        pair = cells < self.values.size
+        self.values[cells[pair]] = dm.values[pair]
+
+    def merge(self, other: "PairStore") -> None:
+        """Take ``other``'s distance for every pair this store lacks."""
+        np.copyto(self.values, other.values, where=np.isnan(self.values))
+
+
+def write_distance_matrix(pairs: PairStore, path: str) -> None:
+    """Save a pair store's values as one float64 ``.npy`` array. The ids
+    are not stored: the cache key that names the file covers them."""
     with open(path, "wb") as fh:
-        np.save(fh, dm.values, allow_pickle=False)
+        np.save(fh, pairs.values, allow_pickle=False)
 
 
-def read_distance_matrix(path: str, row_ids: Sequence[int],
-                         col_ids: Sequence[int]) -> DistanceMatrix:
-    """Load a matrix saved by ``write_distance_matrix`` for these ids."""
+def read_distance_matrix(path: str, ids: Sequence[int]) -> PairStore:
+    """Load a pair store saved by ``write_distance_matrix`` for these ids."""
     with open(path, "rb") as fh:
         try:
             values = np.load(fh, allow_pickle=False)
@@ -322,6 +426,6 @@ def read_distance_matrix(path: str, row_ids: Sequence[int],
         if not isinstance(values, np.ndarray) or values.dtype != np.float64:
             raise ParseError("not a float64 array")
     try:
-        return DistanceMatrix(tuple(row_ids), tuple(col_ids), values)
+        return PairStore(ids, values)
     except InvalidInput as exc:
         raise ParseError(str(exc)) from None

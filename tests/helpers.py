@@ -107,12 +107,14 @@ def _npz(array: np.ndarray) -> bytes:
 
 
 def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
-    """Files that must not load as the cached float64 matrix ``values``
-    (at least 2 x 2, no NaN or negative cell), by what is wrong with them."""
+    """Files that must not load as the cached pair store ``values`` (a
+    float64 condensed array of at least 2 cells, no negative one), by what
+    is wrong with them. A NaN cell is a pair not computed yet, not an
+    error."""
     values = np.asarray(values, dtype=np.float64)
-    nan, negative = values.copy(), values.copy()
-    nan[0, 1] = np.nan
-    negative[1, 0] = -0.5
+    negative, minus_inf = values.copy(), values.copy()
+    negative[1] = -0.5
+    minus_inf[0] = -np.inf
     return {
         "empty": b"",
         "text": b"2 2\n0 1\n0 1\n1.0 2.0\n3.0 x\n",
@@ -121,8 +123,9 @@ def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
         "pickled-object-array": _npy(values.astype(object)),
         "pickle": pickle.dumps(values.tolist()),
         "float32": _npy(values.astype(np.float32)),
-        "wrong-shape": _npy(values[:, :-1].copy()),
+        "wrong-shape": _npy(values[None, :].copy()),
+        "wrong-length": _npy(values[:-1].copy()),
         "npz": _npz(values),
-        "nan": _npy(nan),
         "negative": _npy(negative),
+        "negative-inf": _npy(minus_inf),
     }

@@ -21,7 +21,7 @@ from wmdlab.corpus import Corpus, Document
 from wmdlab.embeddings import EmbeddingStore, l2_normalize
 from wmdlab.errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
 from wmdlab.textrep import NormScheme, bow_vector, build_vocabulary, normalize
-from wmdlab.wmd import DistanceMatrix, make_measure
+from wmdlab.wmd import DistanceMatrix, make_measure, wmd_distance
 
 from conftest import dim_sweep
 
@@ -212,8 +212,10 @@ def test_bow_wmd_scatter_scores_each_pair_in_order(onehot_store):
     vocab = build_vocabulary(token_lists)
     bows = {i: normalize(bow_vector(t, vocab), NormScheme.L1)
             for i, t in enumerate(token_lists)}
-    points = bow_wmd_scatter([(0, 1), (2, 0), (1, 1)], bows,
-                             measures_for(token_lists), onehot_store)
+    pairs = [(0, 1), (2, 0), (1, 1)]
+    measures = measures_for(token_lists)
+    points = bow_wmd_scatter(pairs, bows, [
+        wmd_distance(measures[a], measures[b], onehot_store) for a, b in pairs])
     assert points == [pytest.approx((1.0, 1.0)), pytest.approx((2.0, 2.0)),
                       (0.0, 0.0)]
 
@@ -229,7 +231,8 @@ def test_dim_comparison_reuses_the_bow_column(monkeypatch):
             for i, t in enumerate(token_lists)}
     measures = measures_for(token_lists)
     pairs = sample_document_pairs(sorted(measures), 30, seed=4)
-    points = bow_wmd_scatter(pairs, bows, measures, store)
+    points = bow_wmd_scatter(pairs, bows, [
+        wmd_distance(measures[a], measures[b], store) for a, b in pairs])
     calls = []
     monkeypatch.setattr(analysis, "vector_distance",
                         lambda *a: calls.append(a))
@@ -239,6 +242,11 @@ def test_dim_comparison_reuses_the_bow_column(monkeypatch):
     assert table[6] == pearson([x for x, _ in points],
                                [y for _, y in points])
     assert set(table) == {2, 6}
+    # given the scatter's transport column, the full dimension solves nothing
+    monkeypatch.setattr(analysis, "pair_distances", None)
+    assert dim_comparison(pairs, [x for x, _ in points], measures, store, [6],
+                          vocab.words, wmd_distances=[y for _, y in points]) \
+        == {6: table[6]}
 
 
 def test_dim_comparison_full_dim_beats_low_dim():

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from wmdlab import cli
+from wmdlab.analysis import sample_document_pairs
 from wmdlab.cli import DistanceCache, RunConfig, _cache_key, build_config, \
     main, make_parser, read_config_file
 from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, load_embeddings
 from wmdlab.errors import ParseError
-from wmdlab.wmd import DistanceMatrix, Method, read_distance_matrix
+from wmdlab import wmd
+from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
+    representations, wmd_distance
 
 from helpers import corrupt_cache_files
 
@@ -82,15 +85,16 @@ def test_eval_is_deterministic(workspace, tmp_path):
 def test_dists_cache_reused(workspace, tmp_path, caplog):
     out = tmp_path / "run"
     args = ["dists", "--dataset", workspace / "docs.txt", "--embeddings",
-            workspace / "emb.txt", "--folds", "1", "--seed", "2",
+            workspace / "emb.txt", "--folds", "2", "--seed", "2",
             "--workers", "1", "--method", "wmd,bow(l1,l1)", "--out", out]
     assert run(args) == 0
     cache_files = list((out / "cache").glob("*.npy"))
-    assert len(cache_files) == 2  # one per (fold, method)
+    assert len(cache_files) == 2  # one pair store per method, for both folds
     assert sorted((out / "cache").iterdir()) == sorted(cache_files)
     with caplog.at_level(logging.INFO, logger="wmdlab"):
         assert run(args) == 0
-    assert sum("cache hit" in r.message for r in caplog.records) == 2
+    assert sum("cache hit" in r.message for r in caplog.records) == 4
+    assert not any("computing" in r.message for r in caplog.records)
     assert len(list((out / "cache").glob("*.npy"))) == 2
 
 
@@ -108,7 +112,8 @@ def test_corrupted_cache_recomputed(workspace, tmp_path, caplog):
     assert cache_file.read_bytes() != b"garbage\n"
 
 
-@pytest.mark.parametrize("case", list(corrupt_cache_files(np.eye(2))))
+@pytest.mark.parametrize("case", list(corrupt_cache_files(
+    np.array([0.5, np.inf, 1.0]))))
 def test_corrupt_cache_file_recomputed_by_eval(workspace, tmp_path, caplog,
                                                case):
     out = tmp_path / "run"
@@ -121,8 +126,7 @@ def test_corrupt_cache_file_recomputed_by_eval(workspace, tmp_path, caplog,
     bad = corrupt_cache_files(values)[case]
     cache_file.write_bytes(bad)
     with pytest.raises(ParseError):
-        read_distance_matrix(cache_file, range(values.shape[0]),
-                             range(values.shape[1]))
+        read_distance_matrix(cache_file, range(47))  # the workspace's documents
     with caplog.at_level(logging.WARNING, logger="wmdlab"):
         assert run(args) == 0
     assert any("corrupted cache" in r.message for r in caplog.records)
@@ -136,13 +140,37 @@ def test_no_compute_fails_without_cache(workspace, tmp_path, capsys):
     assert "missing cache" in capsys.readouterr().err
 
 
+def test_no_compute_needs_every_pair_stored(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = base_args(workspace, out, ["--method", "wmd"])
+    assert run([*args, "--no-compute"]) == 1
+    err = capsys.readouterr().err
+    assert not (out / "cache").exists()
+    assert run(args) == 0
+    store, = (out / "cache").iterdir()
+    assert f"missing cache: {store.name} lacks " in err
+    assert run([*args, "--no-compute"]) == 0
+    report = (out / "report.csv").read_bytes()
+    # forget one pair that the folds read: a needed pair is missing again
+    values = np.load(store)
+    values[0] = np.nan  # documents 0 and 1: two cells of the first fold
+    np.save(store, values)
+    capsys.readouterr()
+    assert run([*args, "--no-compute"]) == 1
+    err = capsys.readouterr().err
+    assert f"missing cache: {store.name} lacks 2 distance(s)" in err
+    assert run(args) == 0
+    assert run([*args, "--no-compute"]) == 0
+    assert (out / "report.csv").read_bytes() == report
+
+
 def test_cache_dir_flag_ignores_env(workspace, tmp_path, monkeypatch):
     env_dir, flag_dir = tmp_path / "from-env", tmp_path / "from-flag"
     monkeypatch.setenv("WMDLAB_CACHE_DIR", str(env_dir))
     out = tmp_path / "run"
     assert run(base_args(workspace, out, ["--method", "bow(l1,l1)",
                                           "--cache-dir", flag_dir])) == 0
-    assert len(list(flag_dir.glob("*.npy"))) == 2  # one per fold
+    assert len(list(flag_dir.glob("*.npy"))) == 1  # one per method
     assert not env_dir.exists()
     assert not (out / "cache").exists()
 
@@ -253,15 +281,23 @@ def test_cache_key_covers_format_and_version(monkeypatch):
     manifest = {"inputs": {"dataset": "d", "embeddings": "e",
                            "stopwords": None}}
     method = Method.parse("wmd")
-    key = _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1])
-    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) == key
-    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 2]) != key
-    assert _cache_key(cfg, manifest, method, [0, 2, 1], [0, 1]) != key
+    key = _cache_key(cfg, manifest, method)
+    assert _cache_key(cfg, manifest, method) == key
+    # folds, their seed and train fraction only choose the pairs read
+    for field, value in (("folds", 5), ("seed", 9), ("train_fraction", 0.5)):
+        assert _cache_key(RunConfig(**{field: value}), manifest, method) \
+            == key
+    assert _cache_key(cfg, manifest, Method.parse("wmd-tfidf")) != key
+    for name in ("dataset", "embeddings", "stopwords"):
+        other = {"inputs": {**manifest["inputs"], name: "x"}}
+        assert _cache_key(cfg, other, method) != key
+    for field in ("clean", "keep_oov"):
+        assert _cache_key(RunConfig(**{field: True}), manifest, method) != key
     cfg.format = WORD2VEC_BINARY
-    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) != key
+    assert _cache_key(cfg, manifest, method) != key
     cfg.format = TEXT
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
-    assert _cache_key(cfg, manifest, method, [0, 1, 2], [0, 1]) != key
+    assert _cache_key(cfg, manifest, method) != key
 
 
 def test_cache_key_reads_no_package_metadata(monkeypatch):
@@ -269,68 +305,158 @@ def test_cache_key_reads_no_package_metadata(monkeypatch):
     manifest = {"inputs": {"dataset": "d", "embeddings": "e",
                            "stopwords": None}}
     methods = [Method.parse("wmd"), Method.parse("bow(l1,l1)")]
-    keys = [_cache_key(cfg, manifest, m, [0, 1], [1]) for m in methods]
+    keys = [_cache_key(cfg, manifest, m) for m in methods]
 
     def no_metadata(name):
         raise importlib.metadata.PackageNotFoundError(name)
 
     monkeypatch.setattr(importlib.metadata, "version", no_metadata)
-    assert [_cache_key(cfg, manifest, m, [0, 1], [1])
-            for m in methods] == keys
+    assert [_cache_key(cfg, manifest, m) for m in methods] == keys
 
 
-def test_edited_fold_file_recomputes_its_matrices(workspace, tmp_path):
+def _count_solves(monkeypatch) -> list:
+    """Record every transport solve made in this process."""
+    solves = []
+    real = wmd.solve_transport
+    monkeypatch.setattr(wmd, "solve_transport",
+                        lambda problem: solves.append(1) or real(problem))
+    return solves
+
+
+def test_edited_fold_file_reuses_stored_pairs(workspace, tmp_path,
+                                              monkeypatch):
     data = tmp_path / "data"
     data.mkdir()
     (data / "docs.txt").write_bytes((workspace / "docs.txt").read_bytes())
     fold_file = data / "docs.fold0.txt"
+    solves = _count_solves(monkeypatch)
 
     def eval_with_fold(train, test, out, cache):
         fold_file.write_text(f"train: {' '.join(map(str, train))}\n"
                              f"test: {' '.join(map(str, test))}\n")
+        solves.clear()
         assert run(["eval", "--dataset", data / "docs.txt", "--embeddings",
                     workspace / "emb.txt", "--method", "bow(l1,l1),wmd",
                     "--workers", "1", "--out", out,
                     "--cache-dir", cache]) == 0
-        return (out / "report.csv").read_bytes()
+        return (out / "report.csv").read_bytes(), len(solves)
 
-    eval_with_fold(range(30), range(30, 47), tmp_path / "a", tmp_path / "c")
+    def usable_pairs(train):
+        # every document pair the all x train matrix reads; document 46
+        # has no word with an embedding, so it has no usable pair
+        return {(min(a, b), max(a, b)) for a in range(46) for b in train
+                if a != b and b != 46}
+
+    first = range(30)
+    _, cold = eval_with_fold(first, range(30, 47), tmp_path / "a",
+                             tmp_path / "c")
+    assert cold == len(usable_pairs(first))
     edited = (range(10, 40), [*range(10), *range(40, 47)])
-    warm = eval_with_fold(*edited, tmp_path / "b", tmp_path / "c")
-    assert warm == eval_with_fold(*edited, tmp_path / "c", tmp_path / "new")
+    warm, solved = eval_with_fold(*edited, tmp_path / "b", tmp_path / "c")
+    # the edited run solves just the pairs the first run did not store
+    assert solved == len(usable_pairs(edited[0]) - usable_pairs(first)) > 0
+    assert len(list((tmp_path / "c").iterdir())) == 2  # one per method
+    fresh, _ = eval_with_fold(*edited, tmp_path / "d", tmp_path / "new")
+    assert warm == fresh
+
+
+def test_each_pair_solved_once_across_eval_and_analyze(workspace, tmp_path,
+                                                        monkeypatch):
+    solves = _count_solves(monkeypatch)
+    inputs = ["--dataset", workspace / "docs.txt", "--embeddings",
+              workspace / "emb.txt", "--folds", "2", "--seed", "1",
+              "--workers", "1", "--cache-dir", tmp_path / "cache"]
+    assert run(["eval", "--method", "wmd", "--out", tmp_path / "eval",
+                *inputs]) == 0
+    analyze = ["analyze", "--pairs", "30", "--dims", "3,8",
+               "--out", tmp_path / "an", *inputs]
+    assert run(analyze) == 0
+    # 46 usable documents (46 has no embedded word): the leave-one-out
+    # histogram solves one plan per document, and --dims 3 one per distinct
+    # sampled pair; the full dimension 8 reuses the scatter's distances
+    usable = 46
+    with open(tmp_path / "an" / "scatter.csv") as fh:
+        assert len(fh.readlines()) == 31
+    cfg = build_config(make_parser().parse_args([str(a) for a in analyze]))
+    pipe = cli.build_pipeline(cfg)
+    measures = {i: m for i, m in representations(
+        list(pipe.resources.counts), Method.parse("wmd"),
+        pipe.resources).items() if m is not None}
+    assert len(measures) == usable
+    sampled = sample_document_pairs(sorted(measures), 30, 1)
+    extra = usable + len(set(sampled))
+    assert len(solves) == usable * (usable - 1) // 2 + extra
+    solves.clear()
+    assert run(analyze) == 0
+    assert len(solves) == extra
+
+
+def test_stored_transport_cells_are_solved_from_the_lower_id(workspace,
+                                                             tmp_path):
+    out = tmp_path / "run"
+    args = ["dists", "--dataset", workspace / "docs.txt", "--embeddings",
+            workspace / "emb.txt", "--folds", "2", "--seed", "1",
+            "--workers", "2", "--method", "wmd,wmd-tfidf", "--out", out]
+    assert run(args) == 0
+    cfg = build_config(make_parser().parse_args([str(a) for a in args]))
+    pipe = cli.build_pipeline(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    ids = list(pipe.corpus.ids())
+    for spec in ("wmd", "wmd-tfidf"):
+        method = Method.parse(spec)
+        stored = DistanceCache(out / "cache").get(
+            _cache_key(cfg, manifest, method), ids)
+        reps = representations(ids, method, pipe.resources)
+        checked = 0
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                got, = stored.pair_values([(a, b)])
+                if np.isnan(got):
+                    continue  # a pair neither fold reads
+                if reps[a] is None or reps[b] is None:
+                    assert got == np.inf
+                    continue
+                want = wmd_distance(reps[a], reps[b], pipe.store)
+                assert np.float64(got).view(np.int64) == \
+                    np.float64(want).view(np.int64)
+                checked += 1
+        assert checked > 900
 
 
 def test_caches_opened_together_keep_every_entry(tmp_path):
     first, second = DistanceCache(tmp_path), DistanceCache(tmp_path)
-    a = DistanceMatrix((0, 1), (1,), np.array([[0.5], [0.0]]))
-    b = DistanceMatrix((2,), (0, 2), np.array([[np.inf, 0.25]]))
+    a = PairStore((0, 1, 2), np.array([0.5, np.nan, 0.0]))
+    b = PairStore((3, 4), np.array([np.inf]))
     first.put("a" * 64, a)
     second.put("b" * 64, b)
     fresh = DistanceCache(tmp_path)
-    for key, dm in (("a" * 64, a), ("b" * 64, b)):
-        got = fresh.get(key, dm.row_ids, dm.col_ids)
-        assert (got.row_ids, got.col_ids) == (dm.row_ids, dm.col_ids)
-        assert np.array_equal(got.values, dm.values)
-    assert fresh.get("c" * 64, (0,), (0,)) is None
+    for key, pairs in (("a" * 64, a), ("b" * 64, b)):
+        got = fresh.get(key, pairs.ids)
+        assert got.ids == pairs.ids
+        assert got.values.tobytes() == pairs.values.tobytes()
+    assert fresh.get("c" * 64, (0, 1)) is None
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["a" * 64 + ".npy", "b" * 64 + ".npy"]
+    # a later put over the same key keeps the pairs the file holds
+    second.put("a" * 64, PairStore((0, 1, 2), np.array([np.nan, 2.0, 0.0])))
+    assert fresh.get("a" * 64, a.ids).values.tolist() == [0.5, 2.0, 0.0]
 
 
 def test_concurrent_writers_lose_no_entry(tmp_path):
     # three processes (more than the cores this was sized on) write 100
-    # matrices each, and one shared key, into the same cache directory; a
+    # stores each, and one shared key, into the same cache directory; a
     # shared index lost about a third of the entries this way
     script = (
         "import sys\n"
         "import numpy as np\n"
         "from pathlib import Path\n"
         "from wmdlab.cli import DistanceCache\n"
-        "from wmdlab.wmd import DistanceMatrix\n"
+        "from wmdlab.wmd import PairStore\n"
         "w = int(sys.argv[2])\n"
         "cache = DistanceCache(Path(sys.argv[1]))\n"
         "for i in range(100):\n"
-        "    cache.put(f'{w}-{i}', DistanceMatrix((w,), (i,), [[i / 8]]))\n"
-        "    cache.put('shared', DistanceMatrix((0,), (0,), [[i / 8 + w]]))\n"
+        "    cache.put(f'{w}-{i}', PairStore((w, i + 3), np.array([i / 8])))\n"
+        "    cache.put('shared', PairStore((0, 1), np.array([i / 8 + w])))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(cli.__file__).parents[1]),
@@ -342,13 +468,63 @@ def test_concurrent_writers_lose_no_entry(tmp_path):
     fresh = DistanceCache(tmp_path)
     for w in range(3):
         for i in range(100):
-            dm = fresh.get(f"{w}-{i}", (w,), (i,))
-            assert (dm.row_ids, dm.col_ids) == ((w,), (i,))
-            assert dm.values[0, 0] == i / 8
-    # the shared key holds one whole matrix that one of the writers put
-    shared = fresh.get("shared", (0,), (0,)).values[0, 0]
-    assert shared in {i / 8 + w for w in range(3) for i in range(100)}
+            pairs = fresh.get(f"{w}-{i}", (w, i + 3))
+            assert pairs.ids == (w, i + 3)
+            assert pairs.values.tolist() == [i / 8]
+    # the shared key holds one whole store that one of the writers put
+    shared = fresh.get("shared", (0, 1)).values.tolist()
+    assert len(shared) == 1
+    assert shared[0] in {i / 8 + w for w in range(3) for i in range(100)}
     assert len(list(tmp_path.iterdir())) == 301
+
+
+def test_concurrent_fills_of_one_store(workspace, tmp_path):
+    # two runs fill different folds' pairs of one shared store at once;
+    # each may lose the other's fills, but never writes a partial file or
+    # a wrong value, and a third run completes the store
+    def data_dir(name, train, test):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "docs.txt").write_bytes((workspace / "docs.txt").read_bytes())
+        (d / "docs.fold0.txt").write_text(
+            f"train: {' '.join(map(str, train))}\n"
+            f"test: {' '.join(map(str, test))}\n")
+        return d / "docs.txt"
+
+    def dists(dataset, out, cache):
+        return ["dists", "--dataset", dataset, "--embeddings",
+                workspace / "emb.txt", "--method", "wmd", "--workers", "1",
+                "--out", out, "--cache-dir", cache]
+
+    halves = (data_dir("a", range(23), range(23, 47)),
+              data_dir("b", range(23, 47), range(23)))
+    everything = data_dir("c", range(1, 47), [0])
+    shared = tmp_path / "shared"
+    script = ("import sys\nfrom wmdlab import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", script,
+         *map(str, dists(d, tmp_path / f"out{k}", shared))], env=env,
+        stderr=subprocess.DEVNULL) for k, d in enumerate(halves)]
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+    assert run(dists(everything, tmp_path / "solo", tmp_path / "solo-cache")) \
+        == 0
+    solo, = (tmp_path / "solo-cache").iterdir()
+    whole = np.load(solo)
+    assert not np.isnan(whole).any()
+    store, = shared.iterdir()
+    assert store.name == solo.name
+    values = np.load(store)
+    assert values.shape == whole.shape
+    filled = ~np.isnan(values)
+    assert filled.sum() > 0
+    assert values[filled].tobytes() == whole[filled].tobytes()
+    assert run(dists(everything, tmp_path / "third", shared)) == 0
+    assert np.load(store).tobytes() == whole.tobytes()
 
 
 def _python_here(script, *args, cwd=None):

@@ -14,6 +14,7 @@ from wmdlab.wmd import (
     DistanceMatrix,
     DocumentMeasure,
     Method,
+    PairStore,
     Resources,
     make_measure,
     pairwise_distances,
@@ -317,42 +318,136 @@ def test_distance_matrix_submatrix():
 def test_cache_round_trip(tmp_path, small_resources):
     ids = [0, 1, 2, 6]
     dm = pairwise_distances(ids, ids, Method.parse("wmd"), small_resources)
+    pairs = PairStore.empty(ids)
+    pairs.update(dm)
     path = tmp_path / "cache.npy"
-    write_distance_matrix(dm, str(path))
-    back = read_distance_matrix(str(path), dm.row_ids, dm.col_ids)
-    assert back.row_ids == dm.row_ids and back.col_ids == dm.col_ids
-    # float64 round-trips bit for bit, inf included
+    write_distance_matrix(pairs, str(path))
+    back = read_distance_matrix(str(path), ids)
+    assert back.ids == tuple(ids)
+    # float64 round-trips bit for bit, inf included; the self cells come
+    # back as 0.0, or inf for the unusable document 6
     assert np.isinf(dm.values).any()
-    assert back.values.tobytes() == dm.values.tobytes()
+    assert back.values.tobytes() == pairs.values.tobytes()
+    assert back.matrix(ids, ids).tobytes() == dm.values.tobytes()
 
 
 def test_cache_file_bytes(tmp_path):
-    dm = DistanceMatrix((3, 10), (7, 0, 1), [
-        [math.inf, 0.0, 5e-324],
-        [0.1, 1 / 3, 1.7976931348623157e308],
-    ])
+    pairs = PairStore((3, 10, 7, 0), np.array(
+        [math.inf, 0.0, 5e-324, math.nan, 1 / 3, 1.7976931348623157e308]))
     path = tmp_path / "pinned.npy"
-    write_distance_matrix(dm, str(path))
-    # a plain float64 .npy of the values alone, as np.save writes it
+    write_distance_matrix(pairs, str(path))
+    # a plain float64 .npy of the condensed values alone, as np.save writes it
     expected = io.BytesIO()
-    np.save(expected, dm.values)
+    np.save(expected, pairs.values)
     assert path.read_bytes() == expected.getvalue()
     loaded = np.load(path)
-    assert loaded.dtype == np.float64 and loaded.shape == (2, 3)
-    assert loaded.tobytes() == dm.values.tobytes()
+    assert loaded.dtype == np.float64 and loaded.shape == (6,)
+    assert loaded.tobytes() == pairs.values.tobytes()
 
 
 def test_cache_rejects_corrupt_file(tmp_path):
-    values = np.array([[0.0, 1.5, np.inf], [2.5, 0.0, 4.0]])
+    values = np.array([1.5, np.inf, 4.0])
     for name, data in corrupt_cache_files(values).items():
         path = tmp_path / f"{name}.npy"
         path.write_bytes(data)
         with pytest.raises(ParseError):
-            read_distance_matrix(str(path), (0, 1), (0, 1, 2))
-    # the ids a matrix is read for must match its shape
+            read_distance_matrix(str(path), (0, 1, 2))
+    # the ids a store is read for must match its length
     path = tmp_path / "good.npy"
-    write_distance_matrix(DistanceMatrix((0, 1), (0, 1, 2), values), path)
+    write_distance_matrix(PairStore((0, 1, 2), values), path)
     with pytest.raises(ParseError):
-        read_distance_matrix(str(path), (0, 1, 2), (0, 1))
-    assert np.array_equal(read_distance_matrix(path, (5, 6), (7, 8, 9))
-                          .values, values)
+        read_distance_matrix(str(path), (0, 1, 2, 3))
+    assert np.array_equal(read_distance_matrix(path, (5, 6, 7)).values,
+                          values)
+    # NaN marks a pair not computed yet, not a corrupt file
+    write_distance_matrix(PairStore((0, 1, 2), np.array([1.5, np.nan, 4.0])),
+                          path)
+    assert np.isnan(read_distance_matrix(path, (0, 1, 2)).values[1])
+
+
+# -- pair store ---------------------------------------------------------------------
+
+
+def test_pair_store_layout():
+    # ids in any order; pair (ids[i], ids[j]), i < j, sits at the condensed
+    # upper-triangle position, read the same from both orientations
+    ids = (7, 2, 9, 4)
+    pairs = PairStore(ids, np.arange(6, dtype=np.float64))
+    grid = pairs.matrix(ids, ids)
+    assert np.array_equal(grid, grid.T)
+    assert grid[np.triu_indices(4, 1)].tolist() == [0, 1, 2, 3, 4, 5]
+    assert np.all(np.diag(grid) == 0.0)
+    assert pairs.pair_values([(9, 7), (2, 4), (4, 2)]).tolist() == [1, 4, 4]
+    pairs.set_pair_values([(4, 9)], [8.5])
+    assert pairs.matrix([9], [4, 9]).tolist() == [[8.5, 0.0]]
+
+
+def test_pair_store_self_cells_and_missing_pairs():
+    pairs = PairStore.empty((0, 1, 2))
+    assert np.isnan(pairs.matrix([0], [1, 2])).all()
+    # nothing finite stored yet: a self cell reads as an unusable document's
+    assert pairs.matrix([0], [0]).tolist() == [[math.inf]]
+    dm = DistanceMatrix((0, 1, 2), (1,), [[0.5], [0.0], [math.inf]])
+    pairs.update(dm)
+    grid = pairs.matrix((0, 1, 2), (0, 1, 2))
+    assert grid[0].tolist()[:2] == [0.0, 0.5] and np.isnan(grid[0, 2])
+    assert grid[1].tolist() == [0.5, 0.0, math.inf]
+    assert grid[2, 2] == math.inf  # its only stored pair is inf
+
+
+def test_pair_store_merge_fills_only_missing_pairs():
+    mine = PairStore((0, 1, 2), np.array([1.0, np.nan, np.nan]))
+    theirs = PairStore((0, 1, 2), np.array([9.0, 2.0, np.nan]))
+    mine.merge(theirs)
+    assert mine.values[:2].tolist() == [1.0, 2.0] and np.isnan(mine.values[2])
+
+
+def test_pairwise_computes_only_missing_cells(small_resources, monkeypatch):
+    ids = [0, 1, 2, 3, 4, 6]
+    method = Method.parse("wmd")
+    full = pairwise_distances(ids, ids, method, small_resources)
+    known = full.values.copy()
+    known[0, 1] = known[1, 0] = known[2, 4] = np.nan
+    solved = []
+    real = wmd.solve_transport
+    monkeypatch.setattr(wmd, "solve_transport",
+                        lambda problem: solved.append(1) or real(problem))
+    again = pairwise_distances(ids, ids, method, small_resources, known)
+    assert len(solved) == 2  # (0, 1) once for both of its cells, and (2, 4)
+    assert again.values.tobytes() == full.values.tobytes()
+
+
+def test_pairwise_wmd_solves_each_pair_once_from_the_lower_id(
+        small_resources, monkeypatch):
+    ids = [4, 0, 6, 2, 1]
+    method = Method.parse("wmd-tfidf")
+    sources = []
+    real = wmd._row_values
+    monkeypatch.setattr(wmd, "_row_values", lambda q, reps, refs, store: (
+        sources.extend((q, r) for r in refs) or real(q, reps, refs, store)))
+    dm = pairwise_distances(ids, ids, method, small_resources)
+    usable = [0, 1, 2, 4]  # document 6 is empty
+    assert sorted(sources) == [(a, b) for a in usable for b in usable
+                               if a < b]
+    reps = representations(ids, method, small_resources)
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            if a != b and a in usable and b in usable:
+                want = wmd_distance(reps[min(a, b)], reps[max(a, b)],
+                                    small_resources.store)
+                assert dm.values[i, j].view(np.int64) == \
+                    np.float64(want).view(np.int64)
+
+
+GRID = [f"{kind}({norm},{metric})" for kind in ("bow", "tfidf")
+        for norm in ("none", "l1", "l2") for metric in ("l1", "l2")]
+
+
+@pytest.mark.parametrize("spec", GRID)
+def test_vector_matrix_equals_its_transpose_bit_for_bit(small_resources,
+                                                        spec):
+    # so a pair store may keep one cell of the two
+    ids = list(range(7))
+    dm = pairwise_distances(ids, ids, Method.parse(spec), small_resources)
+    assert np.array_equal(dm.values.view(np.int64),
+                          dm.values.T.view(np.int64))
