@@ -46,6 +46,9 @@ logger = logging.getLogger("wmdlab")
 
 DEFAULT_METHODS = "bow(l1,l1),wmd"
 BASE_METHOD = "bow(l1,l1)"
+# the values each option takes, as a flag or as a config-file key
+CHOICES = {"format": (TEXT, WORD2VEC_BINARY),
+           "classifier": (knn_eval.KNN, knn_eval.WKNN)}
 
 
 class CliError(WmdlabError):
@@ -143,6 +146,10 @@ def read_config_file(path: str) -> dict[str, object]:
                 except ValueError:
                     raise ParseError(f"{path}: bad {kind.__name__} {value!r}",
                                      line=lineno) from None
+            elif key in CHOICES and value not in CHOICES[key]:
+                raise ParseError(f"{path}: line {lineno}: {key} must be one "
+                                 f"of {', '.join(CHOICES[key])}, got "
+                                 f"{value!r}", line=lineno)
             else:
                 values[key] = value
     return values
@@ -241,14 +248,18 @@ def _filtered_corpus(
         vocabulary = {t for d in corp.documents for t in d.tokens}
         store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
                                              vocabulary))
-    stopwords = (corpus_mod.read_stopwords(cfg.stopwords)
-                 if cfg.stopwords else None)
-    if store is not None or stopwords is not None:
+    stopwords = _stopwords(cfg)
+    if store is not None or stopwords:
         corp = corpus_mod.filter_vocabulary(
             corp, store, stopwords=stopwords,
             keep_oov=cfg.keep_oov or store is None,
         )
     return corp, store
+
+
+def _stopwords(cfg: RunConfig) -> frozenset[str]:
+    return (corpus_mod.read_stopwords(cfg.stopwords) if cfg.stopwords
+            else frozenset())
 
 
 def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
@@ -359,18 +370,18 @@ def _pair_distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
                     method: Method, pairs: list[tuple[int, int]],
                     reps: dict) -> list[float]:
     """The transport distance of each pair of distinct usable documents,
-    read from the pair store once the pairs it lacks are solved, from the
-    lower id, and stored."""
+    read from the pair store once the pairs it lacks are solved and
+    stored."""
     key, store = _pair_store(pipe, cache, manifest, method)
     values = store.pair_values(pairs)
-    missing = sorted({(min(p), max(p))
-                      for p, miss in zip(pairs, np.isnan(values)) if miss})
-    if missing:
+    miss = np.isnan(values)
+    if miss.any():
+        missing = [p for p, m in zip(pairs, miss) if m]
         _may_compute(pipe.cfg, key, len(missing))
-        store.set_pair_values(missing, wmd.pair_distances(
-            missing, reps, pipe.store, pipe.resources.workers))
+        values[miss] = wmd.pair_distances(missing, reps, pipe.store,
+                                          pipe.resources.workers)
+        store.set_pair_values(missing, values[miss])
         cache.put(key, store)
-        values = store.pair_values(pairs)
     return values.tolist()
 
 
@@ -463,12 +474,12 @@ def cmd_dedup(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    pipe = build_pipeline(cfg, need_store=True)
     dims = cfg.dim_list()
     if cfg.pairs < 2:
         raise CliError(f"--pairs must be >= 2, got {cfg.pairs}")
     if not cfg.bin_width > 0:
         raise CliError(f"--bin-width must be > 0, got {cfg.bin_width}")
+    pipe = build_pipeline(cfg, need_store=True)
     if not all(1 <= d <= pipe.store.dim for d in dims):
         raise CliError(f"--dims values must lie in [1, {pipe.store.dim}]")
     out_dir = Path(cfg.out)
@@ -524,14 +535,15 @@ def cmd_project(cfg: RunConfig) -> int:
     if not cfg.out_file:
         raise CliError("--out-file is required")
     store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format))
+    stopwords = _stopwords(cfg)
     if cfg.dataset:
         corp = corpus_mod.load_corpus(cfg.dataset)
-        corp = corpus_mod.filter_vocabulary(corp, store)
+        corp = corpus_mod.filter_vocabulary(corp, store, stopwords=stopwords)
         fit_vocab = build_vocabulary(
             [d.tokens for d in corp.documents]
         ).words
     else:
-        fit_vocab = store.tokens
+        fit_vocab = [t for t in store.tokens if t not in stopwords]
     projected = project_pca(store, cfg.target_dim, fit_vocab)
     if cfg.renormalize:
         projected = l2_normalize(projected)
@@ -553,11 +565,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--dataset", help="corpus file (label TAB tokens per line)")
     p.add_argument("--embeddings", help="embedding file")
-    p.add_argument("--format", choices=[TEXT, WORD2VEC_BINARY],
+    p.add_argument("--format", choices=CHOICES["format"],
                    help="embedding file format")
     p.add_argument("--method", dest="methods",
                    help=f"comma list, e.g. {DEFAULT_METHODS!r}")
-    p.add_argument("--classifier", choices=[knn_eval.KNN, knn_eval.WKNN])
+    p.add_argument("--classifier", choices=CHOICES["classifier"])
     p.add_argument("--clean", action="store_const", const=True,
                    help="remove duplicate documents before evaluating")
     p.add_argument("--keep-oov", dest="keep_oov", action="store_const",

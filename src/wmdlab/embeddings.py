@@ -1,16 +1,17 @@
 """Word embedding storage: loading, unit-norm scaling, cost matrices, PCA.
 
-Cost matrices are slices of one word x word Euclidean distance table per
-store, built with NumPy alone and bit-identical to SciPy's ``cdist``: for
-each pair the kernel forms (a_k - b_k)**2 and adds the squares over k from
-left to right, starting at 0.0, then takes the square root, which is what
-``cdist`` computes. Each of those is a single IEEE-754 float64 operation,
-correctly rounded, so the same operations in the same order give the same
-bits whichever library runs them. A NumPy reduction (``sum``, ``einsum``,
-``linalg.norm``, a dot product) may add in another order and differs from
-``cdist`` in the last bits of most cells. The table is kept while it takes
-at most ``_TABLE_BYTES`` (256 MiB, up to 5,792 words); a larger store
-computes blocks of just the words a query row or a pair needs.
+Cost matrices are slices of a block of Euclidean distances between the
+words asked for, built with NumPy alone and bit-identical to SciPy's
+``cdist``: for each pair the kernel forms (a_k - b_k)**2 and adds the
+squares over k from left to right, starting at 0.0, then takes the square
+root, which is what ``cdist`` computes. Each of those is a single IEEE-754
+float64 operation, correctly rounded, so the same operations in the same
+order give the same bits whichever library runs them, and a cell has the
+same bits in every block that holds it. A NumPy reduction (``sum``,
+``einsum``, ``linalg.norm``, a dot product) may add in another order and
+differs from ``cdist`` in the last bits of most cells. Which blocks to
+build, and which to share between documents, is decided by the caller
+(``wmd.pair_distances``).
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ logger = logging.getLogger(__name__)
 class EmbeddingStore:
     """Immutable token -> dense vector map.
 
-    ``distances`` gives the Euclidean distances between its words, from a
-    table of every pair that is built on first use and kept, or, when that
-    table would exceed ``_TABLE_BYTES``, from a block of just the words
-    asked for.
+    ``distances`` gives the Euclidean distances between the words asked
+    for, as a new block each call.
     """
 
-    __slots__ = ("tokens", "matrix", "index", "dim", "normalized", "_table")
+    __slots__ = ("tokens", "matrix", "index", "dim", "normalized")
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray,
                  normalized: bool = False):
@@ -58,16 +57,12 @@ class EmbeddingStore:
         object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
         object.__setattr__(self, "dim", int(matrix.shape[1]))
         object.__setattr__(self, "normalized", bool(normalized))
-        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddingStore is immutable")
 
     def __reduce__(self):
-        # a worker started by spawn or forkserver gets the table, once built
-        table = None if self._table is None else self._table.values
-        return _restore_store, (self.tokens, self.matrix, self.normalized,
-                                table)
+        return EmbeddingStore, (self.tokens, self.matrix, self.normalized)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -78,40 +73,17 @@ class EmbeddingStore:
     def rows(self, words: Sequence[str]) -> np.ndarray:
         return self.matrix[_positions(self.index, words)]
 
-    def table(self) -> WordDistances | None:
-        """Distances between every pair of the store's words, built on
-        first use and kept; None when it would take more than
-        ``_TABLE_BYTES`` (V**2 * 8 bytes for V words)."""
-        if self._table is None and len(self) ** 2 * 8 <= _TABLE_BYTES:
-            values = _euclidean(self.matrix, self.matrix, self.normalized,
-                                symmetric=True)
-            self._set_table(values)
-        return self._table
-
     def distances(self, src_words: Sequence[str],
                   dst_words: Sequence[str]) -> WordDistances:
-        """Distances covering ``src_words`` x ``dst_words``: the store's
-        table, or beyond its bound a new block of just these words."""
-        table = self.table()
-        if table is not None:
-            return table
+        """A read-only block of the ``src_words`` x ``dst_words`` distances,
+        each word once; only its upper half is computed when both lists
+        hold the same words in the same order."""
         src, dst = list(dict.fromkeys(src_words)), list(dict.fromkeys(dst_words))
-        values = _euclidean(self.rows(src), self.rows(dst), self.normalized)
+        values = _euclidean(self.rows(src), self.rows(dst), self.normalized,
+                            symmetric=src == dst)
         values.setflags(write=False)
         return WordDistances({w: i for i, w in enumerate(src)},
                              {w: j for j, w in enumerate(dst)}, values)
-
-    def _set_table(self, values: np.ndarray) -> None:
-        values.setflags(write=False)
-        object.__setattr__(self, "_table",
-                           WordDistances(self.index, self.index, values))
-
-
-def _restore_store(tokens, matrix, normalized, table) -> EmbeddingStore:
-    store = EmbeddingStore(tokens, matrix, normalized)
-    if table is not None:
-        store._set_table(table)
-    return store
 
 
 # Bytes read from a word2vec-binary file at a time: a load holds the kept
@@ -329,10 +301,6 @@ def l2_normalize(store: EmbeddingStore) -> EmbeddingStore:
                           normalized=True)
 
 
-# The whole word x word table is kept only while it takes at most this many
-# bytes, V**2 * 8 <= _TABLE_BYTES, i.e. V <= 5,792 words. Beyond it each
-# query row, or single pair, gets a block of just the words it needs.
-_TABLE_BYTES = 256 << 20
 # rows of the left operand per kernel pass: bounds the work arrays to
 # 2 * _KERNEL_ROWS * len(b) * 8 bytes
 _KERNEL_ROWS = 64
@@ -399,8 +367,9 @@ def cost_submatrix(store: EmbeddingStore | WordDistances,
                    src_words: Sequence[str],
                    dst_words: Sequence[str]) -> np.ndarray:
     """Pairwise Euclidean distances between two word lists' embeddings, as a
-    new array: a slice of ``store``'s table (``EmbeddingStore.distances``),
-    or of a block of distances that covers these words."""
+    new array: a slice of a block of distances that covers these words, or
+    of a new block of just these words when ``store`` is the embedding
+    store."""
     if isinstance(store, EmbeddingStore):
         store = store.distances(src_words, dst_words)
     return store.cost(src_words, dst_words)

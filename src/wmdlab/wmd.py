@@ -234,48 +234,62 @@ def _vector_rows(queries: Sequence[int], refs: Sequence[int], reps: Mapping,
 
 
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
-                store: EmbeddingStore) -> np.ndarray:
+                costs: EmbeddingStore | WordDistances) -> np.ndarray:
     """The transport distances from one document to each of ``ref_ids``,
-    all usable and other than it. Every cost matrix is a slice of the
-    store's table or, beyond its bound, of one block: the query's words x
-    the words of its references."""
+    all usable and other than it. Every cost matrix is a slice of
+    ``costs``, the table of ``pair_distances``, or, given the store, of one
+    block: the query's words x the words of its references."""
     a = reps[query_id]
-    costs = store.distances(a.words,
-                            [w for r in ref_ids for w in reps[r].words])
+    if isinstance(costs, EmbeddingStore):
+        costs = costs.distances(a.words,
+                                [w for r in ref_ids for w in reps[r].words])
     return np.array([wmd_distance(a, reps[r], costs) for r in ref_ids])
 
 
-def _init_worker(reps, store):
-    _STATE["args"] = (reps, store)
+def _init_worker(reps, costs):
+    _STATE["args"] = (reps, costs)
 
 
 def _worker_row(task):
-    reps, store = _STATE["args"]
-    return _row_values(task[0], reps, task[1], store)
+    reps, costs = _STATE["args"]
+    return _row_values(task[0], reps, task[1], costs)
+
+
+# A call builds one word x word table over the words of its pairs, and
+# shares it with every row and worker, while it takes at most this many
+# bytes: W**2 * 8 <= _TABLE_BYTES, i.e. W <= 5,792 words. Beyond it each
+# source document gets a block of just the words its pairs need.
+_TABLE_BYTES = 256 << 20
 
 
 def pair_distances(pairs: Sequence[tuple[int, int]], reps: Mapping,
                    store: EmbeddingStore, workers: int = 1) -> np.ndarray:
-    """The transport distance of each ``(source, target)`` pair of distinct
-    usable documents (``reps`` maps both to their measures), solved from
-    the source, each distinct pair once. A source's pairs are one task, so
-    beyond the table bound its word block is built once; ``workers``
-    processes solve the tasks."""
+    """The transport distance of each pair of distinct usable documents
+    (``reps`` maps both to their measures), in the order asked. Each
+    unordered pair is solved once, from its lower id, so a pair and its
+    reverse get the same bits. A source's pairs are one task; ``workers``
+    processes solve the tasks. Their costs come from one table of the
+    distances between the words of the pairs' documents, or, beyond
+    ``_TABLE_BYTES``, from a block per task."""
+    ends = [(a, b) if a < b else (b, a) for a, b in pairs]
     by_source: dict[int, list[int]] = {}
-    for a, b in dict.fromkeys(pairs):
+    for a, b in dict.fromkeys(ends):
         by_source.setdefault(a, []).append(b)
     tasks = list(by_source.items())
+    docs = dict.fromkeys(d for p in ends for d in p)
+    words = list(dict.fromkeys(w for d in docs for w in reps[d].words))
+    costs = store.distances(words, words) \
+        if len(words) ** 2 * 8 <= _TABLE_BYTES else store
     if workers <= 1 or len(tasks) < 2:
-        rows = [_row_values(a, reps, refs, store) for a, refs in tasks]
+        rows = [_row_values(a, reps, refs, costs) for a, refs in tasks]
     else:
-        store.table()  # built once here, so the forked workers share it
         with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(reps, store)) as pool:
+                                 initargs=(reps, costs)) as pool:
             rows = list(pool.map(_worker_row, tasks, chunksize=max(
                 1, len(tasks) // (4 * workers))))
     solved = {(a, b): v for (a, refs), row in zip(tasks, rows)
               for b, v in zip(refs, row.tolist())}
-    return np.array([solved[p] for p in pairs], dtype=np.float64)
+    return np.array([solved[p] for p in ends], dtype=np.float64)
 
 
 def pairwise_distances(
@@ -318,12 +332,10 @@ def pairwise_distances(
     r_ok = np.array([reps[d] is not None for d in refs], dtype=bool)
     rows, cols = np.nonzero(todo)
     solve = q_ok[rows] & r_ok[cols] & (q[rows] != r[cols])
-    ends = np.sort(np.stack([q[rows], r[cols]], axis=1)[solve], axis=1)
-    pairs, which = np.unique(ends, axis=0, return_inverse=True)
-    solved = pair_distances([(int(a), int(b)) for a, b in pairs], reps, store,
-                            resources.workers)
+    pairs = list(zip(q[rows[solve]].tolist(), r[cols[solve]].tolist()))
     values[rows, cols] = np.inf
-    values[rows[solve], cols[solve]] = solved[which.reshape(-1)]
+    values[rows[solve], cols[solve]] = pair_distances(pairs, reps, store,
+                                                      resources.workers)
     same = q[:, None] == r[None, :]
     values[same] = np.where(q_ok[:, None] & r_ok[None, :], 0.0, np.inf)[same]
     return DistanceMatrix(tuple(queries), tuple(refs), values)

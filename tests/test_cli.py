@@ -14,8 +14,11 @@ from wmdlab import cli
 from wmdlab.analysis import sample_document_pairs
 from wmdlab.cli import DistanceCache, RunConfig, _cache_key, build_config, \
     main, make_parser, read_config_file
-from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, load_embeddings
+from wmdlab.corpus import filter_vocabulary, load_corpus
+from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, l2_normalize, \
+    load_embeddings, project_pca
 from wmdlab.errors import ParseError
+from wmdlab.textrep import build_vocabulary
 from wmdlab import wmd
 from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
     representations, wmd_distance
@@ -240,8 +243,13 @@ def test_analyze_outputs(workspace, tmp_path):
     ("--pairs", "1"), ("--bin-width", "0"), ("--bin-width", "nan"),
     ("--dims", "0"), ("--dims", "2,9")])
 def test_analyze_rejects_bad_option_before_any_work(workspace, tmp_path,
-                                                    capsys, option, value):
-    # the embeddings have 8 dimensions
+                                                    capsys, monkeypatch,
+                                                    option, value):
+    # the embeddings have 8 dimensions; only --dims needs them read
+    if option != "--dims":
+        def unread(*args, **kwargs):
+            raise AssertionError("the embedding file was read")
+        monkeypatch.setattr(cli, "load_embeddings", unread)
     out = tmp_path / "an"
     assert run(["analyze", "--dataset", workspace / "docs.txt",
                 "--embeddings", workspace / "emb.txt", "--folds", "1",
@@ -527,11 +535,14 @@ def test_concurrent_fills_of_one_store(workspace, tmp_path):
     assert np.load(store).tobytes() == whole.tobytes()
 
 
-def _python_here(script, *args, cwd=None):
-    """Run ``script`` in a fresh interpreter that imports this wmdlab."""
+def _python_here(script, *args, cwd=None, hash_seed=None):
+    """Run ``script`` in a fresh interpreter that imports this wmdlab, with
+    ``PYTHONHASHSEED`` set to ``hash_seed`` when given."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(cli.__file__).parents[1]),
                     os.environ.get("PYTHONPATH")) if p))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True,
                           timeout=120, cwd=cwd)
@@ -569,10 +580,11 @@ TRANSPORT_COMMANDS = (
 )
 
 
-def _transport_run(workspace, cwd, mode):
+def _transport_run(workspace, cwd, mode, hash_seed=None):
     """Every file the commands wrote, and whether SciPy was loaded."""
     cwd.mkdir()
-    loaded = _python_here(TRANSPORT_COMMANDS, workspace, mode, cwd=cwd)
+    loaded = _python_here(TRANSPORT_COMMANDS, workspace, mode, cwd=cwd,
+                          hash_seed=hash_seed)
     return _files(cwd), loaded
 
 
@@ -600,6 +612,15 @@ def test_spawned_workers_give_the_forked_workers_outputs(workspace, tmp_path,
     assert files == fork_run[0]
 
 
+def test_outputs_do_not_depend_on_string_hash_order(workspace, tmp_path):
+    # a set of words iterates in an order that PYTHONHASHSEED picks
+    one, _ = _transport_run(workspace, tmp_path / "one", "fork", hash_seed=1)
+    two, _ = _transport_run(workspace, tmp_path / "two", "fork", hash_seed=2)
+    assert {p.parts[0] for p in one} == {"eval", "analyze", "cache"}
+    assert any(p.suffix == ".npy" for p in one)
+    assert one == two
+
+
 def test_project_roundtrip(workspace, tmp_path):
     out_file = tmp_path / "proj.txt"
     assert run(["project", "--embeddings", workspace / "emb.txt",
@@ -616,6 +637,32 @@ def test_project_renormalize(workspace, tmp_path):
     store = load_embeddings(str(out_file), TEXT)
     norms = np.linalg.norm(store.matrix, axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-9)
+
+
+def test_project_fits_without_stopwords(workspace, tmp_path):
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("w0\nw11\nw25\n")
+    out_file = tmp_path / "proj.txt"
+    assert run(["project", "--embeddings", workspace / "emb.txt",
+                "--dataset", workspace / "docs.txt", "--stopwords", stopwords,
+                "--target-dim", "3", "--out-file", out_file]) == 0
+    store = l2_normalize(load_embeddings(str(workspace / "emb.txt"), TEXT))
+    corp = filter_vocabulary(load_corpus(str(workspace / "docs.txt")), store,
+                             stopwords={"w0", "w11", "w25"})
+    fit_vocab = build_vocabulary([d.tokens for d in corp.documents]).words
+    assert "w0" not in fit_vocab and "w1" in fit_vocab
+    want = project_pca(store, 3, fit_vocab)
+    got = load_embeddings(str(out_file), TEXT)
+    assert got.tokens == want.tokens
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    # without a corpus, the fit takes every word of the file but those
+    assert run(["project", "--embeddings", workspace / "emb.txt",
+                "--stopwords", stopwords, "--target-dim", "3",
+                "--out-file", out_file]) == 0
+    want = project_pca(store, 3, [t for t in store.tokens
+                                  if t not in {"w0", "w11", "w25"}])
+    got = load_embeddings(str(out_file), TEXT)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_missing_required_flag_names_it(tmp_path, capsys, workspace):
@@ -712,6 +759,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     p.write_text("not_a_key = 1\n")
     with pytest.raises(ParseError):
         read_config_file(str(p))
+
+
+@pytest.mark.parametrize("key, value", [("classifier", "wknnn"),
+                                        ("format", "word2vec")])
+def test_config_file_choices_checked_before_any_work(workspace, tmp_path,
+                                                     capsys, key, value):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"methods = wmd\n{key} = {value}\n")
+    out = tmp_path / "run"
+    assert run(base_args(workspace, out, ["--config", cfg_path])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"line 2: {key} must be one of " in err and repr(value) in err
+    assert not list(tmp_path.rglob("*.npy"))
+    assert not list(tmp_path.rglob("manifest.json"))
 
 
 @pytest.mark.parametrize("text", ["seed = abc", "train_fraction = 0.7x"])

@@ -365,25 +365,29 @@ def _word_lists(store, seed):
                rng.choice(store.tokens, n_dst, replace=False).tolist())
 
 
+def _table(store):
+    """The symmetric block of every word of ``store``: the table
+    ``wmd.pair_distances`` builds over the words of a batch."""
+    return store.distances(store.tokens, store.tokens)
+
+
 def test_table_has_cdist_bits():
     # more rows than one kernel pass, to cover the mirrored blocks
     store = _unit_store(300, 300, seed=20)
-    table = store.table()
+    table = _table(store)
     assert table.values.shape == (300, 300)
     _same_bits(table.values, _cdist(store, store.tokens, store.tokens))
     _same_bits(table.values, table.values.T)
     for src, dst in _word_lists(store, seed=21):
-        _same_bits(cost_submatrix(store, src, dst), _cdist(store, src, dst))
+        _same_bits(table.cost(src, dst), _cdist(store, src, dst))
 
 
-def test_blocks_beyond_the_table_bound_have_cdist_bits(monkeypatch):
-    monkeypatch.setattr(embeddings, "_TABLE_BYTES", 0)
+def test_blocks_have_cdist_bits():
     store = _unit_store(300, 300, seed=22)
     for src, dst in _word_lists(store, seed=23):
         _same_bits(cost_submatrix(store, src, dst), _cdist(store, src, dst))
         block = store.distances(src, dst)
         assert block.values.shape == (len(src), len(dst))
-    assert store.table() is None
     with pytest.raises(MissingWord, match="sideways"):
         cost_submatrix(store, ["w0"], ["w1", "sideways"])
     # a block may cover repeated words; each row and column is kept once
@@ -399,8 +403,11 @@ def test_projected_store_costs_are_not_clipped():
     store = project_pca(EmbeddingStore(tokens, rng.normal(size=(80, 12)) * 3),
                         5, tokens)
     assert not store.normalized
-    _same_bits(store.table().values, cdist(store.matrix, store.matrix))
-    assert store.table().values.max() > 2.0
+    raw = cdist(store.matrix, store.matrix)
+    _same_bits(_table(store).values, raw)
+    assert _table(store).values.max() > 2.0
+    _same_bits(cost_submatrix(store, tokens[:30], tokens[30:]),
+               raw[:30, 30:])
 
 
 def test_near_antipodal_costs_are_clipped_at_two():
@@ -414,35 +421,34 @@ def test_near_antipodal_costs_are_clipped_at_two():
         np.vstack([x, near])))
     raw = cdist(store.matrix, store.matrix)
     assert (raw > 2.0).any()
-    _same_bits(store.table().values, np.minimum(raw, 2.0))
-    assert store.table().values.max() == 2.0
+    _same_bits(_table(store).values, np.minimum(raw, 2.0))
+    assert _table(store).values.max() == 2.0
+    _same_bits(cost_submatrix(store, store.tokens[:100], store.tokens[100:]),
+               np.minimum(raw[:100, 100:], 2.0))
 
 
 def test_table_is_read_only_and_costs_are_fresh(unit_store):
-    table = unit_store.table()
-    assert not table.values.flags.writeable
-    with pytest.raises(ValueError):
-        table.values[0, 1] = 5.0
-    assert unit_store.table() is table  # built once
-    cost = cost_submatrix(unit_store, ["east", "mix"], ["north"])
-    assert cost.flags.writeable
-    assert not np.shares_memory(cost, table.values)
-    cost[:] = 7.0
-    assert cost_submatrix(unit_store, ["east"], ["north"])[0, 0] == \
-        table.values[0, 1]
+    for table in (_table(unit_store),
+                  unit_store.distances(["east", "mix"], ["north"])):
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 5.0
+        cost = cost_submatrix(table, ["east", "mix"], ["north"])
+        assert cost.flags.writeable
+        assert not np.shares_memory(cost, table.values)
+        cost[:] = 7.0
+        assert cost_submatrix(table, ["east"], ["north"])[0, 0] == \
+            table.values[table.rows["east"], table.cols["north"]] == \
+            math.sqrt(2.0)
 
 
-def test_store_pickles_with_and_without_its_table():
+def test_store_pickles():
     store = _unit_store(20, 6, seed=26)
-    fresh = pickle.loads(pickle.dumps(store))
-    assert (fresh.tokens, fresh.normalized) == (store.tokens, True)
-    assert np.array_equal(fresh.matrix, store.matrix)
-    assert fresh._table is None
-    table = store.table()
     copy = pickle.loads(pickle.dumps(store))
-    _same_bits(copy._table.values, table.values)
-    assert not copy.table().values.flags.writeable
-    assert copy.table().rows == copy.index
+    assert (copy.tokens, copy.normalized) == (store.tokens, True)
+    _same_bits(copy.matrix, store.matrix)
+    assert not copy.matrix.flags.writeable
+    _same_bits(_table(copy).values, _table(store).values)
     with pytest.raises(AttributeError, match="immutable"):
         copy.dim = 3
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from wmdlab import embeddings, wmd
 from wmdlab.embeddings import EmbeddingStore, cost_submatrix, l2_normalize
@@ -250,19 +251,76 @@ def test_pairwise_deterministic_across_worker_counts(small_resources):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pairwise_wmd_same_bits_beyond_the_table_bound(small_resources,
                                                        monkeypatch, workers):
-    # beyond the bound each query row slices its own block of distances
+    # beyond the bound each source document slices its own block of
+    # distances, built where its task runs
     ids = [0, 1, 2, 3, 4, 5, 6]
     method = Method.parse("wmd-tfidf")
     with_table = pairwise_distances(ids, ids[2:], method, small_resources)
-    monkeypatch.setattr(embeddings, "_TABLE_BYTES", 0)
-    store = small_resources.store
-    small_resources.store = EmbeddingStore(store.tokens, store.matrix,
-                                           store.normalized)
+    monkeypatch.setattr(wmd, "_TABLE_BYTES", 0)
+    built = []
+    real = EmbeddingStore.distances
+    monkeypatch.setattr(EmbeddingStore, "distances", lambda self, a, b: (
+        built.append(len(set(a))) or real(self, a, b)))
     small_resources.workers = workers
     blocks = pairwise_distances(ids, ids[2:], method, small_resources)
-    assert small_resources.store.table() is None
+    reps = representations(ids, method, small_resources)
+    # in this process: one block per source's own words, or none at all
+    # when the pool's workers build them
+    assert built == ([] if workers == 2 else
+                     [len(reps[a].words) for a in (0, 1, 2, 3, 4)])
     assert np.array_equal(blocks.values.view(np.int64),
                           with_table.values.view(np.int64))
+
+
+def test_pair_distances_share_one_table_of_their_documents_words(
+        small_resources, monkeypatch):
+    method = Method.parse("wmd")
+    reps = representations(list(range(6)), method, small_resources)
+    store = small_resources.store
+    seen = []
+    real = wmd._row_values
+    monkeypatch.setattr(wmd, "_row_values", lambda q, reps, refs, costs: (
+        seen.append(costs) or real(q, reps, refs, costs)))
+    pairs = [(3, 1), (1, 4), (4, 3)]
+    wmd.pair_distances(pairs, reps, store)
+    table = seen[0]
+    assert len(seen) == 2 and seen[1] is table  # sources 1 and 3
+    words = sorted({w for d in (1, 3, 4) for w in reps[d].words})
+    assert sorted(table.rows) == sorted(table.cols) == words
+    assert len(words) < len(store)
+    want = np.minimum(cdist(store.rows(words), store.rows(words)), 2.0)
+    got = table.cost(words, words)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not table.values.flags.writeable
+
+
+def test_reversed_pair_is_solved_once_with_the_same_bits(small_resources,
+                                                         monkeypatch):
+    reps = representations(list(range(6)), Method.parse("wmd"),
+                           small_resources)
+    store = small_resources.store
+    solved = []
+    real = wmd.solve_transport
+    monkeypatch.setattr(wmd, "solve_transport",
+                        lambda problem: solved.append(1) or real(problem))
+    both = wmd.pair_distances([(5, 2), (2, 5)], reps, store)
+    assert len(solved) == 1
+    want = np.float64(wmd_distance(reps[2], reps[5], store))
+    assert both.view(np.int64).tolist() == [want.view(np.int64)] * 2
+
+
+def test_single_pair_computes_only_its_documents_words(clustered_store,
+                                                       monkeypatch):
+    shapes = []
+    real = embeddings._euclidean
+    monkeypatch.setattr(embeddings, "_euclidean", lambda a, b, *args, **kw: (
+        shapes.append((len(a), len(b))) or real(a, b, *args, **kw)))
+    store = EmbeddingStore(clustered_store.tokens, clustered_store.matrix,
+                           clustered_store.normalized)
+    m1 = uniform_measure(["w0", "w1", "w12"])
+    m2 = uniform_measure(["w3", "w20", "w21", "w22"])
+    wmd_distance(m1, m2, store)
+    assert shapes == [(3, 4)]
 
 
 def test_vector_matrix_starts_no_pool(small_resources, monkeypatch):
