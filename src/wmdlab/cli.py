@@ -183,14 +183,18 @@ def _config_dict(cfg: RunConfig) -> dict:
     return {k: getattr(cfg, k) for k in sorted(RunConfig.__dataclass_fields__)}
 
 
-def write_manifest(cfg: RunConfig, out_dir: Path) -> dict:
+def write_manifest(cfg: RunConfig, out_dir: Path,
+                   embeddings_sha256: str | None) -> dict:
+    """Write ``manifest.json``. ``embeddings_sha256`` is the SHA-256 of
+    ``cfg.embeddings`` that ``load_embeddings`` computed while reading it
+    (None without embeddings), so the file is not read again."""
     manifest = {
         "version": __version__,
         "seed": cfg.seed,
         "config": _config_dict(cfg),
-        "inputs": {},
+        "inputs": {"embeddings": embeddings_sha256},
     }
-    for name in ("dataset", "embeddings", "stopwords"):
+    for name in ("dataset", "stopwords"):
         path = getattr(cfg, name)
         manifest["inputs"][name] = _sha256(path) if path else None
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,6 +213,7 @@ class Pipeline:
     corpus: corpus_mod.Corpus
     store: object
     resources: Resources
+    embeddings_sha256: str | None
 
 
 def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
@@ -221,7 +226,7 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
             "--keep-oov only applies to bow/tfidf methods: out-of-vocabulary "
             "words have no embedding to transport"
         )
-    corp, store = _filtered_corpus(cfg)
+    corp, store, embeddings_sha256 = _filtered_corpus(cfg)
     if cfg.clean:
         corp = corpus_mod.deduplicate(corp, corpus_mod.find_duplicates(corp))
     if not corp.folds:
@@ -234,27 +239,32 @@ def build_pipeline(cfg: RunConfig, need_store: bool = True) -> Pipeline:
     resources = Resources(counts=counts, vocab=vocab, store=store,
                           doc_freq=df, n_docs=len(docs),
                           workers=cfg.effective_workers())
-    return Pipeline(cfg=cfg, corpus=corp, store=store, resources=resources)
+    return Pipeline(cfg=cfg, corpus=corp, store=store, resources=resources,
+                    embeddings_sha256=embeddings_sha256)
 
 
-def _filtered_corpus(
-        cfg: RunConfig) -> tuple[corpus_mod.Corpus, EmbeddingStore | None]:
+def _filtered_corpus(cfg: RunConfig) -> tuple[
+        corpus_mod.Corpus, EmbeddingStore | None, str | None]:
     """``cfg.dataset`` without its stopwords and (unless ``keep_oov``) its
-    words missing from ``cfg.embeddings``, and the unit-norm embeddings of
-    the corpus's words, stopwords included (None without embeddings)."""
+    words missing from ``cfg.embeddings``, the unit-norm embeddings of the
+    corpus's words, stopwords included, and the SHA-256 of the embedding
+    file, from the one pass that reads it (both None without
+    embeddings)."""
     corp = _load_corpus(cfg)
-    store = None
+    store = digest = None
     if cfg.embeddings:
         vocabulary = {t for d in corp.documents for t in d.tokens}
+        sha = hashlib.sha256()
         store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
-                                             vocabulary))
+                                             vocabulary, sha))
+        digest = sha.hexdigest()
     stopwords = _stopwords(cfg)
     if store is not None or stopwords:
         corp = corpus_mod.filter_vocabulary(
             corp, store, stopwords=stopwords,
             keep_oov=cfg.keep_oov or store is None,
         )
-    return corp, store
+    return corp, store, digest
 
 
 def _stopwords(cfg: RunConfig) -> frozenset[str]:
@@ -391,7 +401,7 @@ def _fold_matrices(cfg: RunConfig):
     methods = cfg.method_list()
     pipe = build_pipeline(cfg, need_store=any(m.uses_transport
                                               for m in methods))
-    manifest = write_manifest(cfg, Path(cfg.out))
+    manifest = write_manifest(cfg, Path(cfg.out), pipe.embeddings_sha256)
     cache = DistanceCache(cfg.resolved_cache_dir())
     all_ids = list(pipe.corpus.ids())
     for fold_idx, fold in enumerate(pipe.corpus.folds):
@@ -448,8 +458,8 @@ def cmd_dedup(cfg: RunConfig) -> int:
     if not cfg.dataset:
         raise CliError("--dataset is required")
     out_dir = Path(cfg.out)
-    write_manifest(cfg, out_dir)
-    corp, _ = _filtered_corpus(cfg)
+    corp, _, embeddings_sha256 = _filtered_corpus(cfg)
+    write_manifest(cfg, out_dir, embeddings_sha256)
     report = corpus_mod.find_duplicates(corp)
     payload = {
         "dataset": corp.name,
@@ -483,7 +493,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if not all(1 <= d <= pipe.store.dim for d in dims):
         raise CliError(f"--dims values must lie in [1, {pipe.store.dim}]")
     out_dir = Path(cfg.out)
-    manifest = write_manifest(cfg, out_dir)
+    manifest = write_manifest(cfg, out_dir, pipe.embeddings_sha256)
     cache = DistanceCache(cfg.resolved_cache_dir())
     corp, res = pipe.corpus, pipe.resources
 

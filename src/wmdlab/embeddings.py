@@ -16,9 +16,14 @@ build, and which to share between documents, is decided by the caller
 
 from __future__ import annotations
 
+import io
 import logging
+import re
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Container, Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,25 +91,117 @@ class EmbeddingStore:
                              {w: j for j, w in enumerate(dst)}, values)
 
 
-# Bytes read from a word2vec-binary file at a time: a load holds the kept
-# rows plus at most three blocks, whatever the size of the file.
+# Bytes read from an embedding file at a time. A load holds the kept rows,
+# the record it is reading and at most three blocks (the one it parses, the
+# next one and one being hashed), whatever the size of the file.
 _BLOCK_BYTES = 16 << 20
+# Blocks handed to the hashing thread and not yet hashed, at most.
+_HASH_QUEUE = 2
+
+
+class _HashedFile(io.RawIOBase):
+    """A file read once, in order, in blocks of ``_BLOCK_BYTES``.
+
+    With ``hasher`` (e.g. ``hashlib.sha256()``) each block is also fed to
+    it, in order, on a helper thread at most ``_HASH_QUEUE`` blocks behind
+    the reader; ``hashlib`` releases the GIL on large updates, so the hash
+    runs while the blocks are parsed. ``block`` returns the next block and
+    ``readinto`` serves the same bytes, so the file can be read through an
+    ``io.TextIOWrapper``. ``close`` waits for the helper thread to end.
+    """
+
+    def __init__(self, path: str, hasher=None):
+        self._fh = open(path, "rb")
+        self._hasher = hasher
+        self._pool = ThreadPoolExecutor(1)  # starts no thread until used
+        self._pending: deque = deque()
+        self._unread = memoryview(b"")
+
+    def readable(self) -> bool:
+        return True
+
+    def block(self) -> bytes:
+        """The next block of the file; empty at its end."""
+        data = self._fh.read(_BLOCK_BYTES)
+        if data and self._hasher is not None:
+            if len(self._pending) == _HASH_QUEUE:
+                self._pending.popleft().result()
+            self._pending.append(self._pool.submit(self._hasher.update, data))
+        return data
+
+    def readinto(self, buf) -> int:
+        # fills buf unless the file ends, as a read of a regular file does,
+        # so that a text reader decodes the chunks it would decode reading
+        # the file itself
+        n = 0
+        while n < len(buf):
+            if not self._unread:
+                self._unread = memoryview(self.block())
+                if not self._unread:
+                    break
+            k = min(len(buf) - n, len(self._unread))
+            buf[n:n + k] = self._unread[:k]
+            self._unread = self._unread[k:]
+            n += k
+        return n
+
+    def find(self, pieces: list[bytes], byte: bytes) -> int:
+        """The offset of the first ``byte`` in ``b"".join(pieces)``, or -1
+        when there is none before the end of the file. While there is none,
+        the next block is appended to ``pieces``; each byte is searched
+        once."""
+        size = 0
+        for piece in pieces:
+            at = piece.find(byte)
+            if at >= 0:
+                return size + at
+            size += len(piece)
+        while data := self.block():
+            pieces.append(data)
+            at = data.find(byte)
+            if at >= 0:
+                return size + at
+            size += len(data)
+        return -1
+
+    def finish(self) -> None:
+        """Feed the rest of the file to ``hasher``, then wait until it has
+        taken every block."""
+        if self._hasher is None:
+            return
+        while self.block():
+            pass
+        while self._pending:
+            self._pending.popleft().result()
+
+    def close(self) -> None:
+        # after a failed read, what the hash may have raised is dropped:
+        # the read's own error is the one to report
+        if not self.closed:
+            self._pool.shutdown()  # joins the helper thread
+            self._fh.close()
+        super().close()
 
 
 class _TextRecords:
-    """The records of a text embedding file, each checked as it is read.
+    """The records of a text embedding file, each checked as it is read;
+    ``dim`` is known once the first record has been read, and ``count``
+    is the number of records read so far."""
 
-    Iterating yields ``(token, vector)`` for every record line, duplicates
-    included; ``dim`` is known once the first record has been read.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self):
         self.dim: int | None = None
+        self.count = 0
 
-    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+    def select(self, stream: _HashedFile,
+               vocabulary: Collection[str] | None
+               ) -> Iterator[tuple[int, str, np.ndarray, bool]]:
+        """``(record number, token, vector, is zero)`` for every record
+        whose token is in ``vocabulary`` (every record when None) or whose
+        vector is zero, duplicates included."""
+        # universal newlines, as open(path, "r", encoding="utf-8") reads
+        text = io.TextIOWrapper(stream, encoding="utf-8")
+        try:
+            for lineno, line in enumerate(text, start=1):
                 fields = line.split()
                 if not fields:
                     continue
@@ -128,110 +225,182 @@ class _TextRecords:
                 elif vec.size != self.dim:
                     raise DimMismatch(f"line {lineno}: expected {self.dim} "
                                       f"components, got {vec.size}")
-                yield fields[0], vec
+                self.count += 1
+                # the norm is 0 exactly when every square is 0, underflow
+                # included
+                zero = not (vec * vec).any()
+                if vocabulary is None or fields[0] in vocabulary or zero:
+                    yield self.count, fields[0], vec, zero
+        finally:
+            text.detach()  # the stream stays open for the load to finish
         if self.dim is None:
             raise ParseError("no embedding records found", line=1)
-
-    @staticmethod
-    def is_zero(vec: np.ndarray) -> bool:
-        # the norm is 0 exactly when every square is 0, underflow included
-        return not (vec * vec).any()
 
     def matrix(self, rows: list[np.ndarray]) -> np.ndarray:
         return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
 
 
+@lru_cache(maxsize=4)
+def _record_pattern(rec_bytes: int) -> re.Pattern:
+    # a record (its token after any newlines), its space and its vector.
+    # Built only once a whole record is in memory: ``re`` rejects a count
+    # above 2**32 - 1, which a header may claim for a file too short to
+    # hold one such record.
+    return re.compile(rb"(\n*[^ ]*) .{%d}" % rec_bytes, re.DOTALL)
+
+
 class _Word2VecRecords:
-    """The records of a word2vec-binary file, read in fixed-size blocks.
+    """The records of a word2vec-binary file, found and checked a block at
+    a time; ``dim`` is known once the header has been read, and ``count``
+    is the number of records read so far. A record's vector is its
+    ``4 * dim`` little-endian float32 bytes."""
 
-    Iterating yields ``(token, raw)`` for every record, duplicates included,
-    where ``raw`` is the record's ``4 * dim`` little-endian float32 bytes;
-    ``dim`` is known once the header has been read.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self):
         self.dim: int | None = None
+        self.count = 0
 
-    def __iter__(self) -> Iterator[tuple[str, bytes]]:
-        with open(self.path, "rb") as fh:
-            line = fh.readline()
-            if not line.endswith(b"\n"):
-                raise ParseError("missing header line", offset=0)
-            header = line.split()
-            if len(header) != 2:
-                raise ParseError("header must be 'count dim'", offset=0)
-            try:
-                count, dim = int(header[0]), int(header[1])
-            except ValueError:
-                raise ParseError("header must be 'count dim'",
-                                 offset=0) from None
-            if count < 1 or dim < 1:
-                raise ParseError(f"bad header counts {count} {dim}", offset=0)
-            self.dim = dim
-            rec_bytes = 4 * dim
-            # buf[0] sits at file offset `base`, buf[pos:] is not parsed yet
-            # and n == len(buf). Each inner loop reads on only when a record
-            # runs past buf.
-            block = _BLOCK_BYTES
-            buf, base, pos, n = b"", len(line), 0, 0
-            for _ in range(count):
-                while True:
-                    while pos < n and buf[pos] == 10:  # b"\n"
-                        pos += 1
-                    if pos < n:
-                        break
-                    chunk = fh.read(block)
-                    if not chunk:
-                        break
-                    buf, base, pos, n = chunk, base + n, 0, len(chunk)
-                sp = buf.find(b" ", pos)
-                while sp < 0:
-                    chunk = fh.read(block)
-                    if not chunk:
-                        raise ParseError("truncated record: no token terminator",
-                                         offset=base + pos)
-                    scanned = n - pos
-                    buf, base, pos = buf[pos:] + chunk, base + pos, 0
-                    n = len(buf)
-                    sp = buf.find(b" ", scanned)
-                try:
-                    token = buf[pos:sp].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"bad token bytes: {exc}",
-                                     offset=base + pos) from None
-                end = sp + 1 + rec_bytes
-                while end > n:
-                    chunk = fh.read(block)
-                    if not chunk:
-                        raise ParseError("truncated record: short vector",
-                                         offset=base + sp + 1)
-                    buf, base = buf[pos:] + chunk, base + pos
-                    sp, end, pos, n = sp - pos, end - pos, 0, len(buf)
-                yield token, buf[sp + 1:end]
-                pos = end
+    def select(self, stream: _HashedFile,
+               vocabulary: Collection[str] | None
+               ) -> Iterator[tuple[int, str, bytes, bool]]:
+        """``(record number, token, vector bytes, is zero)`` for every
+        record whose token is in ``vocabulary`` (every record when None) or
+        whose vector is zero, duplicates included."""
+        pieces: list[bytes] = []
+        newline = stream.find(pieces, b"\n")
+        if newline < 0:
+            raise ParseError("missing header line", offset=0)
+        buf = b"".join(pieces)
+        header = buf[:newline].split()
+        if len(header) != 2:
+            raise ParseError("header must be 'count dim'", offset=0)
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise ParseError("header must be 'count dim'", offset=0) from None
+        if count < 1 or dim < 1:
+            raise ParseError(f"bad header counts {count} {dim}", offset=0)
+        self.dim = dim
+        rec_bytes = 4 * dim
+        wanted = None if vocabulary is None else {
+            t.encode("utf-8", "surrogatepass") for t in vocabulary}
+        # buf[0] sits at file offset `base`; buf[pos:] is not parsed yet
+        base, pos = 0, newline + 1
+        while self.count < count:
+            # Every record that ends in buf has its token terminator at or
+            # before the last space that leaves room for a vector, and the
+            # records from pos up to there match the pattern one after
+            # another. Ending the search there also bounds what findall
+            # retries after the last record to rec_bytes positions.
+            cut = buf.rfind(b" ", pos, max(pos, len(buf) - rec_bytes))
+            if cut >= 0:
+                found = _record_pattern(rec_bytes).findall(
+                    buf, pos, cut + 1 + rec_bytes)[:count - self.count]
+                pos = yield from self._records(found, buf, base, pos, wanted)
+            else:  # the record at pos runs past buf
+                record, rest, rest_base, rest_pos = self._read_on(
+                    stream, buf, base, pos)
+                yield from self._records(
+                    _record_pattern(rec_bytes).findall(record), record,
+                    base + pos, 0, wanted)
+                buf, base, pos = rest, rest_base, rest_pos
 
-    @staticmethod
-    def is_zero(raw: bytes) -> bool:
-        # a float32 zero has zero low bytes; check the first component's
-        # before decoding the record
-        return (raw[0] == 0 and raw[1] == 0 and raw[2] == 0
-                and not np.frombuffer(raw, dtype="<f4").any())
+    def _records(self, found: list[bytes], buf: bytes, base: int, pos: int,
+                 wanted: set[bytes] | None
+                 ) -> Iterator[tuple[int, str, bytes, bool]]:
+        """Check the records ``found`` in ``buf`` from ``pos`` on, each as
+        the bytes before its space, and yield the ones ``select`` picks;
+        return where the last one ends."""
+        rec_bytes = 4 * self.dim
+        k = len(found)
+        # where each record's vector starts in buf
+        vectors = pos + np.cumsum(np.fromiter(map(len, found), np.int64, k)
+                                  + (1 + rec_bytes)) - rec_bytes
+        tokens = [head.lstrip(b"\n") for head in found]
+        try:
+            # no invalid sequence is made valid by joining at an ASCII byte
+            b" ".join(tokens).decode("utf-8")
+        except UnicodeDecodeError:
+            for token, at in zip(tokens, vectors.tolist()):
+                _check_token(token, base + at - 1 - len(token))
+        # a float32 zero has zero low bytes: only a vector whose first three
+        # bytes are zero can be all zeros (-0.0 included)
+        u8 = np.frombuffer(buf, np.uint8)
+        low = u8[vectors] | u8[vectors + 1] | u8[vectors + 2]
+        zeros = {i for i in np.flatnonzero(low == 0).tolist()
+                 if not np.frombuffer(buf, "<f4", self.dim,
+                                      int(vectors[i])).any()}
+        if wanted is None:
+            picks = range(k)
+        else:
+            hits = wanted.intersection(tokens)
+            picks = sorted(zeros.union(
+                i for i, t in enumerate(tokens) if t in hits))
+        first = self.count + 1
+        self.count += k
+        for i in picks:
+            at = int(vectors[i])
+            yield (first + i, tokens[i].decode("utf-8"),
+                   buf[at:at + rec_bytes], i in zeros)
+        return int(vectors[-1]) + rec_bytes
+
+    def _read_on(self, stream: _HashedFile, buf: bytes, base: int, pos: int
+                 ) -> tuple[bytes, bytes, int, int]:
+        """The record at ``buf[pos:]``, which runs past ``buf``, read on
+        until it is whole; then the last block read, its file offset and
+        where the next record starts in it. Each byte is searched once."""
+        rec_bytes = 4 * self.dim
+        pieces = [buf[pos:]]
+        space = stream.find(pieces, b" ")
+        size = sum(map(len, pieces))
+        if space >= 0:
+            while size < space + 1 + rec_bytes and (data := stream.block()):
+                pieces.append(data)
+                size += len(data)
+        if space < 0 or size < space + 1 + rec_bytes:
+            raise _truncated(b"".join(pieces), base + pos, space)
+        last = pieces[-1]
+        split = len(last) - (size - (space + 1 + rec_bytes))
+        pieces[-1] = last[:split]
+        return b"".join(pieces), last, base + pos + size - len(last), split
 
     def matrix(self, rows: list[bytes]) -> np.ndarray:
         flat = np.frombuffer(b"".join(rows), dtype="<f4")
         return flat.reshape(len(rows), self.dim).astype(np.float64)
 
 
+def _check_token(token: bytes, offset: int) -> None:
+    try:
+        token.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"bad token bytes: {exc}", offset=offset) from None
+
+
+def _truncated(data: bytes, offset: int, space: int) -> ParseError:
+    """The error for a last record that the file cuts short: ``data`` runs
+    from its file ``offset`` to the end of the file and has its first
+    space at ``space`` (-1: none). Bad token bytes are raised first, as a
+    record is checked in that order."""
+    start = len(data) - len(data.lstrip(b"\n"))
+    if space < 0:
+        return ParseError("truncated record: no token terminator",
+                          offset=offset + start)
+    _check_token(data[start:space], offset + start)
+    return ParseError("truncated record: short vector",
+                      offset=offset + space + 1)
+
+
 def load_embeddings(path: str, format: str = TEXT,
-                    vocabulary: Container[str] | None = None
-                    ) -> EmbeddingStore:
+                    vocabulary: Collection[str] | None = None,
+                    hasher=None) -> EmbeddingStore:
     """Read an embedding file in the text or word2vec-binary layout.
 
     Every record is parsed and checked, and the first occurrence of a token
     wins. With ``vocabulary``, only the rows of its tokens are kept, so
     memory follows the vocabulary, not the file; ``None`` keeps every row.
-    Word2vec-binary files are read in blocks of ``_BLOCK_BYTES``.
+    The file is read once, in blocks of ``_BLOCK_BYTES``; with ``hasher``
+    (e.g. ``hashlib.sha256()``) every byte of it, the bytes after a
+    word2vec-binary file's last record included, is fed to ``hasher`` on
+    a helper thread that has ended when the load returns or raises.
 
     A filtered load followed by ``l2_normalize`` fails as the whole file
     would: a parse error anywhere in the file comes first, then
@@ -239,9 +408,9 @@ def load_embeddings(path: str, format: str = TEXT,
     that itself when the row is one it drops.
     """
     if format == TEXT:
-        records = _TextRecords(path)
+        records = _TextRecords()
     elif format == WORD2VEC_BINARY:
-        records = _Word2VecRecords(path)
+        records = _Word2VecRecords()
     else:
         raise InvalidInput(f"unknown embedding format {format!r}")
     kept: dict = {}  # token -> row, in file order
@@ -249,30 +418,30 @@ def load_embeddings(path: str, format: str = TEXT,
     # (record number, token); some may repeat an earlier token
     dropped_zeros: list[tuple[int, str]] = []
     kept_zero = False
-    n_records = 0
-    is_zero = records.is_zero
-    for n_records, (token, raw) in enumerate(records, start=1):
-        if token in kept:
-            continue
-        if vocabulary is None or token in vocabulary:
-            kept[token] = raw
-            if vocabulary is not None and not kept_zero:
-                kept_zero = is_zero(raw)
-        elif not kept_zero and is_zero(raw):
-            dropped_zeros.append((n_records, token))
+    with _HashedFile(path, hasher) as stream:
+        for n, token, raw, zero in records.select(stream, vocabulary):
+            if token in kept:
+                continue
+            if vocabulary is None or token in vocabulary:
+                kept[token] = raw
+                if vocabulary is not None and not kept_zero:
+                    kept_zero = zero
+            elif zero and not kept_zero:
+                dropped_zeros.append((n, token))
+        stream.finish()
     if dropped_zeros:
-        token = _first_occurrence(records, dropped_zeros)
+        token = _first_occurrence(path, type(records)(), dropped_zeros)
         if token is not None:
             raise ZeroVector(token)
     logger.info("embeddings: kept %d of %d rows (dim %d)", len(kept),
-                n_records, records.dim)
+                records.count, records.dim)
     return EmbeddingStore(list(kept), records.matrix(list(kept.values())))
 
 
-def _first_occurrence(records, candidates: list[tuple[int, str]]
+def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
                       ) -> str | None:
     """The token of the first candidate ``(record number, token)`` that is
-    its token's first occurrence in ``records``, or None.
+    its token's first occurrence in the file, or None.
 
     Re-reads the file as far as the last candidate, so that a load need not
     remember every token of the file for the rare file with a zero row.
@@ -280,11 +449,12 @@ def _first_occurrence(records, candidates: list[tuple[int, str]]
     wanted = {token for _, token in candidates}
     last = candidates[-1][0]
     first_at: dict[str, int] = {}
-    for n, (token, _) in enumerate(records, start=1):
-        if n > last:
-            break
-        if token in wanted:
-            first_at.setdefault(token, n)
+    with _HashedFile(path) as stream:
+        for n, token, _, _ in records.select(stream, wanted):
+            if n > last:
+                break
+            if token in wanted:
+                first_at.setdefault(token, n)
     for n, token in candidates:
         if first_at[token] == n:
             return token

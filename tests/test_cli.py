@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import importlib.metadata
 import json
 import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +222,78 @@ def test_dedup_outputs(workspace, tmp_path):
     assert len(clean) == payload["n_documents"] - (
         payload["n_samples"] - n_classes
     )
+
+
+def test_dedup_writes_no_manifest_for_a_broken_embedding_file(
+        workspace, tmp_path, capsys):
+    broken = tmp_path / "emb.txt"
+    broken.write_text("w0 1.0 oops\n")
+    out = tmp_path / "dedup"
+    assert run(["dedup", "--dataset", workspace / "docs.txt", "--embeddings",
+                broken, "--out", out]) == 1
+    assert "line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _embeddings_as(workspace, path, fmt):
+    """emb.txt with CRLF line ends and blank lines, or as word2vec-binary
+    with bytes after its last counted record."""
+    lines = (workspace / "emb.txt").read_text().splitlines()
+    if fmt == TEXT:
+        path.write_bytes(b"\r\n\r\n".join(l.encode() for l in lines)
+                         + b"\r\n\r\n")
+        return path
+    with open(path, "wb") as fh:
+        fh.write(f"{len(lines)} 8\n".encode())
+        for line in lines:
+            token, *values = line.split()
+            fh.write(token.encode() + b" "
+                     + np.array(values, dtype="<f4").tobytes() + b"\n")
+        fh.write(b"trailing bytes that no record counts \xff")
+    return path
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+def test_manifest_holds_the_sha256_of_the_embedding_file(workspace, tmp_path,
+                                                         fmt):
+    emb = _embeddings_as(workspace, tmp_path / "emb", fmt)
+    inputs = {"dataset": _sha256_of(workspace / "docs.txt"),
+              "embeddings": _sha256_of(emb), "stopwords": None}
+    for command in ("eval", "analyze", "dedup"):
+        out = tmp_path / command
+        args = [command, "--dataset", workspace / "docs.txt", "--embeddings",
+                emb, "--format", fmt, "--folds", "1", "--pairs", "10",
+                "--workers", "1", "--out", out]
+        assert run(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == inputs
+        # caches keyed by a manifest that hashed the file itself still hit
+        cfg = build_config(make_parser().parse_args([str(a) for a in args]))
+        for method in cfg.method_list():
+            assert _cache_key(cfg, manifest, method) \
+                == _cache_key(cfg, {"inputs": inputs}, method)
+
+
+def test_pool_starts_with_no_hashing_thread_alive(workspace, tmp_path,
+                                                  monkeypatch):
+    # a forked worker must not inherit a thread that holds a lock
+    alive = []
+
+    class Pool(wmd.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            alive.append(threading.enumerate())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(wmd, "ProcessPoolExecutor", Pool)
+    before = threading.enumerate()
+    args = base_args(workspace, tmp_path / "run", ["--method", "wmd"])
+    args[args.index("--workers") + 1] = "2"
+    assert run(args) == 0
+    assert alive and all(threads == before for threads in alive)
 
 
 def test_analyze_outputs(workspace, tmp_path):

@@ -1,7 +1,10 @@
+import hashlib
 import logging
 import math
 import pickle
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +109,14 @@ def test_load_binary_truncated_record(tmp_path):
     with pytest.raises(ParseError) as err:
         load_embeddings(str(p), WORD2VEC_BINARY)
     assert err.value.offset is not None
+
+
+def test_header_dim_too_large_for_the_file_is_a_short_vector(tmp_path):
+    p = tmp_path / "emb.bin"
+    p.write_bytes(b"1 2000000000\n" + b"a " + struct.pack("<2f", 1, 2))
+    with pytest.raises(ParseError, match="short vector") as err:
+        load_embeddings(str(p), WORD2VEC_BINARY)
+    assert err.value.offset == 15
 
 
 def test_load_unknown_format(tmp_path):
@@ -271,6 +282,90 @@ def test_load_logs_kept_rows(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="wmdlab"):
         load_embeddings(str(p), TEXT, {"a", "z"})
     assert "embeddings: kept 1 of 3 rows (dim 2)" in caplog.messages
+
+
+# -- one pass: every byte parsed once and hashed ---------------------------------
+
+
+def hashed_load(path, fmt, vocabulary=None):
+    sha = hashlib.sha256()
+    store = load_embeddings(str(path), fmt, vocabulary, sha)
+    return store, sha.hexdigest()
+
+
+@pytest.mark.parametrize("block", [5, 64, 16 << 20])
+def test_load_hashes_every_byte_of_the_file(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+    records = [(f"w{i}", [i + 1.0, -i, 0.5]) for i in range(20)]
+    p = tmp_path / "emb.bin"
+    write_binary(p, records, dim=3)
+    with open(p, "ab") as fh:
+        fh.write(b"bytes after the last record \xff\x00")
+    store, digest = hashed_load(p, WORD2VEC_BINARY, {"w3", "w19"})
+    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+    assert store.tokens == ("w3", "w19")
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"20 3\r\n\r\n" + b"".join(
+        f"{t} {' '.join(map(repr, v))}\r\n\r\n".encode()
+        for t, v in records))
+    store, digest = hashed_load(p, TEXT, {"w3", "w19"})
+    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+    assert word_vector(store, "w19").tolist() == [20.0, -19.0, 0.5]
+
+
+def test_text_records_split_across_blocks(tmp_path, monkeypatch):
+    # multi-byte tokens and line ends cut at every block boundary
+    p = tmp_path / "emb.txt"
+    p.write_bytes("".join(f"é{i}ü {i}.5 -1\r\n" for i in range(300))
+                  .encode())
+    whole = load_embeddings(str(p), TEXT)
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 7)
+    store, digest = hashed_load(p, TEXT)
+    assert store.tokens == whole.tokens and len(store) == 300
+    assert store.matrix.tobytes() == whole.matrix.tobytes()
+    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def test_unterminated_last_token_fails_in_linear_time(tmp_path, monkeypatch):
+    # a record finder that retries every position after its last match, or
+    # a reader that joins each block onto what it has, is quadratic here
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64)
+    p = tmp_path / "emb.bin"
+    with open(p, "wb") as fh:
+        fh.write(b"2 3\n")
+        fh.write(b"a " + struct.pack("<3f", 1, 2, 3) + b"\n")
+        fh.write(b"x" * (1 << 20))  # no space: the token never ends
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="no token terminator") as err:
+        load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
+    assert time.perf_counter() - start < 0.5
+    assert err.value.offset == 19  # the first byte after the newline
+
+
+def write_broken(path, kind):
+    last = {"bad token bytes": b"\xff " + struct.pack("<2f", 3, 4),
+            "short vector": b"b " + struct.pack("<1f", 3),
+            "no token terminator": b"b" * 40,
+            "zero": b"z " + struct.pack("<2f", 0, 0)}[kind]
+    with open(path, "wb") as fh:
+        fh.write(b"2 2\n" + b"a " + struct.pack("<2f", 1, 2) + last)
+
+
+@pytest.mark.parametrize("kind", ["bad token bytes", "short vector",
+                                  "no token terminator", "zero"])
+@pytest.mark.parametrize("block", [3, 16 << 20])
+def test_load_leaves_no_thread_running(tmp_path, monkeypatch, kind, block):
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+    before = threading.enumerate()
+    p = tmp_path / "emb.bin"
+    write_records(p, WORD2VEC_BINARY, [("a", [1, 2]), ("b", [3, 4])], dim=2)
+    hashed_load(p, WORD2VEC_BINARY, {"a"})
+    assert threading.enumerate() == before
+    write_broken(p, kind)
+    with pytest.raises(ZeroVector if kind == "zero" else ParseError,
+                       match="^z$" if kind == "zero" else kind):
+        hashed_load(p, WORD2VEC_BINARY, {"a"})
+    assert threading.enumerate() == before
 
 
 # -- normalization ----------------------------------------------------------------
