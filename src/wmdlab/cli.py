@@ -35,7 +35,7 @@ from .embeddings import (
     load_embeddings,
     project_pca,
 )
-from .errors import ParseError, WmdlabError
+from .errors import ParseError, WmdlabError, check_utf8
 from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
@@ -101,7 +101,9 @@ class RunConfig:
         if not self.dims:
             return []
         try:
-            return [int(d) for d in self.dims.split(",") if d.strip()]
+            # a dimension named twice runs once
+            return list(dict.fromkeys(
+                int(d) for d in self.dims.split(",") if d.strip()))
         except ValueError as exc:
             raise CliError(f"bad --dims value: {exc}") from None
 
@@ -122,8 +124,9 @@ def read_config_file(path: str) -> dict[str, object]:
     takes the type of its ``RunConfig`` field."""
     values: dict[str, object] = {}
     types = typing.get_type_hints(RunConfig)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            check_utf8(raw, f"{path}: ", lineno)
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -16,7 +16,7 @@ from typing import Container
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError, TooSmall
+from .errors import InvalidInput, ParseError, TooSmall, check_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -87,9 +87,11 @@ class DuplicateReport:
 
 
 def _parse_fold_file(path: Path, n_docs: int) -> Fold:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8",
+                           errors="surrogateescape").splitlines()
     sides: dict[str, tuple[int, ...]] = {}
     for lineno, line in enumerate(lines, start=1):
+        check_utf8(line, f"{path}: ", lineno)
         if not line.strip():
             continue
         head, sep, rest = line.partition(":")
@@ -127,8 +129,9 @@ def load_corpus(path: str | Path) -> Corpus:
     """Parse a corpus file; attaches sibling fold files when present."""
     path = Path(path)
     documents = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            check_utf8(line, f"{path}: ", lineno)
             # document ids are 0-based line numbers, so every line must parse
             label, sep, text = line.rstrip("\n").partition("\t")
             if not sep:
@@ -154,8 +157,11 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return frozenset(w.strip() for w in fh if w.strip())
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = list(fh)
+    for lineno, line in enumerate(lines, start=1):
+        check_utf8(line, f"{path}: ", lineno)
+    return frozenset(w.strip() for w in lines if w.strip())
 
 
 def filter_vocabulary(corpus: Corpus, store: Container[str] | None,

@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     RankDeficient,
     ZeroVector,
+    check_utf8,
 )
 
 TEXT = "text"
@@ -92,22 +93,24 @@ class EmbeddingStore:
 
 
 # Bytes read from an embedding file at a time. A load holds the kept rows,
-# the record it is reading and at most three blocks (the one it parses, the
-# next one and one being hashed), whatever the size of the file.
+# the record it is reading and at most three blocks (the one it parses and
+# up to two being hashed), whatever the size of the file.
 _BLOCK_BYTES = 16 << 20
-# Blocks handed to the hashing thread and not yet hashed, at most.
+# Parsed reads handed to the hashing thread and not yet hashed, at most.
 _HASH_QUEUE = 2
 
 
 class _HashedFile(io.RawIOBase):
-    """A file read once, in order, in blocks of ``_BLOCK_BYTES``.
+    """A file read forward, each read starting at or after the last one's
+    start.
 
-    With ``hasher`` (e.g. ``hashlib.sha256()``) each block is also fed to
-    it, in order, on a helper thread at most ``_HASH_QUEUE`` blocks behind
-    the reader; ``hashlib`` releases the GIL on large updates, so the hash
-    runs while the blocks are parsed. ``block`` returns the next block and
-    ``readinto`` serves the same bytes, so the file can be read through an
-    ``io.TextIOWrapper``. ``close`` waits for the helper thread to end.
+    With ``hasher`` (e.g. ``hashlib.sha256()``) the bytes of a read are fed
+    to it once a later read starts past them, so it takes every byte before
+    the last read's start once and in file order. ``hashlib`` releases the
+    GIL on large updates, so it runs on a helper thread at most
+    ``_HASH_QUEUE`` updates behind the reader. ``readinto`` reads on from
+    the end of the last read, so the file can be read through an
+    ``io.BufferedReader``. ``close`` waits for the helper thread to end.
     """
 
     def __init__(self, path: str, hasher=None):
@@ -115,61 +118,37 @@ class _HashedFile(io.RawIOBase):
         self._hasher = hasher
         self._pool = ThreadPoolExecutor(1)  # starts no thread until used
         self._pending: deque = deque()
-        self._unread = memoryview(b"")
+        self._start, self._data = 0, b""  # the last read
+        self._hashed = 0  # bytes fed to hasher
 
     def readable(self) -> bool:
         return True
 
-    def block(self) -> bytes:
-        """The next block of the file; empty at its end."""
-        data = self._fh.read(_BLOCK_BYTES)
-        if data and self._hasher is not None:
+    def read_at(self, offset: int, size: int) -> bytes:
+        """``size`` bytes of the file from ``offset`` on; fewer at its end."""
+        if self._hasher is not None and offset > self._hashed:
             if len(self._pending) == _HASH_QUEUE:
                 self._pending.popleft().result()
-            self._pending.append(self._pool.submit(self._hasher.update, data))
-        return data
+            parsed = memoryview(self._data)[self._hashed - self._start:
+                                            offset - self._start]
+            self._pending.append(self._pool.submit(self._hasher.update,
+                                                   parsed))
+            self._hashed = offset
+        self._fh.seek(offset)
+        self._start, self._data = offset, self._fh.read(size)
+        return self._data
 
     def readinto(self, buf) -> int:
-        # fills buf unless the file ends, as a read of a regular file does,
-        # so that a text reader decodes the chunks it would decode reading
-        # the file itself
-        n = 0
-        while n < len(buf):
-            if not self._unread:
-                self._unread = memoryview(self.block())
-                if not self._unread:
-                    break
-            k = min(len(buf) - n, len(self._unread))
-            buf[n:n + k] = self._unread[:k]
-            self._unread = self._unread[k:]
-            n += k
-        return n
-
-    def find(self, pieces: list[bytes], byte: bytes) -> int:
-        """The offset of the first ``byte`` in ``b"".join(pieces)``, or -1
-        when there is none before the end of the file. While there is none,
-        the next block is appended to ``pieces``; each byte is searched
-        once."""
-        size = 0
-        for piece in pieces:
-            at = piece.find(byte)
-            if at >= 0:
-                return size + at
-            size += len(piece)
-        while data := self.block():
-            pieces.append(data)
-            at = data.find(byte)
-            if at >= 0:
-                return size + at
-            size += len(data)
-        return -1
+        data = self.read_at(self._start + len(self._data), len(buf))
+        buf[:len(data)] = data
+        return len(data)
 
     def finish(self) -> None:
         """Feed the rest of the file to ``hasher``, then wait until it has
-        taken every block."""
+        taken every byte."""
         if self._hasher is None:
             return
-        while self.block():
+        while self.read_at(self._start + len(self._data), _BLOCK_BYTES):
             pass
         while self._pending:
             self._pending.popleft().result()
@@ -198,10 +177,13 @@ class _TextRecords:
         """``(record number, token, vector, is zero)`` for every record
         whose token is in ``vocabulary`` (every record when None) or whose
         vector is zero, duplicates included."""
-        # universal newlines, as open(path, "r", encoding="utf-8") reads
-        text = io.TextIOWrapper(stream, encoding="utf-8")
+        # universal newlines, as open(path, "r", encoding="utf-8") reads;
+        # bytes that are not UTF-8 are raised with their line, in line order
+        text = io.TextIOWrapper(io.BufferedReader(stream, _BLOCK_BYTES),
+                                encoding="utf-8", errors="surrogateescape")
         try:
             for lineno, line in enumerate(text, start=1):
+                check_utf8(line, "", lineno)
                 fields = line.split()
                 if not fields:
                     continue
@@ -232,7 +214,8 @@ class _TextRecords:
                 if vocabulary is None or fields[0] in vocabulary or zero:
                     yield self.count, fields[0], vec, zero
         finally:
-            text.detach()  # the stream stays open for the load to finish
+            # the stream stays open for the load to finish
+            text.detach().detach()
         if self.dim is None:
             raise ParseError("no embedding records found", line=1)
 
@@ -265,12 +248,14 @@ class _Word2VecRecords:
         """``(record number, token, vector bytes, is zero)`` for every
         record whose token is in ``vocabulary`` (every record when None) or
         whose vector is zero, duplicates included."""
-        pieces: list[bytes] = []
-        newline = stream.find(pieces, b"\n")
+        size = 4096
+        while b"\n" not in (head := stream.read_at(0, size)) \
+                and len(head) == size:
+            size *= 2
+        newline = head.find(b"\n")
         if newline < 0:
             raise ParseError("missing header line", offset=0)
-        buf = b"".join(pieces)
-        header = buf[:newline].split()
+        header = head[:newline].split()
         if len(header) != 2:
             raise ParseError("header must be 'count dim'", offset=0)
         try:
@@ -283,38 +268,36 @@ class _Word2VecRecords:
         rec_bytes = 4 * dim
         wanted = None if vocabulary is None else {
             t.encode("utf-8", "surrogatepass") for t in vocabulary}
-        # buf[0] sits at file offset `base`; buf[pos:] is not parsed yet
-        base, pos = 0, newline + 1
+        pos, size = newline + 1, _BLOCK_BYTES  # pos: the next record's offset
         while self.count < count:
+            buf = stream.read_at(pos, size)
             # Every record that ends in buf has its token terminator at or
             # before the last space that leaves room for a vector, and the
-            # records from pos up to there match the pattern one after
-            # another. Ending the search there also bounds what findall
-            # retries after the last record to rec_bytes positions.
-            cut = buf.rfind(b" ", pos, max(pos, len(buf) - rec_bytes))
+            # records up to there match the pattern one after another.
+            # Ending the search there also bounds what findall retries after
+            # the last record to rec_bytes positions.
+            cut = buf.rfind(b" ", 0, max(0, len(buf) - rec_bytes))
             if cut >= 0:
                 found = _record_pattern(rec_bytes).findall(
-                    buf, pos, cut + 1 + rec_bytes)[:count - self.count]
-                pos = yield from self._records(found, buf, base, pos, wanted)
-            else:  # the record at pos runs past buf
-                record, rest, rest_base, rest_pos = self._read_on(
-                    stream, buf, base, pos)
-                yield from self._records(
-                    _record_pattern(rec_bytes).findall(record), record,
-                    base + pos, 0, wanted)
-                buf, base, pos = rest, rest_base, rest_pos
+                    buf, 0, cut + 1 + rec_bytes)[:count - self.count]
+                pos += yield from self._records(found, buf, pos, wanted)
+                size = _BLOCK_BYTES
+            elif len(buf) < size:
+                raise _truncated(buf, pos)
+            else:  # the record at pos is longer than buf
+                size *= 2
 
-    def _records(self, found: list[bytes], buf: bytes, base: int, pos: int,
+    def _records(self, found: list[bytes], buf: bytes, base: int,
                  wanted: set[bytes] | None
                  ) -> Iterator[tuple[int, str, bytes, bool]]:
-        """Check the records ``found`` in ``buf`` from ``pos`` on, each as
-        the bytes before its space, and yield the ones ``select`` picks;
-        return where the last one ends."""
+        """Check the records ``found`` at the start of ``buf``, which sits
+        at file offset ``base``, each as the bytes before its space, and
+        yield the ones ``select`` picks; return where the last one ends."""
         rec_bytes = 4 * self.dim
         k = len(found)
         # where each record's vector starts in buf
-        vectors = pos + np.cumsum(np.fromiter(map(len, found), np.int64, k)
-                                  + (1 + rec_bytes)) - rec_bytes
+        vectors = np.cumsum(np.fromiter(map(len, found), np.int64, k)
+                            + (1 + rec_bytes)) - rec_bytes
         tokens = [head.lstrip(b"\n") for head in found]
         try:
             # no invalid sequence is made valid by joining at an ASCII byte
@@ -343,26 +326,6 @@ class _Word2VecRecords:
                    buf[at:at + rec_bytes], i in zeros)
         return int(vectors[-1]) + rec_bytes
 
-    def _read_on(self, stream: _HashedFile, buf: bytes, base: int, pos: int
-                 ) -> tuple[bytes, bytes, int, int]:
-        """The record at ``buf[pos:]``, which runs past ``buf``, read on
-        until it is whole; then the last block read, its file offset and
-        where the next record starts in it. Each byte is searched once."""
-        rec_bytes = 4 * self.dim
-        pieces = [buf[pos:]]
-        space = stream.find(pieces, b" ")
-        size = sum(map(len, pieces))
-        if space >= 0:
-            while size < space + 1 + rec_bytes and (data := stream.block()):
-                pieces.append(data)
-                size += len(data)
-        if space < 0 or size < space + 1 + rec_bytes:
-            raise _truncated(b"".join(pieces), base + pos, space)
-        last = pieces[-1]
-        split = len(last) - (size - (space + 1 + rec_bytes))
-        pieces[-1] = last[:split]
-        return b"".join(pieces), last, base + pos + size - len(last), split
-
     def matrix(self, rows: list[bytes]) -> np.ndarray:
         flat = np.frombuffer(b"".join(rows), dtype="<f4")
         return flat.reshape(len(rows), self.dim).astype(np.float64)
@@ -375,12 +338,12 @@ def _check_token(token: bytes, offset: int) -> None:
         raise ParseError(f"bad token bytes: {exc}", offset=offset) from None
 
 
-def _truncated(data: bytes, offset: int, space: int) -> ParseError:
+def _truncated(data: bytes, offset: int) -> ParseError:
     """The error for a last record that the file cuts short: ``data`` runs
-    from its file ``offset`` to the end of the file and has its first
-    space at ``space`` (-1: none). Bad token bytes are raised first, as a
-    record is checked in that order."""
+    from its file ``offset`` to the end of the file. Bad token bytes are
+    raised first, as a record is checked in that order."""
     start = len(data) - len(data.lstrip(b"\n"))
+    space = data.find(b" ")
     if space < 0:
         return ParseError("truncated record: no token terminator",
                           offset=offset + start)
@@ -397,10 +360,13 @@ def load_embeddings(path: str, format: str = TEXT,
     Every record is parsed and checked, and the first occurrence of a token
     wins. With ``vocabulary``, only the rows of its tokens are kept, so
     memory follows the vocabulary, not the file; ``None`` keeps every row.
-    The file is read once, in blocks of ``_BLOCK_BYTES``; with ``hasher``
-    (e.g. ``hashlib.sha256()``) every byte of it, the bytes after a
-    word2vec-binary file's last record included, is fed to ``hasher`` on
-    a helper thread that has ended when the load returns or raises.
+    The file is read once, in blocks of ``_BLOCK_BYTES``. A word2vec-binary
+    block starts where the last whole record ended, and one that holds no
+    whole record is read again at twice the size. With ``hasher`` (e.g.
+    ``hashlib.sha256()``) each byte is fed to ``hasher`` once, from the
+    read that parsed it, and the bytes after a word2vec-binary file's last
+    record follow; the helper thread that hashes has ended when the load
+    returns or raises.
 
     A filtered load followed by ``l2_normalize`` fails as the whole file
     would: a parse error anywhere in the file comes first, then

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises
+one for a line of text that is not UTF-8."""
 
 
 class WmdlabError(Exception):
@@ -40,6 +41,18 @@ class ParseError(WmdlabError):
         super().__init__(message)
         self.line = line
         self.offset = offset
+
+
+def check_utf8(line: str, where: str, lineno: int) -> None:
+    """Raise ``ParseError`` naming ``where`` and ``lineno`` when ``line``,
+    decoded with ``errors="surrogateescape"``, holds bytes that are not
+    UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{where}line {lineno}: {exc}",
+                             line=lineno) from None
 
 
 class MissingWord(WmdlabError):

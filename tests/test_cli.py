@@ -195,6 +195,26 @@ def test_method_named_twice_runs_once(workspace, tmp_path):
         Method.parse("wmd"), Method.parse("bow")]
 
 
+@pytest.mark.parametrize("bad", ["emb.txt", "docs.txt", "stop.txt",
+                                 "cfg.ini"])
+def test_input_that_is_not_utf8_exits_1(workspace, tmp_path, capsys, bad):
+    for name in ("emb.txt", "docs.txt"):
+        (tmp_path / name).write_bytes((workspace / name).read_bytes())
+    (tmp_path / "stop.txt").write_text("the\n")
+    (tmp_path / "cfg.ini").write_text("workers = 1\n")
+    with open(tmp_path / bad, "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run(["dedup", "--config", tmp_path / "cfg.ini",
+                "--dataset", tmp_path / "docs.txt",
+                "--embeddings", tmp_path / "emb.txt",
+                "--stopwords", tmp_path / "stop.txt",
+                "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: ") and err.endswith(
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start "
+        "byte")
+
+
 def test_dedup_outputs(workspace, tmp_path):
     out = tmp_path / "dedup"
     assert run(["dedup", "--dataset", workspace / "docs.txt",
@@ -311,6 +331,21 @@ def test_analyze_outputs(workspace, tmp_path):
     dims = (out / "dim_comparison.csv").read_text().splitlines()
     assert dims[0] == "dim,pearson"
     assert len(dims) == 3
+
+
+def test_repeated_dim_runs_once(workspace, tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    analyze = ["analyze", "--dataset", workspace / "docs.txt",
+               "--embeddings", workspace / "emb.txt", "--folds", "1",
+               "--seed", "3", "--pairs", "20", "--workers", "1"]
+    assert run([*analyze, "--dims", "3", "--out", tmp_path / "once"]) == 0
+    once = len(solves)
+    solves.clear()
+    assert run([*analyze, "--dims", "3,3", "--out", tmp_path / "twice"]) == 0
+    assert len(solves) == once
+    assert (tmp_path / "twice" / "dim_comparison.csv").read_bytes() \
+        == (tmp_path / "once" / "dim_comparison.csv").read_bytes()
+    assert RunConfig(dims="3,8,3").dim_list() == [3, 8]
 
 
 @pytest.mark.parametrize("option, value", [

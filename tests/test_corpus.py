@@ -107,6 +107,23 @@ def test_stopword_file(tmp_path):
     assert read_stopwords(p) == {"the", "of"}
 
 
+@pytest.mark.parametrize("name, read", [
+    ("c.txt", load_corpus), ("c.fold0.txt", load_corpus),
+    ("stop.txt", read_stopwords)])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, name,
+                                                        read):
+    (tmp_path / "c.txt").write_text("a\tx\nb\tyé\n")
+    (tmp_path / "c.fold0.txt").write_text("train: 0\ntest: 1\n")
+    (tmp_path / "stop.txt").write_text("the\né\n")
+    bad = tmp_path / name
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    with pytest.raises(ParseError) as err:
+        read(tmp_path / ("stop.txt" if read is read_stopwords else "c.txt"))
+    assert str(err.value) == (f"{bad}: line 3: 'utf-8' codec can't decode "
+                              "byte 0xff in position 0: invalid start byte")
+    assert err.value.line == 3
+
+
 # -- filtering -------------------------------------------------------------------
 
 

@@ -5,9 +5,12 @@ import pickle
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from wmdlab import embeddings
@@ -29,6 +32,7 @@ from wmdlab.errors import (
     ZeroVector,
 )
 
+import reference_embeddings
 from helpers import word_vector
 
 
@@ -117,6 +121,26 @@ def test_header_dim_too_large_for_the_file_is_a_short_vector(tmp_path):
     with pytest.raises(ParseError, match="short vector") as err:
         load_embeddings(str(p), WORD2VEC_BINARY)
     assert err.value.offset == 15
+
+
+@pytest.mark.parametrize("lines, line, message", [
+    # the first fault in line order wins, whichever it is
+    ([b"a 1.0 oops", b"b\xff 3.0 4.0"], 1,
+     "could not convert string to float: 'oops'"),
+    ([b"a 1.0 2.0", b"b\xff 3.0 4.0", b"c 1.0 oops"], 2,
+     "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"),
+    ([b"a 1.0 2.0", "bé 3.0 4.0".encode(), b"c 5.0 \xc3"], 3,
+     "'utf-8' codec can't decode byte 0xc3 in position 6: invalid "
+     "continuation byte")])
+def test_text_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, lines,
+                                                        line, message):
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    for vocabulary in (None, {"a"}):
+        with pytest.raises(ParseError) as err:
+            load_embeddings(str(p), TEXT, vocabulary)
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
 
 
 def test_load_unknown_format(tmp_path):
@@ -366,6 +390,110 @@ def test_load_leaves_no_thread_running(tmp_path, monkeypatch, kind, block):
                        match="^z$" if kind == "zero" else kind):
         hashed_load(p, WORD2VEC_BINARY, {"a"})
     assert threading.enumerate() == before
+
+
+# tokens that repeat, are multi-byte, are not UTF-8, are empty or hold a
+# newline; a drawn token may also start with newlines
+TOKENS = [b"a", b"bb", "é".encode(), "日本".encode(), b"\xff", b"\xe6\x97",
+          b"", b"x\ny", b"w" * 70]
+
+
+@st.composite
+def binary_files(draw):
+    dim = draw(st.integers(1, 4))
+    component = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(width=32, allow_nan=False))
+    vector = st.one_of(st.just([0.0] * dim), st.just([-0.0] * dim),
+                       st.lists(component, min_size=dim, max_size=dim))
+    token = st.one_of(st.sampled_from(TOKENS),
+                      st.binary(max_size=5).map(
+                          lambda b: b.replace(b" ", b"_")))
+    records = draw(st.lists(st.tuples(st.integers(0, 2), token, vector),
+                            min_size=1, max_size=12))
+    count = len(records) + draw(st.sampled_from([0, 1, -1]))
+    data = f"{count} {dim}\n".encode() + b"".join(
+        b"\n" * newlines + tok + b" " + struct.pack(f"<{dim}f", *vec)
+        for newlines, tok, vec in records)
+    data += draw(st.binary(max_size=8))
+    cut = draw(st.one_of(st.just(0), st.integers(1, 4 * dim + 2)))
+    return data[:len(data) - cut]
+
+
+def outcome(load):
+    try:
+        return load()
+    except (ParseError, ZeroVector) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=binary_files(), block=st.integers(1, 64), hashed=st.booleans(),
+       vocabulary=st.one_of(st.none(), st.sets(st.sampled_from(
+           ["a", "bb", "é", "日本", "", "x\ny", "absent"]))))
+def test_binary_reader_agrees_with_a_whole_file_reader(
+        tmp_path_factory, data, block, hashed, vocabulary):
+    p = tmp_path_factory.getbasetemp() / "drawn.bin"
+    p.write_bytes(data)
+    expected = outcome(lambda: reference_embeddings.load(data, vocabulary))
+
+    def load():
+        sha = hashlib.sha256() if hashed else None
+        store = load_embeddings(str(p), WORD2VEC_BINARY, vocabulary, sha)
+        if hashed:
+            assert sha.hexdigest() == hashlib.sha256(data).hexdigest()
+        return store.tokens, store.matrix
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "_BLOCK_BYTES", block)
+        got = outcome(load)
+    if isinstance(expected[1], np.ndarray):
+        assert got[0] == expected[0]
+        assert got[1].tobytes() == expected[1].tobytes()
+    else:
+        assert got == expected
+
+
+def test_load_holds_at_most_a_few_blocks(tmp_path, monkeypatch):
+    block = 64 << 10
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+    rng = np.random.default_rng(5)
+    # a token longer than a block, so that its record is read again at
+    # twice the size, then 50 blocks of about 800-byte records
+    records = [(f"w{i}", rng.normal(size=200).tolist()) for i in range(4500)]
+    records.insert(3, ("x" * (block + block // 2), [1.0] * 200))
+    p = tmp_path / "emb.bin"
+    write_binary(p, records, dim=200)
+    # the long record, held in the doubled block and copied as its token,
+    # is not what is bounded: the peak is taken from the last read that
+    # starts less than four blocks after it, when the hashing thread, at
+    # most _HASH_QUEUE reads behind, has let go of the doubled block
+    past_long = block + block // 2 + 4 * block
+    assert p.stat().st_size > past_long + 50 * block
+    read_at = embeddings._HashedFile.read_at
+
+    def read_at_resetting_peak(self, offset, size):
+        if offset <= past_long:
+            tracemalloc.reset_peak()
+        return read_at(self, offset, size)
+
+    monkeypatch.setattr(embeddings._HashedFile, "read_at",
+                        read_at_resetting_peak)
+    vocabulary = {f"w{i}" for i in range(0, 4500, 500)}
+    tracemalloc.start()
+    try:
+        store, _ = hashed_load(p, WORD2VEC_BINARY, vocabulary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 9
+    # the kept rows are held as float32 bytes and then as float64
+    kept = len(store) * 200 * (4 + 8)
+    # Measured at 2.6 blocks: the block parsed, the one before it and the
+    # lists of their records; 3.8 when the hashing thread fell two reads
+    # behind. A reader that kept reading twice the block size measured 4.6
+    # to 6.9 blocks, one that kept every block 61. The bound is 4.33 blocks
+    # here: half a block of slack over the worst run measured.
+    assert peak < 4 * block + kept, peak / block
 
 
 # -- normalization ----------------------------------------------------------------
