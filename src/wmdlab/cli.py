@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible distance, evaluation, and analysis runs.
 
 Subcommands:
-  dists    compute and cache the distances the folds need, per method
-  eval     tune + evaluate classifiers from the cached distances
+  dists    compute and cache every document's distances to each fold's
+           training documents, per method
+  eval     tune + evaluate classifiers from the distances their folds read
   dedup    audit and remove duplicate documents
   analyze  transport histograms, distance scatter, dimension sweep
   project  re-export an embedding file after PCA projection
@@ -21,6 +22,7 @@ import logging
 import os
 import sys
 import typing
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -258,8 +260,7 @@ def _filtered_corpus(cfg: RunConfig) -> tuple[
     if cfg.embeddings:
         vocabulary = {t for d in corp.documents for t in d.tokens}
         sha = hashlib.sha256()
-        store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
-                                             vocabulary, sha))
+        store = _embeddings(cfg, vocabulary, sha)
         digest = sha.hexdigest()
     stopwords = _stopwords(cfg)
     if store is not None or stopwords:
@@ -282,9 +283,27 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
         return corpus_mod.load_corpus(cfg.dataset)
     except (WmdlabError, OSError, ValueError):
         if cfg.embeddings:
-            l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
-                                         vocabulary=frozenset()))
+            _embeddings(cfg, vocabulary=frozenset())
         raise
+
+
+def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None,
+                hasher=None) -> EmbeddingStore:
+    """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed. A
+    ``ParseError`` is raised again naming the file, and its line (text) or
+    byte (word2vec-binary) where known."""
+    try:
+        return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
+                                            vocabulary, hasher))
+    except ParseError as exc:
+        message = str(exc)
+        if exc.line is not None:
+            place = f"line {exc.line}: "
+            message = place + message.removeprefix(place)
+        elif exc.offset is not None:
+            message = f"byte {exc.offset}: {message}"
+        raise ParseError(f"{cfg.embeddings}: {message}", line=exc.line,
+                         offset=exc.offset) from None
 
 
 # -- distance caching ----------------------------------------------------------
@@ -398,38 +417,42 @@ def _pair_distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
     return values.tolist()
 
 
-def _fold_matrices(cfg: RunConfig):
-    """Yield ``(pipe, fold_idx, method, matrix)`` per fold and method: every
-    document against the fold's training documents."""
+def _fold_matrices(cfg: RunConfig, every_row: bool = False):
+    """Yield ``(pipe, fold_idx, method, split, matrix)`` per fold and
+    method. ``split`` is the fold's labelled split with its validation ids
+    carved out, and the matrix holds the rows that ``knn_eval.tune`` and
+    ``knn_eval.evaluate`` read, the validation and test documents, against
+    the fold's training documents. With ``every_row`` the split is None and
+    the matrix holds every document's row."""
     methods = cfg.method_list()
     pipe = build_pipeline(cfg, need_store=any(m.uses_transport
                                               for m in methods))
     manifest = write_manifest(cfg, Path(cfg.out), pipe.embeddings_sha256)
     cache = DistanceCache(cfg.resolved_cache_dir())
-    all_ids = list(pipe.corpus.ids())
+    all_ids, labels = list(pipe.corpus.ids()), pipe.corpus.labels_by_id()
     for fold_idx, fold in enumerate(pipe.corpus.folds):
+        split = None if every_row else knn_eval.make_validation_split(
+            knn_eval.LabeledSplit(fold.train_ids, fold.test_ids, labels),
+            0.2, seed=(cfg.seed, fold_idx))
+        rows = all_ids if split is None else sorted(
+            {*split.validation_ids, *split.test_ids})
         for method in methods:
-            yield pipe, fold_idx, method, _distances(
-                pipe, cache, manifest, method, all_ids, list(fold.train_ids))
+            yield pipe, fold_idx, method, split, _distances(
+                pipe, cache, manifest, method, rows, list(fold.train_ids))
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_dists(cfg: RunConfig) -> int:
-    for _ in _fold_matrices(cfg):
+    for _ in _fold_matrices(cfg, every_row=True):
         pass
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     rows = []
-    for pipe, fold_idx, method, dm in _fold_matrices(cfg):
-        fold = pipe.corpus.folds[fold_idx]
-        split = knn_eval.LabeledSplit(fold.train_ids, fold.test_ids,
-                                      pipe.corpus.labels_by_id())
-        split = knn_eval.make_validation_split(split, 0.2,
-                                               seed=(cfg.seed, fold_idx))
+    for pipe, fold_idx, method, split, dm in _fold_matrices(cfg):
         hp = knn_eval.tune(dm, split, cfg.classifier)
         result = knn_eval.evaluate(dm, split, cfg.classifier, hp)
         logger.info("%s fold %d %s: error %.2f%% (k=%d gamma=%s)",
@@ -547,7 +570,7 @@ def cmd_project(cfg: RunConfig) -> int:
         raise CliError("--embeddings is required")
     if not cfg.out_file:
         raise CliError("--out-file is required")
-    store = l2_normalize(load_embeddings(cfg.embeddings, cfg.format))
+    store = _embeddings(cfg)
     stopwords = _stopwords(cfg)
     if cfg.dataset:
         corp = corpus_mod.load_corpus(cfg.dataset)
@@ -611,7 +634,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
-        ("dists", "compute and cache the distances the folds need"),
+        ("dists", "compute and cache every document's distances to each "
+                  "fold's training documents"),
         ("eval", "tune and evaluate classifiers"),
         ("dedup", "report and remove duplicate documents"),
         ("analyze", "histograms, scatter, and dimension sweep"),

@@ -255,10 +255,10 @@ def _worker_row(task):
     return _row_values(task[0], reps, task[1], costs)
 
 
-# A call builds one word x word table over the words of its pairs, and
-# shares it with every row and worker, while it takes at most this many
-# bytes: W**2 * 8 <= _TABLE_BYTES, i.e. W <= 5,792 words. Beyond it each
-# source document gets a block of just the words its pairs need.
+# The most bytes of the one word x word table a call may share with every
+# row and worker: W**2 * 8 <= _TABLE_BYTES, i.e. W <= 5,792 words. Beyond
+# it, or where the blocks cost fewer distances, each source document gets a
+# block of just the words its pairs need.
 _TABLE_BYTES = 256 << 20
 
 
@@ -269,8 +269,11 @@ def pair_distances(pairs: Sequence[tuple[int, int]], reps: Mapping,
     unordered pair is solved once, from its lower id, so a pair and its
     reverse get the same bits. A source's pairs are one task; ``workers``
     processes solve the tasks. Their costs come from one table of the
-    distances between the words of the pairs' documents, or, beyond
-    ``_TABLE_BYTES``, from a block per task."""
+    distances between the W words of the pairs' documents, which computes
+    W(W+1)/2 distances, when it fits ``_TABLE_BYTES`` and the tasks' own
+    blocks would compute as many or more: |words(a)| x |the words of a's
+    references| for each source a. Otherwise each task builds its block.
+    A distance has the same bits in a block as in the table."""
     ends = [(a, b) if a < b else (b, a) for a, b in pairs]
     by_source: dict[int, list[int]] = {}
     for a, b in dict.fromkeys(ends):
@@ -278,8 +281,12 @@ def pair_distances(pairs: Sequence[tuple[int, int]], reps: Mapping,
     tasks = list(by_source.items())
     docs = dict.fromkeys(d for p in ends for d in p)
     words = list(dict.fromkeys(w for d in docs for w in reps[d].words))
+    n = len(words)
+    blocks = sum(len(reps[a].words) * len({w for b in refs
+                                           for w in reps[b].words})
+                 for a, refs in tasks)
     costs = store.distances(words, words) \
-        if len(words) ** 2 * 8 <= _TABLE_BYTES else store
+        if n * n * 8 <= _TABLE_BYTES and n * (n + 1) // 2 <= blocks else store
     if workers <= 1 or len(tasks) < 2:
         rows = [_row_values(a, reps, refs, costs) for a, refs in tasks]
     else:

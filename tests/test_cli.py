@@ -20,6 +20,7 @@ from wmdlab.corpus import filter_vocabulary, load_corpus
 from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, l2_normalize, \
     load_embeddings, project_pca
 from wmdlab.errors import ParseError
+from wmdlab.knn_eval import LabeledSplit, make_validation_split
 from wmdlab.textrep import build_vocabulary
 from wmdlab import wmd
 from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
@@ -156,14 +157,20 @@ def test_no_compute_needs_every_pair_stored(workspace, tmp_path, capsys):
     assert f"missing cache: {store.name} lacks " in err
     assert run([*args, "--no-compute"]) == 0
     report = (out / "report.csv").read_bytes()
-    # forget one pair that the folds read: a needed pair is missing again
+    # forget one pair that the folds read: a needed pair is missing again.
+    # A fold reads a cell of documents 0 and 1 that lies in its validation
+    # and test rows and its training columns: here only the second fold
+    # reads one, so the first runs from the store and the second stops.
     values = np.load(store)
-    values[0] = np.nan  # documents 0 and 1: two cells of the first fold
+    values[0] = np.nan  # documents 0 and 1
     np.save(store, values)
+    read = [sum(a in rows and b in fold.train_ids for a, b in ((0, 1), (1, 0)))
+            for fold, rows in _folds_read(args)]
+    assert read == [0, 1]
     capsys.readouterr()
     assert run([*args, "--no-compute"]) == 1
     err = capsys.readouterr().err
-    assert f"missing cache: {store.name} lacks 2 distance(s)" in err
+    assert f"missing cache: {store.name} lacks 1 distance(s)" in err
     assert run(args) == 0
     assert run([*args, "--no-compute"]) == 0
     assert (out / "report.csv").read_bytes() == report
@@ -213,6 +220,27 @@ def test_input_that_is_not_utf8_exits_1(workspace, tmp_path, capsys, bad):
     assert err.startswith("error: ") and err.endswith(
         "'utf-8' codec can't decode byte 0xff in position 0: invalid start "
         "byte")
+
+
+@pytest.mark.parametrize("fmt,content,line,offset,message", [
+    (TEXT, b"w0 0.5\nw1 x\n", 2, None,
+     "line 2: could not convert string to float: 'x'"),
+    (TEXT, b"\n", 1, None, "line 1: no embedding records found"),
+    (WORD2VEC_BINARY, b"2 2\nw0 " + bytes(8) + b"w1 " + bytes(7), None, 18,
+     "byte 18: truncated record: short vector"),
+    (WORD2VEC_BINARY, b"2\n", None, 0, "byte 0: header must be 'count dim'"),
+])
+def test_embedding_parse_error_names_the_file(workspace, tmp_path, capsys,
+                                              fmt, content, line, offset,
+                                              message):
+    emb = tmp_path / "emb"
+    emb.write_bytes(content)
+    assert run(["dedup", "--dataset", workspace / "docs.txt", "--embeddings",
+                emb, "--format", fmt, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {emb}: {message}\n"
+    with pytest.raises(ParseError) as err:
+        cli._embeddings(RunConfig(embeddings=str(emb), format=fmt))
+    assert (err.value.line, err.value.offset) == (line, offset)
 
 
 def test_dedup_outputs(workspace, tmp_path):
@@ -431,6 +459,24 @@ def test_cache_key_reads_no_package_metadata(monkeypatch):
     assert [_cache_key(cfg, manifest, m) for m in methods] == keys
 
 
+def _rows_read(train, test, labels, seed) -> set[int]:
+    """The documents whose rows ``eval`` reads in a fold: the validation
+    documents it carves out of ``train`` with ``seed``, and ``test``."""
+    split = make_validation_split(
+        LabeledSplit(tuple(train), tuple(test), labels), 0.2, seed=seed)
+    return {*split.validation_ids, *split.test_ids}
+
+
+def _folds_read(args) -> list[tuple]:
+    """Each fold of the ``eval`` run ``args``, with the documents whose
+    rows it reads."""
+    cfg = build_config(make_parser().parse_args([str(a) for a in args]))
+    corp = cli.build_pipeline(cfg).corpus
+    return [(fold, _rows_read(fold.train_ids, fold.test_ids,
+                              corp.labels_by_id(), seed=(cfg.seed, i)))
+            for i, fold in enumerate(corp.folds)]
+
+
 def _count_solves(monkeypatch) -> list:
     """Record every transport solve made in this process."""
     solves = []
@@ -458,23 +504,58 @@ def test_edited_fold_file_reuses_stored_pairs(workspace, tmp_path,
                     "--cache-dir", cache]) == 0
         return (out / "report.csv").read_bytes(), len(solves)
 
-    def usable_pairs(train):
-        # every document pair the all x train matrix reads; document 46
-        # has no word with an embedding, so it has no usable pair
-        return {(min(a, b), max(a, b)) for a in range(46) for b in train
-                if a != b and b != 46}
+    labels = load_corpus(str(workspace / "docs.txt")).labels_by_id()
 
-    first = range(30)
-    _, cold = eval_with_fold(first, range(30, 47), tmp_path / "a",
-                             tmp_path / "c")
-    assert cold == len(usable_pairs(first))
+    def usable_pairs(train, test):
+        # every document pair that the fold's validation and test rows read
+        # against its training documents; document 46 has no word with an
+        # embedding, so it has no usable pair
+        return {(min(a, b), max(a, b))
+                for a in _rows_read(train, test, labels, seed=(0, 0))
+                for b in train if a != b and 46 not in (a, b)}
+
+    first = (range(30), range(30, 47))
+    _, cold = eval_with_fold(*first, tmp_path / "a", tmp_path / "c")
+    assert cold == len(usable_pairs(*first))
     edited = (range(10, 40), [*range(10), *range(40, 47)])
     warm, solved = eval_with_fold(*edited, tmp_path / "b", tmp_path / "c")
     # the edited run solves just the pairs the first run did not store
-    assert solved == len(usable_pairs(edited[0]) - usable_pairs(first)) > 0
+    assert solved == len(usable_pairs(*edited) - usable_pairs(*first)) > 0
     assert len(list((tmp_path / "c").iterdir())) == 2  # one per method
     fresh, _ = eval_with_fold(*edited, tmp_path / "d", tmp_path / "new")
     assert warm == fresh
+
+
+def test_eval_solves_only_the_pairs_its_folds_read(workspace, tmp_path,
+                                                  monkeypatch):
+    solves = _count_solves(monkeypatch)
+    args = base_args(workspace, tmp_path / "run", ["--method", "wmd"])
+    assert run(args) == 0
+    read, every = set(), set()
+    for fold, rows in _folds_read(args):
+        for queries, pairs in ((rows, read),
+                               ((*fold.train_ids, *fold.test_ids), every)):
+            # document 46 has no word with an embedding: no usable pair
+            pairs.update((min(a, b), max(a, b)) for a in queries
+                         for b in fold.train_ids if a != b
+                         and 46 not in (a, b))
+    assert len(solves) == len(read) < len(every)
+
+
+@pytest.mark.parametrize("classifier", ["knn", "wknn"])
+def test_eval_after_dists_computes_nothing_and_reports_the_same(
+        workspace, tmp_path, classifier):
+    # two folds; document 46 is unusable under the transport methods
+    extra = ["--method", "bow(l1,l1),tfidf(l2,l2),wmd,wmd-tfidf",
+             "--classifier", classifier]
+    assert run(base_args(workspace, tmp_path / "cold", extra)) == 0
+    filled = base_args(workspace, tmp_path / "filled", extra)
+    assert run(["dists", *filled[1:]]) == 0
+    # dists stored every document against each fold's training documents
+    assert run([*filled, "--no-compute"]) == 0
+    for name in ("report.csv", "summary.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == \
+            (tmp_path / "filled" / name).read_bytes()
 
 
 def test_each_pair_solved_once_across_eval_and_analyze(workspace, tmp_path,

@@ -272,26 +272,66 @@ def test_pairwise_wmd_same_bits_beyond_the_table_bound(small_resources,
                           with_table.values.view(np.int64))
 
 
-def test_pair_distances_share_one_table_of_their_documents_words(
-        small_resources, monkeypatch):
-    method = Method.parse("wmd")
-    reps = representations(list(range(6)), method, small_resources)
-    store = small_resources.store
+def _record_costs(monkeypatch) -> list:
+    """Record the costs each ``_row_values`` call is given."""
     seen = []
     real = wmd._row_values
     monkeypatch.setattr(wmd, "_row_values", lambda q, reps, refs, costs: (
         seen.append(costs) or real(q, reps, refs, costs)))
-    pairs = [(3, 1), (1, 4), (4, 3)]
-    wmd.pair_distances(pairs, reps, store)
+    return seen
+
+
+def _same_bits_as_cdist(block, store, rows, cols) -> bool:
+    want = np.minimum(cdist(store.rows(rows), store.rows(cols)), 2.0)
+    return np.array_equal(block.cost(rows, cols).view(np.int64),
+                          want.view(np.int64))
+
+
+def test_pair_distances_share_one_table_of_their_documents_words(
+        small_resources, monkeypatch):
+    # every pair of 0..5: a table of the W = 21 words computes 231
+    # distances, the sources' blocks 257, so the table is built
+    method = Method.parse("wmd")
+    reps = representations(list(range(6)), method, small_resources)
+    store = small_resources.store
+    seen = _record_costs(monkeypatch)
+    pairs = [(b, a) for a in range(6) for b in range(a)]
+    got = wmd.pair_distances(pairs, reps, store)
     table = seen[0]
-    assert len(seen) == 2 and seen[1] is table  # sources 1 and 3
-    words = sorted({w for d in (1, 3, 4) for w in reps[d].words})
+    assert len(seen) == 5 and all(c is table for c in seen)  # sources 0..4
+    words = sorted({w for d in range(6) for w in reps[d].words})
     assert sorted(table.rows) == sorted(table.cols) == words
     assert len(words) < len(store)
-    want = np.minimum(cdist(store.rows(words), store.rows(words)), 2.0)
-    got = table.cost(words, words)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert _same_bits_as_cdist(table, store, words, words)
     assert not table.values.flags.writeable
+    want = [wmd_distance(reps[a], reps[b], store) for a, b in pairs]
+    assert np.array_equal(got.view(np.int64),
+                          np.array(want).view(np.int64))
+
+
+def test_few_pairs_build_a_block_per_source(small_resources, monkeypatch):
+    # sources 1 (with 3 and 4) and 3 (with 4): their blocks compute
+    # 4 x 10 + 5 x 5 = 65 distances, a table of their 12 words 78
+    method = Method.parse("wmd")
+    reps = representations(list(range(6)), method, small_resources)
+    store = small_resources.store
+    seen = _record_costs(monkeypatch)
+    built = []
+    real = EmbeddingStore.distances
+    monkeypatch.setattr(EmbeddingStore, "distances", lambda self, a, b: (
+        built.append(real(self, a, b)) or built[-1]))
+    pairs = [(3, 1), (1, 4), (4, 3)]
+    got = wmd.pair_distances(pairs, reps, store)
+    assert seen == [store, store]
+    assert len(built) == 2
+    for block, (a, refs) in zip(built, [(1, (3, 4)), (3, (4,))]):
+        cols = list(dict.fromkeys(w for r in refs for w in reps[r].words))
+        assert list(block.rows) == list(reps[a].words)
+        assert list(block.cols) == cols
+        assert _same_bits_as_cdist(block, store, list(reps[a].words), cols)
+    want = [wmd_distance(reps[min(p)], reps[max(p)], store) for p in pairs]
+    assert np.array_equal(got.view(np.int64),
+                          np.array(want).view(np.int64))
 
 
 def test_reversed_pair_is_solved_once_with_the_same_bits(small_resources,
