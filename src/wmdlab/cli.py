@@ -37,7 +37,7 @@ from .embeddings import (
     load_embeddings,
     project_pca,
 )
-from .errors import ParseError, WmdlabError, check_utf8
+from .errors import ParseError, WmdlabError, text_lines
 from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
@@ -126,37 +126,34 @@ def read_config_file(path: str) -> dict[str, object]:
     takes the type of its ``RunConfig`` field."""
     values: dict[str, object] = {}
     types = typing.get_type_hints(RunConfig)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            check_utf8(raw, f"{path}: ", lineno)
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip().strip('"').strip("'")
-            if not sep or not key:
-                raise ParseError(f"{path}: expected key = value", line=lineno)
-            if key not in types:
-                raise ParseError(f"{path}: unknown key {key!r}", line=lineno)
-            kind = types[key]
-            if kind is bool:
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ParseError(f"{path}: bad boolean {value!r}",
-                                     line=lineno)
-                values[key] = value.lower() in ("true", "1")
-            elif kind in (int, float):
-                try:
-                    values[key] = kind(value)
-                except ValueError:
-                    raise ParseError(f"{path}: bad {kind.__name__} {value!r}",
-                                     line=lineno) from None
-            elif key in CHOICES and value not in CHOICES[key]:
-                raise ParseError(f"{path}: line {lineno}: {key} must be one "
-                                 f"of {', '.join(CHOICES[key])}, got "
-                                 f"{value!r}", line=lineno)
-            else:
-                values[key] = value
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip().strip('"').strip("'")
+        if not sep or not key:
+            raise ParseError("expected key = value", path, lineno)
+        if key not in types:
+            raise ParseError(f"unknown key {key!r}", path, lineno)
+        kind = types[key]
+        if kind is bool:
+            if value.lower() not in ("true", "false", "1", "0"):
+                raise ParseError(f"bad boolean {value!r}", path, lineno)
+            values[key] = value.lower() in ("true", "1")
+        elif kind in (int, float):
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise ParseError(f"bad {kind.__name__} {value!r}", path,
+                                 lineno) from None
+        elif key in CHOICES and value not in CHOICES[key]:
+            raise ParseError(f"{key} must be one of "
+                             f"{', '.join(CHOICES[key])}, got {value!r}",
+                             path, lineno)
+        else:
+            values[key] = value
     return values
 
 
@@ -289,21 +286,14 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
 
 def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None,
                 hasher=None) -> EmbeddingStore:
-    """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed. A
-    ``ParseError`` is raised again naming the file, and its line (text) or
-    byte (word2vec-binary) where known."""
+    """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed; a
+    ``ParseError`` is raised again naming the file."""
     try:
         return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
                                             vocabulary, hasher))
     except ParseError as exc:
-        message = str(exc)
-        if exc.line is not None:
-            place = f"line {exc.line}: "
-            message = place + message.removeprefix(place)
-        elif exc.offset is not None:
-            message = f"byte {exc.offset}: {message}"
-        raise ParseError(f"{cfg.embeddings}: {message}", line=exc.line,
-                         offset=exc.offset) from None
+        exc.path = cfg.embeddings
+        raise
 
 
 # -- distance caching ----------------------------------------------------------

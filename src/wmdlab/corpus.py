@@ -3,7 +3,7 @@
 Corpus file: UTF-8, one document per line, ``label TAB token SP token ...``.
 Fold files are siblings named ``<stem>.fold<k><ext>`` (``<stem>.fold<k>`` for
 extension-less corpora), each holding a ``train: id id ...`` line and a
-``test: id id ...`` line of 0-based document line numbers.
+``test: id id ...`` line, each of at least one 0-based document line number.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Container
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError, TooSmall, check_utf8
+from .errors import InvalidInput, ParseError, TooSmall, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -87,27 +87,27 @@ class DuplicateReport:
 
 
 def _parse_fold_file(path: Path, n_docs: int) -> Fold:
-    lines = path.read_text(encoding="utf-8",
-                           errors="surrogateescape").splitlines()
     sides: dict[str, tuple[int, ...]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        check_utf8(line, f"{path}: ", lineno)
+    lineno = None  # the last line read
+    for lineno, line in text_lines(path):
         if not line.strip():
             continue
         head, sep, rest = line.partition(":")
         head = head.strip()
         if not sep or head not in ("train", "test") or head in sides:
-            raise ParseError(f"{path}: bad fold line", line=lineno)
+            raise ParseError("bad fold line", path, lineno)
         try:
             ids = tuple(int(x) for x in rest.split())
         except ValueError:
-            raise ParseError(f"{path}: non-integer id", line=lineno) from None
+            raise ParseError("non-integer id", path, lineno) from None
+        if not ids:
+            raise ParseError(f"no ids on the {head} line", path, lineno)
         if any(i < 0 or i >= n_docs for i in ids):
-            raise ParseError(f"{path}: id out of range", line=lineno)
+            raise ParseError("id out of range", path, lineno)
         sides[head] = ids
     if set(sides) != {"train", "test"}:
-        raise ParseError(f"{path}: need one train line and one test line",
-                         line=len(lines))
+        raise ParseError("need one train line and one test line", path,
+                         lineno)
     return Fold(train_ids=sides["train"], test_ids=sides["test"])
 
 
@@ -129,17 +129,15 @@ def load_corpus(path: str | Path) -> Corpus:
     """Parse a corpus file; attaches sibling fold files when present."""
     path = Path(path)
     documents = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            check_utf8(line, f"{path}: ", lineno)
-            # document ids are 0-based line numbers, so every line must parse
-            label, sep, text = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise ParseError(f"{path}: no TAB separator", line=lineno)
-            if not label:
-                raise ParseError(f"{path}: empty label", line=lineno)
-            documents.append(Document(doc_id=lineno - 1, label=label,
-                                      tokens=tuple(text.split())))
+    for lineno, line in text_lines(path):
+        # document ids are 0-based line numbers, so every line must parse
+        label, sep, text = line.rstrip("\n").partition("\t")
+        if not sep:
+            raise ParseError("no TAB separator", path, lineno)
+        if not label:
+            raise ParseError("empty label", path, lineno)
+        documents.append(Document(doc_id=lineno - 1, label=label,
+                                  tokens=tuple(text.split())))
     folds = tuple(_parse_fold_file(fp, len(documents))
                   for fp in fold_paths_for(path))
     return Corpus(documents=tuple(documents), folds=folds, name=path.stem)
@@ -157,11 +155,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = list(fh)
-    for lineno, line in enumerate(lines, start=1):
-        check_utf8(line, f"{path}: ", lineno)
-    return frozenset(w.strip() for w in lines if w.strip())
+    return frozenset(filter(None, (w.strip() for _, w in text_lines(path))))
 
 
 def filter_vocabulary(corpus: Corpus, store: Container[str] | None,

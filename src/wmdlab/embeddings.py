@@ -28,7 +28,6 @@ from typing import Collection, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DimMismatch,
     InvalidInput,
     MissingWord,
     ParseError,
@@ -181,13 +180,13 @@ class _TextRecords:
         """``(record number, token, vector, is zero)`` for every record
         whose token is in ``vocabulary`` (every record when None) or whose
         vector is zero, duplicates included."""
-        # universal newlines, as open(path, "r", encoding="utf-8") reads;
+        # universal newlines, as errors.text_lines reads the other inputs;
         # bytes that are not UTF-8 are raised with their line, in line order
         text = io.TextIOWrapper(io.BufferedReader(stream, _BLOCK_BYTES),
                                 encoding="utf-8", errors="surrogateescape")
         try:
             for lineno, line in enumerate(text, start=1):
-                check_utf8(line, "", lineno)
+                check_utf8(line, lineno)
                 fields = line.split()
                 if not fields:
                     continue
@@ -201,16 +200,14 @@ class _TextRecords:
                     vec = np.array([float(x) for x in fields[1:]],
                                    dtype=np.float64)
                 except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}",
-                                     line=lineno) from None
+                    raise ParseError(str(exc), line=lineno) from None
                 if vec.size == 0:
-                    raise ParseError(f"line {lineno}: no vector components",
-                                     line=lineno)
+                    raise ParseError("no vector components", line=lineno)
                 if self.dim is None:
                     self.dim = vec.size
                 elif vec.size != self.dim:
-                    raise DimMismatch(f"line {lineno}: expected {self.dim} "
-                                      f"components, got {vec.size}")
+                    raise ParseError(f"expected {self.dim} components, got "
+                                     f"{vec.size}", line=lineno)
                 self.count += 1
                 # the norm is 0 exactly when every square is 0, underflow
                 # included

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the check that raises
-one for a line of text that is not UTF-8."""
+"""Exception types shared across the package, and the one reader of the
+lines of a text input, which raises ``ParseError`` for bytes that are not
+UTF-8."""
+
+from typing import Iterator
 
 
 class WmdlabError(Exception):
@@ -33,26 +36,40 @@ class DimMismatch(WmdlabError):
 class ParseError(WmdlabError):
     """A file does not conform to its declared format.
 
-    Carries ``line`` (1-based) for text formats and ``offset`` (bytes)
-    for binary formats when known.
-    """
+    ``path`` names the file, ``line`` (1-based) the line of a text format
+    and ``offset`` the byte of a binary one, each None when not known; the
+    known ones lead ``str``: ``path: line N: message``, ``path: byte N:
+    message``. No other code writes where a fault is into a message."""
 
-    def __init__(self, message, line=None, offset=None):
+    def __init__(self, message, path=None, line=None, offset=None):
         super().__init__(message)
-        self.line = line
-        self.offset = offset
+        self.path, self.line, self.offset = path, line, offset
+
+    def __str__(self) -> str:
+        where = (self.path, self.line and f"line {self.line}",
+                 self.offset is not None and f"byte {self.offset}")
+        return ": ".join([*(str(w) for w in where if w), super().__str__()])
 
 
-def check_utf8(line: str, where: str, lineno: int) -> None:
-    """Raise ``ParseError`` naming ``where`` and ``lineno`` when ``line``,
+def check_utf8(line: str, lineno: int, path=None) -> None:
+    """Raise ``ParseError`` at line ``lineno`` of ``path`` when ``line``,
     decoded with ``errors="surrogateescape"``, holds bytes that are not
     UTF-8."""
     if not line.isascii():
         try:
             line.encode("utf-8", "surrogateescape").decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{where}line {lineno}: {exc}",
-                             line=lineno) from None
+            raise ParseError(str(exc), path, lineno) from None
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of the text file ``path``,
+    split at universal newlines (not at the form feeds and other breaks
+    of ``str.splitlines``), each checked by ``check_utf8``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            check_utf8(line, lineno, path)
+            yield lineno, line
 
 
 class MissingWord(WmdlabError):

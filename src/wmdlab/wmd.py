@@ -313,38 +313,37 @@ def pairwise_distances(
     A BOW/TF-IDF matrix computes each query row that misses a cell whole,
     in the calling process. A transport matrix solves each missing
     unordered pair once, from the document with the lower id, in
-    ``resources.workers`` processes. Self cells are 0; documents with no
-    usable representation produce +inf sentinel cells.
+    ``resources.workers`` processes. Self cells are 0 and the cells of a
+    document with no usable representation are +inf, whatever ``known``
+    holds there.
     """
     store = resources.store
     if method.uses_transport and store is None:
         raise InvalidInput(f"method {method.label} needs an embedding store")
     values = np.full((len(queries), len(refs)), np.nan) if known is None \
         else np.array(known, dtype=np.float64)
-    todo = np.isnan(values)
     all_ids = list(dict.fromkeys(list(queries) + list(refs)))
     reps = representations(all_ids, method, resources)
     unusable = sorted(d for d, r in reps.items() if r is None)
     if unusable:
         logger.warning("%s: %d unusable document(s): %s", method.label,
                        len(unusable), unusable[:10])
+    q, r = np.asarray(queries, dtype=np.int64), np.asarray(refs, dtype=np.int64)
+    usable = np.array([reps[d] is not None for d in queries])[:, None] \
+        & np.array([reps[d] is not None for d in refs])[None, :]
+    values[~usable] = np.inf
+    values[usable & (q[:, None] == r[None, :])] = 0.0
+    todo = np.isnan(values)
     if not method.uses_transport:
         rows = np.flatnonzero(todo.any(axis=1))
         computed = _vector_rows([queries[i] for i in rows], refs, reps,
                                 method.metric, len(resources.vocab))
         values[rows] = np.where(todo[rows], computed, values[rows])
-        return DistanceMatrix(tuple(queries), tuple(refs), values)
-    q, r = np.asarray(queries, dtype=np.int64), np.asarray(refs, dtype=np.int64)
-    q_ok = np.array([reps[d] is not None for d in queries], dtype=bool)
-    r_ok = np.array([reps[d] is not None for d in refs], dtype=bool)
-    rows, cols = np.nonzero(todo)
-    solve = q_ok[rows] & r_ok[cols] & (q[rows] != r[cols])
-    pairs = list(zip(q[rows[solve]].tolist(), r[cols[solve]].tolist()))
-    values[rows, cols] = np.inf
-    values[rows[solve], cols[solve]] = pair_distances(pairs, reps, store,
-                                                      resources.workers)
-    same = q[:, None] == r[None, :]
-    values[same] = np.where(q_ok[:, None] & r_ok[None, :], 0.0, np.inf)[same]
+    else:
+        rows, cols = np.nonzero(todo)
+        pairs = list(zip(q[rows].tolist(), r[cols].tolist()))
+        values[rows, cols] = pair_distances(pairs, reps, store,
+                                            resources.workers)
     return DistanceMatrix(tuple(queries), tuple(refs), values)
 
 

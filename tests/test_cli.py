@@ -243,6 +243,47 @@ def test_embedding_parse_error_names_the_file(workspace, tmp_path, capsys,
     assert (err.value.line, err.value.offset) == (line, offset)
 
 
+# a valid input of each kind; each case below breaks one of them
+GOOD_INPUTS = {"c.txt": b"a\tw0\nb\tw1\nc\tw2\n",
+               "c.fold0.txt": b"train: 0 1\ntest: 2\n",
+               "stop.txt": b"the\n", "run.cfg": b"workers = 1\n",
+               "emb.txt": b"w0 1 0\nw1 0 1\nw2 1 1\n"}
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("c.txt", b"a\tw0\nb w1\n", "line 2: no TAB separator"),
+    ("c.txt", b"a\tw0\n\tw1\n", "line 2: empty label"),
+    ("c.fold0.txt", b"train: 0\nvalid: 1\n", "line 2: bad fold line"),
+    ("c.fold0.txt", b"train: 0 x\ntest: 2\n", "line 1: non-integer id"),
+    ("c.fold0.txt", b"train: 0\ntest: 9\n", "line 2: id out of range"),
+    ("c.fold0.txt", b"train: 0 1\ntest:\n", "line 2: no ids on the test line"),
+    # a form feed does not end a line: "x" is the third line
+    ("c.fold0.txt", b"train: 0\x0c1\ntest: 2\nx\n", "line 3: bad fold line"),
+    ("stop.txt", b"the\n\xff\n", "line 2: 'utf-8' codec can't decode byte "
+     "0xff in position 0: invalid start byte"),
+    ("run.cfg", b"seed = 1\ncolour = red\n", "line 2: unknown key 'colour'"),
+    ("run.cfg", b"seed = x\n", "line 1: bad int 'x'"),
+    ("run.cfg", b"clean = maybe\n", "line 1: bad boolean 'maybe'"),
+    ("run.cfg", b"format = word2vec\n", "line 1: format must be one of text, "
+     "word2vec-binary, got 'word2vec'"),
+    ("emb.txt", b"w0 1 0\nw1 0\n", "line 2: expected 2 components, got 1"),
+    ("emb.bin", b"2 2\nw0 " + bytes(8) + b"w1 " + bytes(7),
+     "byte 18: truncated record: short vector"),
+])
+def test_input_fault_names_its_file_and_place(tmp_path, capsys, name,
+                                              content, message):
+    for good, data in {**GOOD_INPUTS, name: content}.items():
+        (tmp_path / good).write_bytes(data)
+    emb, fmt = ("emb.bin", WORD2VEC_BINARY) if name == "emb.bin" \
+        else ("emb.txt", TEXT)
+    assert run(["dedup", "--config", tmp_path / "run.cfg",
+                "--dataset", tmp_path / "c.txt",
+                "--stopwords", tmp_path / "stop.txt",
+                "--embeddings", tmp_path / emb, "--format", fmt,
+                "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+
+
 def test_dedup_outputs(workspace, tmp_path):
     out = tmp_path / "dedup"
     assert run(["dedup", "--dataset", workspace / "docs.txt",

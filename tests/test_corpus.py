@@ -92,6 +92,28 @@ def test_fold_file_validation(tmp_path):
         load_corpus(tmp_path / "c.txt")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("train:\ntest: 1\n", 1, "line 1: no ids on the train line"),
+    ("train: 0\n\ntest:  \n", 3, "line 3: no ids on the test line"),
+    ("", None, "need one train line and one test line"),
+    ("\n\n", 2, "line 2: need one train line and one test line")])
+def test_fold_file_needs_ids_on_both_sides(tmp_path, text, line, message):
+    (tmp_path / "c.txt").write_text("a\tx\nb\ty\n")
+    fold = tmp_path / "c.fold0.txt"
+    fold.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_corpus(tmp_path / "c.txt")
+    assert (err.value.path, err.value.line) == (fold, line)
+    assert str(err.value) == f"{fold}: {message}"
+
+
+def test_fold_lines_break_only_at_newlines(tmp_path):
+    # a form feed is whitespace inside a line, as in the corpus file
+    (tmp_path / "c.txt").write_text("a\tx\nb\ty\nc\tz\n")
+    (tmp_path / "c.fold0.txt").write_text("train: 0\x0c1\ntest: 2\n")
+    assert load_corpus(tmp_path / "c.txt").folds == (Fold((0, 1), (2,)),)
+
+
 def test_corpus_round_trip(tmp_path):
     corp = corpus_of([["a", "b"], []], labels=["one", "two"])
     path = tmp_path / "out.txt"

@@ -24,7 +24,6 @@ from wmdlab.embeddings import (
     project_pca,
 )
 from wmdlab.errors import (
-    DimMismatch,
     InvalidInput,
     MissingWord,
     ParseError,
@@ -66,7 +65,8 @@ def test_load_text_with_header(tmp_path):
 def test_load_text_ragged_rows(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 2.0\nb 3.0\n")
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ParseError, match="^line 2: expected 2 components, "
+                       "got 1$"):
         load_embeddings(str(p), TEXT)
 
 
@@ -237,7 +237,7 @@ def test_filtered_load_checks_dropped_binary_records(tmp_path):
 def test_filtered_load_checks_dropped_text_records(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 2.0\nb 3.0\n")
-    with pytest.raises(DimMismatch, match="line 2: expected 2"):
+    with pytest.raises(ParseError, match="^line 2: expected 2"):
         load_embeddings(str(p), TEXT, {"a"})
     p.write_text("a 1.0 2.0\nb 3.0 oops\n")
     with pytest.raises(ParseError) as err:

@@ -515,6 +515,25 @@ def test_pairwise_computes_only_missing_cells(small_resources, monkeypatch):
     assert again.values.tobytes() == full.values.tobytes()
 
 
+@pytest.mark.parametrize("spec", ["bow(l1,l1)", "tfidf(l2,l1)", "wmd"])
+def test_cold_warm_and_direct_matrices_agree_on_self_cells(small_resources,
+                                                          spec):
+    # queries that are also references, as a fold's validation documents
+    # are training documents; document 6 is unusable
+    queries, refs = [0, 1, 6], [2, 0, 6, 1]
+    method = Method.parse(spec)
+    direct = pairwise_distances(queries, refs, method, small_resources)
+    store = PairStore.empty(list(range(7)))
+    cold = pairwise_distances(queries, refs, method, small_resources,
+                              store.matrix(queries, refs))
+    store.update(cold)
+    warm = store.matrix(queries, refs)
+    assert direct.values[0, 1] == direct.values[1, 3] == 0.0
+    assert np.isinf(direct.values[2]).all()
+    assert np.isinf(direct.values[:, 2]).all()
+    assert cold.values.tobytes() == direct.values.tobytes() == warm.tobytes()
+
+
 def test_pairwise_wmd_solves_each_pair_once_from_the_lower_id(
         small_resources, monkeypatch):
     ids = [4, 0, 6, 2, 1]
