@@ -12,10 +12,11 @@ import numpy as np
 from .embeddings import EmbeddingStore, project_pca
 from .errors import DegenerateInput, InvalidInput, NoFiniteNeighbor
 from .knn_eval import neighbor_order
-from .textrep import SparseVector, VectorMetric, vector_distance
+from .textrep import SparseVector, VectorMetric, vector_distances
 from .wmd import DistanceMatrix, DocumentMeasure, pair_distances, transport_plan
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import build_vocabulary, bow_vector, normalize  # noqa: F401
+from .textrep import vector_distance  # noqa: F401
 from .wmd import make_measure, wmd_distance  # noqa: F401
 
 CROSS_SPLIT = "cross-split"
@@ -140,8 +141,12 @@ def bow_wmd_scatter(
     ``bows`` holds L1-normalized count vectors, and ``wmd_distances`` each
     pair's transport distance.
     """
-    return [(vector_distance(bows[a], bows[b], VectorMetric.L1), w)
-            for (a, b), w in zip(pairs, wmd_distances, strict=True)]
+    docs = {d: i for i, d in enumerate(dict.fromkeys(d for p in pairs
+                                                     for d in p))}
+    bow = vector_distances([bows[d] for d in docs],
+                           [docs[a] for a, _ in pairs],
+                           [docs[b] for _, b in pairs], VectorMetric.L1)
+    return list(zip(bow.tolist(), wmd_distances, strict=True))
 
 
 def dim_comparison(

@@ -36,8 +36,9 @@ from .embeddings import (
     l2_normalize,
     load_embeddings,
     project_pca,
+    zero_row_error,
 )
-from .errors import ParseError, WmdlabError, text_lines
+from .errors import ParseError, WmdlabError, ZeroVector, text_lines
 from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
@@ -287,13 +288,17 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
 def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None,
                 hasher=None) -> EmbeddingStore:
     """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed; a
-    ``ParseError`` is raised again naming the file."""
+    ``ParseError`` is raised again naming the file, and an all-zero row as
+    one naming its record."""
     try:
         return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
                                             vocabulary, hasher))
     except ParseError as exc:
         exc.path = cfg.embeddings
         raise
+    except ZeroVector as exc:
+        raise zero_row_error(cfg.embeddings, cfg.format,
+                             exc.args[0]) from None
 
 
 # -- distance caching ----------------------------------------------------------

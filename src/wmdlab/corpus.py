@@ -88,6 +88,7 @@ class DuplicateReport:
 
 def _parse_fold_file(path: Path, n_docs: int) -> Fold:
     sides: dict[str, tuple[int, ...]] = {}
+    at: dict[str, int] = {}  # each side's line
     lineno = None  # the last line read
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -104,10 +105,12 @@ def _parse_fold_file(path: Path, n_docs: int) -> Fold:
             raise ParseError(f"no ids on the {head} line", path, lineno)
         if any(i < 0 or i >= n_docs for i in ids):
             raise ParseError("id out of range", path, lineno)
-        sides[head] = ids
+        sides[head], at[head] = ids, lineno
     if set(sides) != {"train", "test"}:
         raise ParseError("need one train line and one test line", path,
                          lineno)
+    if set(sides["train"]) & set(sides["test"]):
+        raise ParseError("test ids overlap the train ids", path, at["test"])
     return Fold(train_ids=sides["train"], test_ids=sides["test"])
 
 

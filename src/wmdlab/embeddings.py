@@ -177,7 +177,7 @@ class _TextRecords:
     def select(self, stream: _HashedFile,
                vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, np.ndarray, bool]]:
-        """``(record number, token, vector, is zero)`` for every record
+        """``(line number, token, vector, is zero)`` for every record
         whose token is in ``vocabulary`` (every record when None) or whose
         vector is zero, duplicates included."""
         # universal newlines, as errors.text_lines reads the other inputs;
@@ -213,7 +213,7 @@ class _TextRecords:
                 # included
                 zero = not (vec * vec).any()
                 if vocabulary is None or fields[0] in vocabulary or zero:
-                    yield self.count, fields[0], vec, zero
+                    yield lineno, fields[0], vec, zero
         finally:
             # the stream stays open for the load to finish
             text.detach().detach()
@@ -246,9 +246,9 @@ class _Word2VecRecords:
     def select(self, stream: _HashedFile,
                vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, bytes, bool]]:
-        """``(record number, token, vector bytes, is zero)`` for every
-        record whose token is in ``vocabulary`` (every record when None) or
-        whose vector is zero, duplicates included."""
+        """``(offset, token, vector bytes, is zero)`` for every record
+        whose token is in ``vocabulary`` (every record when None) or whose
+        vector is zero, duplicates included; the offset is the token's."""
         size = 4096
         while b"\n" not in (head := stream.read_at(0, size)) \
                 and len(head) == size:
@@ -319,11 +319,10 @@ class _Word2VecRecords:
             hits = wanted.intersection(tokens)
             picks = sorted(zeros.union(
                 i for i, t in enumerate(tokens) if t in hits))
-        first = self.count + 1
         self.count += k
         for i in picks:
             at = int(vectors[i])
-            yield (first + i, tokens[i].decode("utf-8"),
+            yield (base + at - 1 - len(tokens[i]), tokens[i].decode("utf-8"),
                    buf[at:at + rec_bytes], i in zeros)
         return int(vectors[-1]) + rec_bytes
 
@@ -381,8 +380,9 @@ def load_embeddings(path: str, format: str = TEXT,
     else:
         raise InvalidInput(f"unknown embedding format {format!r}")
     kept: dict = {}  # token -> row, in file order
-    # zero rows dropped before the first kept zero row, as
-    # (record number, token); some may repeat an earlier token
+    # zero rows dropped before the first kept zero row, as (place, token):
+    # a record's place is its line, or its byte offset in a word2vec-binary
+    # file; some may repeat an earlier token
     dropped_zeros: list[tuple[int, str]] = []
     kept_zero = False
     with _HashedFile(path, hasher) as stream:
@@ -407,8 +407,8 @@ def load_embeddings(path: str, format: str = TEXT,
 
 def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
                       ) -> str | None:
-    """The token of the first candidate ``(record number, token)`` that is
-    its token's first occurrence in the file, or None.
+    """The token of the first candidate ``(place, token)`` that is its
+    token's first occurrence in the file, or None.
 
     Re-reads the file as far as the last candidate, so that a load need not
     remember every token of the file for the rare file with a zero row.
@@ -426,6 +426,18 @@ def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
         if first_at[token] == n:
             return token
     return None
+
+
+def zero_row_error(path: str, format: str, token: str) -> ParseError:
+    """The error for the all-zero row that ``load_embeddings`` or
+    ``l2_normalize`` raised ``ZeroVector`` for: ``token``'s first record,
+    at its line or, in a word2vec-binary file, its byte offset."""
+    records = _TextRecords() if format == TEXT else _Word2VecRecords()
+    with _HashedFile(path) as stream:
+        place = next(n for n, t, _, _ in records.select(stream, {token})
+                     if t == token)
+    return ParseError(f"all-zero vector for {token!r}", path,
+                      *((place, None) if format == TEXT else (None, place)))
 
 
 def l2_normalize(store: EmbeddingStore) -> EmbeddingStore:

@@ -179,20 +179,51 @@ def tune(dist: DistanceMatrix, split: LabeledSplit, classifier: str,
                       for g in grid.gamma_candidates]
     else:
         raise InvalidInput(f"unknown classifier {classifier!r}")
+    if not candidates:
+        raise EmptyValidation("no usable validation document")
 
-    labels = [split.labels[c] for c in sub.col_ids]
+    names = sorted({split.labels[c] for c in sub.col_ids})
+    code = {lab: i for i, lab in enumerate(names)}
+    codes = np.array([code[split.labels[c]] for c in sub.col_ids],
+                     dtype=np.int64)
     ids = np.asarray(sub.col_ids)
-    used, wrong = 0, [0] * len(candidates)
+    used, wrong = 0, np.zeros(len(candidates), dtype=np.int64)
     for row, rid in zip(sub.values, sub.row_ids):
         ranked = neighbor_order(row, ids)
         if ranked.size == 0:
             continue
         used += 1
-        for c, hp in enumerate(candidates):
-            wrong[c] += _predict(ranked, row, labels, hp) != split.labels[rid]
-    if not used or not candidates:
+        wrong += _scan(ranked, row, codes, len(names), candidates) \
+            != code.get(split.labels[rid], -1)
+    if not used:
         raise EmptyValidation("no usable validation document")
-    return candidates[wrong.index(min(wrong))]
+    return candidates[int(np.argmin(wrong))]
+
+
+def _scan(ranked: np.ndarray, row: np.ndarray, codes: np.ndarray,
+          n_labels: int, candidates: Sequence[Hyperparams]) -> np.ndarray:
+    """The label code ``_predict`` votes for under each candidate, from one
+    pass over the ranking: per label, votes and summed distances are
+    running sums (``np.cumsum`` adds left to right, and adding the 0.0 of
+    another label's cell leaves a sum's bits as they are), read at each
+    candidate's k. The weights of a gamma come from ``_predict``'s own
+    1-D ``np.exp`` call."""
+    k = np.minimum([hp.k for hp in candidates], ranked.size)
+    picked = ranked[:k.max(initial=1)]
+    d = row[picked]
+    mine = codes[picked] == np.arange(n_labels)[:, None]
+    unit = np.cumsum(mine, axis=1, dtype=np.float64)
+    dist = np.cumsum(np.where(mine, d, 0.0), axis=1)[:, k - 1].T
+    votes = np.array([
+        unit[:, n - 1] if hp.gamma is None else np.cumsum(np.where(
+            mine[:, :n], np.exp(-(d[:n] - d[0]) / hp.gamma), 0.0),
+            axis=1)[:, -1]
+        for hp, n in zip(candidates, k.tolist())])
+    # the most votes, then the smallest summed distance, then the lowest
+    # code; the nearest cell weighs 1, so a label with no cell never wins
+    top = votes == votes.max(axis=1, keepdims=True)
+    dist = np.where(top, dist, np.inf)
+    return np.argmax(top & (dist == dist.min(axis=1, keepdims=True)), axis=1)
 
 
 def evaluate(dist: DistanceMatrix, split: LabeledSplit, classifier: str,

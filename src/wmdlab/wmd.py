@@ -16,12 +16,11 @@ from .ot_core import TransportPlan, TransportProblem, solve_transport
 from .textrep import (
     NormScheme,
     SparseVector,
-    VectorBlock,
     VectorMetric,
     Vocabulary,
-    distance_row,
     normalize,
     tfidf_vector,
+    vector_distances,
 )
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import bow_vector, vector_distance  # noqa: F401
@@ -220,17 +219,17 @@ def representations(ids: Sequence[int], method: Method,
     return reps
 
 
-def _vector_rows(queries: Sequence[int], refs: Sequence[int], reps: Mapping,
-                 metric: VectorMetric, dim: int) -> np.ndarray:
-    """BOW/TF-IDF cells a query row at a time, +inf where either document is
-    unusable; a vector's distance to itself is already an exact 0.0."""
-    cols = [j for j, r in enumerate(refs) if reps[r] is not None]
-    block = VectorBlock([reps[refs[j]] for j in cols], dim)
-    values = np.full((len(queries), len(refs)), np.inf)
-    for i, q in enumerate(queries):
-        if reps[q] is not None:
-            values[i, cols] = distance_row(reps[q], block, metric)
-    return values
+def _vector_cells(queries: Sequence[int], refs: Sequence[int],
+                  rows: np.ndarray, cols: np.ndarray, reps: Mapping,
+                  metric: VectorMetric) -> np.ndarray:
+    """The BOW/TF-IDF distance of each cell ``(queries[rows[k]],
+    refs[cols[k]])`` of usable documents, all in one call of the kernel."""
+    docs = [d for d, rep in reps.items() if rep is not None]
+    at = {d: i for i, d in enumerate(docs)}
+    return vector_distances(
+        [reps[d] for d in docs],
+        np.array([at.get(d, -1) for d in queries], dtype=np.int64)[rows],
+        np.array([at.get(d, -1) for d in refs], dtype=np.int64)[cols], metric)
 
 
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
@@ -310,8 +309,8 @@ def pairwise_distances(
 
     ``known``, a ``queries`` x ``refs`` array, holds cells computed before
     and NaN where a cell is missing; only the missing cells are computed.
-    A BOW/TF-IDF matrix computes each query row that misses a cell whole,
-    in the calling process. A transport matrix solves each missing
+    A BOW/TF-IDF matrix computes its missing cells in one batched call, in
+    the calling process. A transport matrix solves each missing
     unordered pair once, from the document with the lower id, in
     ``resources.workers`` processes. Self cells are 0 and the cells of a
     document with no usable representation are +inf, whatever ``known``
@@ -333,14 +332,11 @@ def pairwise_distances(
         & np.array([reps[d] is not None for d in refs])[None, :]
     values[~usable] = np.inf
     values[usable & (q[:, None] == r[None, :])] = 0.0
-    todo = np.isnan(values)
+    rows, cols = np.nonzero(np.isnan(values))
     if not method.uses_transport:
-        rows = np.flatnonzero(todo.any(axis=1))
-        computed = _vector_rows([queries[i] for i in rows], refs, reps,
-                                method.metric, len(resources.vocab))
-        values[rows] = np.where(todo[rows], computed, values[rows])
+        values[rows, cols] = _vector_cells(queries, refs, rows, cols, reps,
+                                           method.metric)
     else:
-        rows, cols = np.nonzero(todo)
         pairs = list(zip(q[rows].tolist(), r[cols].tolist()))
         values[rows, cols] = pair_distances(pairs, reps, store,
                                             resources.workers)

@@ -1,6 +1,7 @@
-"""The pair-by-pair BOW/TF-IDF distance that ``textrep.distance_row``
-replaced, kept verbatim as a test-only reference: align the two supports on
-their union, then ``math.fsum`` the per-id terms."""
+"""The pair-by-pair BOW/TF-IDF distance that the batched kernel
+``textrep.vector_distances`` replaced, kept verbatim as a test-only
+reference: align the two supports on their union, then ``math.fsum`` the
+per-id terms."""
 
 from __future__ import annotations
 

@@ -234,7 +234,7 @@ def test_dim_comparison_reuses_the_bow_column(monkeypatch):
     points = bow_wmd_scatter(pairs, bows, [
         wmd_distance(measures[a], measures[b], store) for a, b in pairs])
     calls = []
-    monkeypatch.setattr(analysis, "vector_distance",
+    monkeypatch.setattr(analysis, "vector_distances",
                         lambda *a: calls.append(a))
     table = dim_comparison(pairs, [x for x, _ in points], measures, store,
                            [2, 6], vocab.words)

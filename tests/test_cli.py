@@ -257,6 +257,8 @@ GOOD_INPUTS = {"c.txt": b"a\tw0\nb\tw1\nc\tw2\n",
     ("c.fold0.txt", b"train: 0 x\ntest: 2\n", "line 1: non-integer id"),
     ("c.fold0.txt", b"train: 0\ntest: 9\n", "line 2: id out of range"),
     ("c.fold0.txt", b"train: 0 1\ntest:\n", "line 2: no ids on the test line"),
+    ("c.fold0.txt", b"test: 1 2\n\ntrain: 0 1\n",
+     "line 1: test ids overlap the train ids"),
     # a form feed does not end a line: "x" is the third line
     ("c.fold0.txt", b"train: 0\x0c1\ntest: 2\nx\n", "line 3: bad fold line"),
     ("stop.txt", b"the\n\xff\n", "line 2: 'utf-8' codec can't decode byte "
@@ -269,6 +271,13 @@ GOOD_INPUTS = {"c.txt": b"a\tw0\nb\tw1\nc\tw2\n",
     ("emb.txt", b"w0 1 0\nw1 0\n", "line 2: expected 2 components, got 1"),
     ("emb.bin", b"2 2\nw0 " + bytes(8) + b"w1 " + bytes(7),
      "byte 18: truncated record: short vector"),
+    ("emb.txt", b"w0 1 0\nw1 0 0\nw2 1 1\n",
+     "line 2: all-zero vector for 'w1'"),
+    # a zero row the load keeps (w0 is in the corpus), then one it drops
+    ("emb.bin", b"2 2\nw0 " + bytes(8) + b"w1 " + bytes(8),
+     "byte 4: all-zero vector for 'w0'"),
+    ("emb.bin", b"2 2\nw9 " + bytes(8) + b"w1 " + bytes(8),
+     "byte 4: all-zero vector for 'w9'"),
 ])
 def test_input_fault_names_its_file_and_place(tmp_path, capsys, name,
                                               content, message):
@@ -1085,7 +1094,8 @@ def test_unused_zero_row_fails_as_whole_file_would(workspace, tmp_path,
     args[args.index("--embeddings") + 1] = padded
     capsys.readouterr()
     assert run(args) == 1
-    assert capsys.readouterr().err == "error: unused\n"
+    assert capsys.readouterr().err == \
+        f"error: {padded}: line 3032: all-zero vector for 'unused'\n"
 
 
 def test_embedding_error_reported_before_corpus_error(workspace, tmp_path,
@@ -1096,7 +1106,9 @@ def test_embedding_error_reported_before_corpus_error(workspace, tmp_path,
     args[args.index("--dataset") + 1] = bad_corpus
     assert run(args) == 1
     assert "no TAB separator" in capsys.readouterr().err
-    args[args.index("--embeddings") + 1] = pad_embeddings(
-        workspace, tmp_path / "padded.txt", extra="unused" + " 0.0" * 8 + "\n")
+    padded = pad_embeddings(workspace, tmp_path / "padded.txt",
+                            extra="unused" + " 0.0" * 8 + "\n")
+    args[args.index("--embeddings") + 1] = padded
     assert run(args) == 1
-    assert capsys.readouterr().err == "error: unused\n"
+    assert capsys.readouterr().err == \
+        f"error: {padded}: line 3032: all-zero vector for 'unused'\n"

@@ -257,6 +257,53 @@ def test_tune_ranks_each_validation_row_once(monkeypatch):
         assert ranked == [4, 4]  # two validation rows, 19 or 20 candidates
 
 
+def _tune_per_candidate(dist, split, classifier, grid):
+    """``tune`` as one ``_predict`` call per candidate and validation row."""
+    val = set(split.validation_ids)
+    sub = dist.submatrix(split.validation_ids,
+                         [t for t in split.train_ids if t not in val])
+    candidates = [Hyperparams(k) for k in grid.k_candidates] \
+        if classifier == KNN else \
+        [Hyperparams(knn_eval.WKNN_FIXED_K, g) for g in grid.gamma_candidates]
+    labels = [split.labels[c] for c in sub.col_ids]
+    wrong, used = [0] * len(candidates), 0
+    for row, rid in zip(sub.values, sub.row_ids):
+        ranked = neighbor_order(row, np.asarray(sub.col_ids))
+        if ranked.size:
+            used += 1
+            for c, hp in enumerate(candidates):
+                wrong[c] += knn_eval._predict(ranked, row, labels, hp) \
+                    != split.labels[rid]
+    return candidates[wrong.index(min(wrong))] if used else None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tune_one_pass_matches_predict_per_candidate(seed):
+    """Exact distance ties (few distinct values), inf cells, labels absent
+    from the reference side, and weights that underflow to 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 45))
+    ids = tuple(rng.permutation(300)[:n].tolist())
+    labels = {i: "ABCD"[int(rng.integers(0, rng.integers(1, 5)))]
+              for i in ids}
+    values = rng.integers(0, 5, size=(n, n)) / rng.choice([1.0, 3.0, 1e-3])
+    values[rng.random((n, n)) < rng.random() * 0.7] = math.inf
+    values = np.minimum(values, values.T)
+    split = LabeledSplit(ids, (), labels,
+                         validation_ids=ids[:int(rng.integers(1, n - 1))])
+    dm = DistanceMatrix(ids, ids, values)
+    for grid in (TuningGrid(), TuningGrid(
+            k_candidates=tuple(sorted(rng.choice(40, 4, replace=False) + 1)),
+            gamma_candidates=(1e-300, 0.01, 5.0))):
+        for classifier in (KNN, WKNN):
+            want = _tune_per_candidate(dm, split, classifier, grid)
+            if want is None:
+                with pytest.raises(EmptyValidation):
+                    tune(dm, split, classifier, grid)
+            else:
+                assert tune(dm, split, classifier, grid) == want
+
+
 def test_tune_requires_validation():
     split = LabeledSplit((0, 1), (), {0: "A", 1: "B"})
     with pytest.raises(EmptyValidation):

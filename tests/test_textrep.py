@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +80,19 @@ def test_sparse_vector_is_immutable():
         v.dim = 5
     with pytest.raises(ValueError):
         v.values[0] = 9.0
+
+
+@pytest.mark.parametrize("dense", [[], [0.0], [1.0, 0.0, 2.5]])
+def test_sparse_vector_survives_pickle_and_copy(dense):
+    v = vec(dense)
+    for other in (pickle.loads(pickle.dumps(v)), copy.copy(v),
+                  copy.deepcopy(v)):
+        assert other == v and other.dim == v.dim
+        assert other.ids.dtype == np.int64 and other.values.dtype == np.float64
+        with pytest.raises(AttributeError):
+            other.dim = 5
+        with pytest.raises(ValueError):
+            other.values[:] = 9.0
 
 
 # -- bow -------------------------------------------------------------------------
