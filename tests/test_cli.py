@@ -1112,3 +1112,90 @@ def test_embedding_error_reported_before_corpus_error(workspace, tmp_path,
     assert run(args) == 1
     assert capsys.readouterr().err == \
         f"error: {padded}: line 3032: all-zero vector for 'unused'\n"
+
+
+# -- the parser and config keys RunConfig declares ------------------------------
+
+# (option strings, dest, type, choices, const, nargs, help) of every action,
+# with default None unless noted, as the parser stood before its flags were
+# derived from RunConfig's fields
+_COMMON_ACTIONS = [
+    (("-h", "--help"), "help", None, None, None, 0,
+     "show this help message and exit"),
+    (("--config",), "config", None, None, None, None,
+     "key = value configuration file"),
+    (("--dataset",), "dataset", None, None, None, None,
+     "corpus file (label TAB tokens per line)"),
+    (("--embeddings",), "embeddings", None, None, None, None,
+     "embedding file"),
+    (("--format",), "format", None, ("text", "word2vec-binary"), None, None,
+     "embedding file format"),
+    (("--method",), "methods", None, None, None, None,
+     "comma list, e.g. 'bow(l1,l1),wmd'"),
+    (("--classifier",), "classifier", None, ("knn", "wknn"), None, None, None),
+    (("--clean",), "clean", None, None, True, 0,
+     "remove duplicate documents before evaluating"),
+    (("--keep-oov",), "keep_oov", None, None, True, 0,
+     "keep words missing from the embeddings"),
+    (("--stopwords",), "stopwords", None, None, None, None,
+     "stopword file, one token per line"),
+    (("--dims",), "dims", None, None, None, None,
+     "comma list of projection dimensions"),
+    (("--seed",), "seed", int, None, None, None, None),
+    (("--workers",), "workers", int, None, None, None, None),
+    (("--out",), "out", None, None, None, None, "output directory"),
+    (("--no-compute",), "no_compute", None, None, True, 0,
+     "fail instead of computing missing caches"),
+    (("--folds",), "folds", int, None, None, None,
+     "random folds to generate when the corpus has none"),
+    (("--train-fraction",), "train_fraction", float, None, None, None, None),
+    (("--bin-width",), "bin_width", float, None, None, None, None),
+    (("--pairs",), "pairs", int, None, None, None,
+     "sampled pairs for scatter/dims"),
+    (("--cache-dir",), "cache_dir", None, None, None, None, "cache directory"),
+]
+_PROJECT_ACTIONS = [
+    (("--target-dim",), "target_dim", int, None, None, None, None),
+    (("--out-file",), "out_file", None, None, None, None,
+     "path of the projected embedding file"),
+    (("--renormalize",), "renormalize", None, None, True, 0,
+     "re-apply unit L2 norm after projection"),
+]
+_COMMAND_HELP = [
+    ("dists", "compute and cache every document's distances to each fold's "
+              "training documents"),
+    ("eval", "tune and evaluate classifiers"),
+    ("dedup", "report and remove duplicate documents"),
+    ("analyze", "histograms, scatter, and dimension sweep"),
+    ("project", "PCA-project an embedding file"),
+]
+
+
+def test_parser_matches_its_snapshot():
+    import argparse
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [(a.dest, a.help) for a in sub._choices_actions] == _COMMAND_HELP
+    assert list(sub.choices) == [name for name, _ in _COMMAND_HELP]
+    for name, parser in sub.choices.items():
+        expected = _COMMON_ACTIONS + (_PROJECT_ACTIONS if name == "project"
+                                      else [])
+        actual = [(tuple(a.option_strings), a.dest, a.type,
+                   None if a.choices is None else tuple(a.choices), a.const,
+                   a.nargs, a.help) for a in parser._actions]
+        assert actual == expected, name
+        assert [a.default for a in parser._actions] \
+            == [argparse.SUPPRESS] + [None] * (len(expected) - 1)
+
+
+def test_config_file_keys_are_the_run_config_fields(tmp_path):
+    import dataclasses
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    p = tmp_path / "all.cfg"
+    p.write_text("".join(f"{n} = {v}\n" for n, v in zip(
+        names, (str(getattr(RunConfig(), n)) for n in names))))
+    assert list(read_config_file(str(p))) == names
+    for key in ("config", "method", "command", "help"):
+        p.write_text(f"{key} = x\n")
+        with pytest.raises(ParseError, match="unknown key"):
+            read_config_file(str(p))
