@@ -21,6 +21,7 @@ from .wmd import make_measure, wmd_distance  # noqa: F401
 
 CROSS_SPLIT = "cross-split"
 LEAVE_ONE_OUT = "leave-one-out"
+MAX_BINS = 2**20  # a histogram's bins; a width that needs more is refused
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,19 @@ def transport_histogram(
     """
     if not pairs:
         raise InvalidInput("no pairs to aggregate")
-    if not bin_width > 0:
-        raise InvalidInput(f"bin_width must be > 0, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise InvalidInput(f"bin_width must be finite and > 0, got {bin_width}")
     moved: list[tuple[float, float]] = []  # (word distance, mass)
     for src, dst in pairs:
         plan, cost = transport_plan(measures[src], measures[dst], store)
         for i, j, mass in plan.entries:
             moved.append((float(cost[i, j]), mass))
     max_cost = max(c for c, _ in moved)
-    n_bins = max(1, int(math.ceil(max_cost / bin_width)))
+    bins = max_cost / bin_width
+    if bins > MAX_BINS:
+        raise InvalidInput(f"bin width {bin_width:g} needs {bins:.3g} bins to "
+                           f"reach distance {max_cost:.3g}, over {MAX_BINS}")
+    n_bins = max(1, math.ceil(bins))
     masses = np.zeros(n_bins)
     for c, mass in moved:
         idx = min(int(c // bin_width), n_bins - 1)

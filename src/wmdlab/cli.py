@@ -1,14 +1,7 @@
 """Command-line entry point: reproducible distance, evaluation, and analysis runs.
 
-Subcommands:
-  dists    compute and cache every document's distances to each fold's
-           training documents, per method
-  eval     tune + evaluate classifiers from the distances their folds read
-  dedup    audit and remove duplicate documents
-  analyze  transport histograms, distance scatter, dimension sweep
-  project  re-export an embedding file after PCA projection
-
-Configuration comes from an optional ``key = value`` file plus flags;
+The subcommands are the ``_COMMANDS`` functions. Each option is a
+``RunConfig`` field, set from an optional ``key = value`` file plus flags;
 flags win. Every run writes a manifest recording the resolved
 configuration, the seed, and content hashes of the inputs.
 """
@@ -19,11 +12,12 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import typing
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,38 +43,65 @@ logger = logging.getLogger("wmdlab")
 
 DEFAULT_METHODS = "bow(l1,l1),wmd"
 BASE_METHOD = "bow(l1,l1)"
-# the values each option takes, as a flag or as a config-file key
-CHOICES = {"format": (TEXT, WORD2VEC_BINARY),
-           "classifier": (knn_eval.KNN, knn_eval.WKNN)}
 
 
 class CliError(WmdlabError):
     pass
 
 
+def _option(default, help=None, *, flag=None, choices=None, bound=None,
+            command=None):
+    """A ``RunConfig`` field and its option: the flag, when not the field's
+    name; a ``(test, text)`` bound; the one subcommand, when not all."""
+    return field(default=default, metadata={
+        "help": help, "flag": flag, "choices": choices, "bound": bound,
+        "command": command})
+
+
+def _at_least(low: int):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _flag(f: Field) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
 @dataclass
 class RunConfig:
-    dataset: str | None = None
-    embeddings: str | None = None
-    format: str = TEXT
-    methods: str = DEFAULT_METHODS
-    classifier: str = knn_eval.KNN
-    clean: bool = False
-    keep_oov: bool = False
-    stopwords: str | None = None
-    dims: str = ""
-    seed: int = 0
-    workers: int = 0  # 0 -> the CPUs this process may run on
-    out: str = "runs"
-    no_compute: bool = False
-    folds: int = 1
-    train_fraction: float = 0.7
-    bin_width: float = 0.02
-    pairs: int = 200
-    target_dim: int = 5
-    renormalize: bool = False
-    out_file: str | None = None
-    cache_dir: str | None = None
+    dataset: str | None = _option(
+        None, "corpus file (label TAB tokens per line)")
+    embeddings: str | None = _option(None, "embedding file")
+    format: str = _option(TEXT, "embedding file format",
+                          choices=(TEXT, WORD2VEC_BINARY))
+    methods: str = _option(DEFAULT_METHODS,
+                           f"comma list, e.g. {DEFAULT_METHODS!r}",
+                           flag="--method")
+    classifier: str = _option(knn_eval.KNN,
+                              choices=(knn_eval.KNN, knn_eval.WKNN))
+    clean: bool = _option(False, "remove duplicate documents before evaluating")
+    keep_oov: bool = _option(False, "keep words missing from the embeddings")
+    stopwords: str | None = _option(None, "stopword file, one token per line")
+    dims: str = _option("", "comma list of projection dimensions")
+    seed: int = _option(0, bound=_at_least(0))
+    # 0 -> the CPUs this process may run on
+    workers: int = _option(0, bound=_at_least(0))
+    out: str = _option("runs", "output directory")
+    no_compute: bool = _option(False, "fail instead of computing missing "
+                                      "caches")
+    folds: int = _option(1, "random folds to generate when the corpus has "
+                            "none", bound=_at_least(1))
+    train_fraction: float = _option(
+        0.7, bound=(lambda v: 0 < v < 1, "in (0, 1)"))
+    bin_width: float = _option(
+        0.02, bound=(lambda v: 0 < v < math.inf, "finite and > 0"))
+    pairs: int = _option(200, "sampled pairs for scatter/dims",
+                         bound=_at_least(2))
+    cache_dir: str | None = _option(None, "cache directory")
+    target_dim: int = _option(5, bound=_at_least(1), command="project")
+    out_file: str | None = _option(
+        None, "path of the projected embedding file", command="project")
+    renormalize: bool = _option(
+        False, "re-apply unit L2 norm after projection", command="project")
 
     def method_list(self) -> list[Method]:
         # split on commas outside parentheses: "bow(l1,l1),wmd" is 2 methods
@@ -123,10 +144,11 @@ class RunConfig:
 
 
 def read_config_file(path: str) -> dict[str, object]:
-    """Parse a flat ``key = value`` file (# starts a comment); each value
-    takes the type of its ``RunConfig`` field."""
+    """Parse a flat ``key = value`` file (# starts a comment); each key is
+    a ``RunConfig`` field, and its value takes the field's type."""
     values: dict[str, object] = {}
     types = typing.get_type_hints(RunConfig)
+    options = {f.name: f for f in fields(RunConfig)}
     for lineno, raw in text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,9 +158,9 @@ def read_config_file(path: str) -> dict[str, object]:
         value = value.strip().strip('"').strip("'")
         if not sep or not key:
             raise ParseError("expected key = value", path, lineno)
-        if key not in types:
+        if key not in options:
             raise ParseError(f"unknown key {key!r}", path, lineno)
-        kind = types[key]
+        kind, choices = types[key], options[key].metadata["choices"]
         if kind is bool:
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ParseError(f"bad boolean {value!r}", path, lineno)
@@ -149,28 +171,29 @@ def read_config_file(path: str) -> dict[str, object]:
             except ValueError:
                 raise ParseError(f"bad {kind.__name__} {value!r}", path,
                                  lineno) from None
-        elif key in CHOICES and value not in CHOICES[key]:
-            raise ParseError(f"{key} must be one of "
-                             f"{', '.join(CHOICES[key])}, got {value!r}",
-                             path, lineno)
+        elif choices and value not in choices:
+            raise ParseError(f"{key} must be one of {', '.join(choices)}, "
+                             f"got {value!r}", path, lineno)
         else:
             values[key] = value
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags;
+    each value is checked against its option's bound before any input file
+    is read."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, value in read_config_file(args.config).items():
             setattr(cfg, key, value)
-    for key in RunConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-    for key in ("seed", "workers"):
-        if getattr(cfg, key) < 0:
-            raise CliError(f"--{key} must be >= 0, got {getattr(cfg, key)}")
+            setattr(cfg, f.name, value)
+        value, bound = getattr(cfg, f.name), f.metadata["bound"]
+        if bound and not bound[0](value):
+            raise CliError(f"{_flag(f)} must be {bound[1]}, got {value}")
     return cfg
 
 
@@ -304,9 +327,12 @@ def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None,
 # -- distance caching ----------------------------------------------------------
 
 
-def _cache_key(cfg: RunConfig, manifest: dict, method: Method) -> str:
-    # one pair store per method over the corpus's documents: fold files,
-    # seed, folds and train fraction only choose which pairs are read
+def _cache_key(cfg: RunConfig, manifest: dict, method: Method,
+               ids: list[int]) -> str:
+    # one pair store per method over the documents ``ids``, which its file
+    # does not hold: fold files, seed, folds and train fraction only choose
+    # which pairs are read, except that --clean keeps each duplicate class's
+    # member on a single fold file's training side
     payload = {
         "version": __version__,
         "inputs": manifest["inputs"],
@@ -314,6 +340,7 @@ def _cache_key(cfg: RunConfig, manifest: dict, method: Method) -> str:
         "method": method.label,
         "clean": cfg.clean,
         "keep_oov": cfg.keep_oov,
+        "ids": ids,
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -362,8 +389,8 @@ class DistanceCache:
 
 def _pair_store(pipe: Pipeline, cache: DistanceCache, manifest: dict,
                 method: Method) -> tuple[str, PairStore]:
-    key = _cache_key(pipe.cfg, manifest, method)
     ids = list(pipe.corpus.ids())
+    key = _cache_key(pipe.cfg, manifest, method, ids)
     pairs = cache.get(key, ids)
     return key, PairStore.empty(ids) if pairs is None else pairs
 
@@ -440,12 +467,15 @@ def _fold_matrices(cfg: RunConfig, every_row: bool = False):
 
 
 def cmd_dists(cfg: RunConfig) -> int:
+    """compute and cache every document's distances to each fold's
+    training documents"""
     for _ in _fold_matrices(cfg, every_row=True):
         pass
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    """tune and evaluate classifiers"""
     rows = []
     for pipe, fold_idx, method, split, dm in _fold_matrices(cfg):
         hp = knn_eval.tune(dm, split, cfg.classifier)
@@ -476,6 +506,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_dedup(cfg: RunConfig) -> int:
+    """report and remove duplicate documents"""
     if not cfg.dataset:
         raise CliError("--dataset is required")
     out_dir = Path(cfg.out)
@@ -505,11 +536,8 @@ def cmd_dedup(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    """histograms, scatter, and dimension sweep"""
     dims = cfg.dim_list()
-    if cfg.pairs < 2:
-        raise CliError(f"--pairs must be >= 2, got {cfg.pairs}")
-    if not cfg.bin_width > 0:
-        raise CliError(f"--bin-width must be > 0, got {cfg.bin_width}")
     pipe = build_pipeline(cfg, need_store=True)
     if not all(1 <= d <= pipe.store.dim for d in dims):
         raise CliError(f"--dims values must lie in [1, {pipe.store.dim}]")
@@ -561,6 +589,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_project(cfg: RunConfig) -> int:
+    """PCA-project an embedding file"""
     if not cfg.embeddings:
         raise CliError("--embeddings is required")
     if not cfg.out_file:
@@ -592,61 +621,6 @@ def cmd_project(cfg: RunConfig) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--dataset", help="corpus file (label TAB tokens per line)")
-    p.add_argument("--embeddings", help="embedding file")
-    p.add_argument("--format", choices=CHOICES["format"],
-                   help="embedding file format")
-    p.add_argument("--method", dest="methods",
-                   help=f"comma list, e.g. {DEFAULT_METHODS!r}")
-    p.add_argument("--classifier", choices=CHOICES["classifier"])
-    p.add_argument("--clean", action="store_const", const=True,
-                   help="remove duplicate documents before evaluating")
-    p.add_argument("--keep-oov", dest="keep_oov", action="store_const",
-                   const=True, help="keep words missing from the embeddings")
-    p.add_argument("--stopwords", help="stopword file, one token per line")
-    p.add_argument("--dims", help="comma list of projection dimensions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--no-compute", dest="no_compute", action="store_const",
-                   const=True, help="fail instead of computing missing caches")
-    p.add_argument("--folds", type=int,
-                   help="random folds to generate when the corpus has none")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--bin-width", dest="bin_width", type=float)
-    p.add_argument("--pairs", type=int, help="sampled pairs for scatter/dims")
-    p.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
-
-
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wmdlab",
-        description="Document distances, nearest-neighbor evaluation, and "
-                    "transport analyses.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("dists", "compute and cache every document's distances to each "
-                  "fold's training documents"),
-        ("eval", "tune and evaluate classifiers"),
-        ("dedup", "report and remove duplicate documents"),
-        ("analyze", "histograms, scatter, and dimension sweep"),
-        ("project", "PCA-project an embedding file"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "project":
-            p.add_argument("--target-dim", dest="target_dim", type=int)
-            p.add_argument("--out-file", dest="out_file",
-                           help="path of the projected embedding file")
-            p.add_argument("--renormalize", action="store_const", const=True,
-                           help="re-apply unit L2 norm after projection")
-    return parser
-
-
 _COMMANDS = {
     "dists": cmd_dists,
     "eval": cmd_eval,
@@ -654,6 +628,31 @@ _COMMANDS = {
     "analyze": cmd_analyze,
     "project": cmd_project,
 }
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_COMMANDS`` entry, helped by its docstring, with
+    a flag per ``RunConfig`` field that the subcommand takes."""
+    parser = argparse.ArgumentParser(
+        prog="wmdlab",
+        description="Document distances, nearest-neighbor evaluation, and "
+                    "transport analyses.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    types = typing.get_type_hints(RunConfig)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=" ".join(command.__doc__.split()))
+        p.add_argument("--config", help="key = value configuration file")
+        for f in fields(RunConfig):
+            meta, kind = f.metadata, types[f.name]
+            if meta["command"] not in (None, name):
+                continue
+            kwargs = ({"action": "store_const", "const": True} if kind is bool
+                      else {"type": kind if kind in (int, float) else None,
+                            "choices": meta["choices"]})
+            p.add_argument(_flag(f), dest=f.name, help=meta["help"], **kwargs)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

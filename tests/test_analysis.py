@@ -141,6 +141,15 @@ def test_histogram_validates_inputs(onehot_store):
         transport_histogram([(0, 0)], measures, onehot_store, 0.0)
 
 
+@pytest.mark.parametrize("width", [math.inf, math.nan, 1e-300, 5e-324])
+def test_histogram_refuses_widths_without_a_finite_bin_count(onehot_store,
+                                                             width):
+    # w0 and w1 lie sqrt(2) apart: 1e-300 would need about 1.4e300 bins
+    measures = measures_for([["w0"], ["w1"]])
+    with pytest.raises(InvalidInput, match="bin"):
+        transport_histogram([(0, 1)], measures, onehot_store, width)
+
+
 def test_histogram_type_validates():
     with pytest.raises(InvalidInput):
         TransportHistogram(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 3.0)

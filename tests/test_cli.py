@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib.metadata
 import json
@@ -372,8 +374,8 @@ def test_manifest_holds_the_sha256_of_the_embedding_file(workspace, tmp_path,
         # caches keyed by a manifest that hashed the file itself still hit
         cfg = build_config(make_parser().parse_args([str(a) for a in args]))
         for method in cfg.method_list():
-            assert _cache_key(cfg, manifest, method) \
-                == _cache_key(cfg, {"inputs": inputs}, method)
+            assert _cache_key(cfg, manifest, method, [0, 1]) \
+                == _cache_key(cfg, {"inputs": inputs}, method, [0, 1])
 
 
 def test_pool_starts_with_no_hashing_thread_alive(workspace, tmp_path,
@@ -448,6 +450,54 @@ def test_analyze_rejects_bad_option_before_any_work(workspace, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--folds", "0"], "--folds must be >= 1, got 0"),
+    (["dists", "--train-fraction", "1.5"],
+     "--train-fraction must be in (0, 1), got 1.5"),
+    (["project", "--target-dim", "0"], "--target-dim must be >= 1, got 0"),
+    (["analyze", "--bin-width", "inf"],
+     "--bin-width must be finite and > 0, got inf"),
+    (["analyze", "--bin-width", "nan"],
+     "--bin-width must be finite and > 0, got nan"),
+    # checked for every command, also where the value goes unused
+    (["eval", "--pairs", "1"], "--pairs must be >= 2, got 1"),
+    (["dedup", "--workers", "-1"], "--workers must be >= 0, got -1"),
+])
+def test_out_of_range_option_fails_before_any_input_is_read(
+        workspace, tmp_path, capsys, monkeypatch, args, message):
+    def unread(*args, **kwargs):
+        raise AssertionError("an input file was read")
+
+    monkeypatch.setattr(cli, "load_embeddings", unread)
+    monkeypatch.setattr(cli.corpus_mod, "load_corpus", unread)
+    assert run([*args, "--dataset", workspace / "docs.txt", "--embeddings",
+                workspace / "emb.txt", "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.rglob("*"))
+
+
+def test_config_file_value_out_of_range_names_its_flag(workspace, tmp_path,
+                                                       capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("train_fraction = 0\n")
+    assert run(base_args(workspace, tmp_path / "out",
+                         ["--config", cfg_path])) == 1
+    assert capsys.readouterr().err == \
+        "error: --train-fraction must be in (0, 1), got 0.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bin_width_needing_too_many_bins_fails(workspace, tmp_path, capsys):
+    assert run(["analyze", "--dataset", workspace / "docs.txt",
+                "--embeddings", workspace / "emb.txt", "--folds", "1",
+                "--pairs", "10", "--workers", "1", "--bin-width", "1e-300",
+                "--out", tmp_path / "an"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and "bins" in errors[0]
+    assert not (tmp_path / "an" / "transport_histogram.csv").exists()
+
+
 def _files(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -475,24 +525,27 @@ def test_cache_key_covers_format_and_version(monkeypatch):
     cfg = RunConfig()
     manifest = {"inputs": {"dataset": "d", "embeddings": "e",
                            "stopwords": None}}
-    method = Method.parse("wmd")
-    key = _cache_key(cfg, manifest, method)
-    assert _cache_key(cfg, manifest, method) == key
+    method, ids = Method.parse("wmd"), [0, 1, 3]
+    key = _cache_key(cfg, manifest, method, ids)
+    assert _cache_key(cfg, manifest, method, ids) == key
     # folds, their seed and train fraction only choose the pairs read
     for field, value in (("folds", 5), ("seed", 9), ("train_fraction", 0.5)):
-        assert _cache_key(RunConfig(**{field: value}), manifest, method) \
-            == key
-    assert _cache_key(cfg, manifest, Method.parse("wmd-tfidf")) != key
+        assert _cache_key(RunConfig(**{field: value}), manifest, method,
+                          ids) == key
+    assert _cache_key(cfg, manifest, Method.parse("wmd-tfidf"), ids) != key
+    # the store's values are laid out over its documents' ids
+    assert _cache_key(cfg, manifest, method, [0, 1, 2]) != key
     for name in ("dataset", "embeddings", "stopwords"):
         other = {"inputs": {**manifest["inputs"], name: "x"}}
-        assert _cache_key(cfg, other, method) != key
+        assert _cache_key(cfg, other, method, ids) != key
     for field in ("clean", "keep_oov"):
-        assert _cache_key(RunConfig(**{field: True}), manifest, method) != key
+        assert _cache_key(RunConfig(**{field: True}), manifest, method,
+                          ids) != key
     cfg.format = WORD2VEC_BINARY
-    assert _cache_key(cfg, manifest, method) != key
+    assert _cache_key(cfg, manifest, method, ids) != key
     cfg.format = TEXT
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
-    assert _cache_key(cfg, manifest, method) != key
+    assert _cache_key(cfg, manifest, method, ids) != key
 
 
 def test_cache_key_reads_no_package_metadata(monkeypatch):
@@ -500,13 +553,13 @@ def test_cache_key_reads_no_package_metadata(monkeypatch):
     manifest = {"inputs": {"dataset": "d", "embeddings": "e",
                            "stopwords": None}}
     methods = [Method.parse("wmd"), Method.parse("bow(l1,l1)")]
-    keys = [_cache_key(cfg, manifest, m) for m in methods]
+    keys = [_cache_key(cfg, manifest, m, [0, 1]) for m in methods]
 
     def no_metadata(name):
         raise importlib.metadata.PackageNotFoundError(name)
 
     monkeypatch.setattr(importlib.metadata, "version", no_metadata)
-    assert [_cache_key(cfg, manifest, m) for m in methods] == keys
+    assert [_cache_key(cfg, manifest, m, [0, 1]) for m in methods] == keys
 
 
 def _rows_read(train, test, labels, seed) -> set[int]:
@@ -574,6 +627,36 @@ def test_edited_fold_file_reuses_stored_pairs(workspace, tmp_path,
     assert len(list((tmp_path / "c").iterdir())) == 2  # one per method
     fresh, _ = eval_with_fold(*edited, tmp_path / "d", tmp_path / "new")
     assert warm == fresh
+
+
+def test_clean_fold_edit_keeping_the_other_duplicate_reads_no_stale_cell(
+        workspace, tmp_path):
+    # document 9 copies document 5; --clean keeps the copy on the single
+    # fold file's training side, so editing the fold file changes the
+    # documents a pair store is laid out over
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (workspace / "docs.txt").read_text().splitlines()[:12]
+    lines[9] = lines[5]
+    (data / "docs.txt").write_text("\n".join(lines) + "\n")
+
+    def dists(train, test, cache):
+        (data / "docs.fold0.txt").write_text(
+            f"train: {' '.join(map(str, train))}\n"
+            f"test: {' '.join(map(str, test))}\n")
+        assert run(["dists", "--dataset", data / "docs.txt", "--embeddings",
+                    workspace / "emb.txt", "--method", "wmd,bow", "--clean",
+                    "--workers", "1", "--out", tmp_path / "out",
+                    "--cache-dir", cache]) == 0
+
+    keeps_5 = ([0, 1, 2, 3, 5, 6, 7, 10], [4, 8, 9, 11])
+    dists([0, 1, 2, 3, 6, 7, 9, 10], [4, 5, 8, 11], tmp_path / "shared")
+    dists(*keeps_5, tmp_path / "shared")
+    dists(*keeps_5, tmp_path / "cold")
+    cold = _files(tmp_path / "cold")
+    assert len(cold) == 2
+    shared = _files(tmp_path / "shared")
+    assert {name: shared.get(name) for name in cold} == cold
 
 
 def test_eval_solves_only_the_pairs_its_folds_read(workspace, tmp_path,
@@ -653,7 +736,7 @@ def test_stored_transport_cells_are_solved_from_the_lower_id(workspace,
     for spec in ("wmd", "wmd-tfidf"):
         method = Method.parse(spec)
         stored = DistanceCache(out / "cache").get(
-            _cache_key(cfg, manifest, method), ids)
+            _cache_key(cfg, manifest, method, ids), ids)
         reps = representations(ids, method, pipe.resources)
         checked = 0
         for i, a in enumerate(ids):
@@ -1172,7 +1255,6 @@ _COMMAND_HELP = [
 
 
 def test_parser_matches_its_snapshot():
-    import argparse
     sub = next(a for a in make_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert [(a.dest, a.help) for a in sub._choices_actions] == _COMMAND_HELP
@@ -1189,7 +1271,6 @@ def test_parser_matches_its_snapshot():
 
 
 def test_config_file_keys_are_the_run_config_fields(tmp_path):
-    import dataclasses
     names = [f.name for f in dataclasses.fields(RunConfig)]
     p = tmp_path / "all.cfg"
     p.write_text("".join(f"{n} = {v}\n" for n, v in zip(
