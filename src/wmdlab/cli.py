@@ -92,8 +92,12 @@ class RunConfig:
                             "none", bound=_at_least(1))
     train_fraction: float = _option(
         0.7, bound=(lambda v: 0 < v < 1, "in (0, 1)"))
+    # analyze's word distances are at most 2.0, the unit sphere's diameter
     bin_width: float = _option(
-        0.02, bound=(lambda v: 0 < v < math.inf, "finite and > 0"))
+        0.02, bound=(lambda v: 2.0 / analysis.MAX_BINS <= v < math.inf,
+                     f"finite and >= 2**{2 - analysis.MAX_BINS.bit_length()}"
+                     f" (2**{analysis.MAX_BINS.bit_length() - 1} bins reach "
+                     "distance 2)"))
     pairs: int = _option(200, "sampled pairs for scatter/dims",
                          bound=_at_least(2))
     cache_dir: str | None = _option(None, "cache directory")
@@ -402,20 +406,34 @@ def _may_compute(cfg: RunConfig, key: str, missing: int) -> None:
 
 
 def _distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
-               method: Method, queries: list[int],
-               refs: list[int]) -> wmd.DistanceMatrix:
+               method: Method, queries: list[int], refs: list[int],
+               unread: np.ndarray | None = None) -> wmd.DistanceMatrix:
     """The ``queries`` x ``refs`` matrix of ``method`` from its pair store;
-    the cells the store lacks are computed and stored first."""
+    the cells the store lacks are computed and stored first. Given
+    ``unread``, the cells no vote reads, each row needs only its k nearest
+    of the others, k being the most neighbours a tuned vote reads: they are
+    proven from the store's distances and bounds, or found by the search
+    of ``pairwise_distances``, and every other cell reads +inf."""
     key, pairs = _pair_store(pipe, cache, manifest, method)
     known = pairs.matrix(queries, refs)
-    missing = int(np.isnan(known).sum())
+    k = None
+    if unread is not None:
+        known[unread] = np.inf
+        k = max(knn_eval.WKNN_FIXED_K, *knn_eval.TuningGrid().k_candidates)
+    pending = ~(known >= 0)
+    missing = int(pending[wmd.open_rows(known, k)].sum())
     if not missing:
-        return wmd.DistanceMatrix(tuple(queries), tuple(refs), known)
+        return wmd.DistanceMatrix(tuple(queries), tuple(refs),
+                                  np.where(known >= 0, known, np.inf))
     _may_compute(pipe.cfg, key, missing)
-    logger.info("computing %s (%d of %d x %d cells)", method.label, missing,
-                len(queries), len(refs))
-    dm = pairwise_distances(queries, refs, method, pipe.resources, known)
-    pairs.update(dm)
+    dm = pairwise_distances(queries, refs, method, pipe.resources, known, k)
+    logger.info("computing %s (%d x %d cells: %d computed, %d bounded)",
+                method.label, len(queries), len(refs),
+                (pending & (known >= 0) & (known < np.inf)).sum(),
+                (pending & (known < 0)).sum())
+    if unread is not None:
+        known[unread] = np.nan
+    pairs.update(queries, refs, known)
     cache.put(key, pairs)
     return dm
 
@@ -424,11 +442,11 @@ def _pair_distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
                     method: Method, pairs: list[tuple[int, int]],
                     reps: dict) -> list[float]:
     """The transport distance of each pair of distinct usable documents,
-    read from the pair store once the pairs it lacks are solved and
-    stored."""
+    read from the pair store once the pairs it lacks, or holds only a
+    bound for, are solved and stored."""
     key, store = _pair_store(pipe, cache, manifest, method)
     values = store.pair_values(pairs)
-    miss = np.isnan(values)
+    miss = ~(values >= 0)
     if miss.any():
         missing = [p for p, m in zip(pairs, miss) if m]
         _may_compute(pipe.cfg, key, len(missing))
@@ -444,8 +462,11 @@ def _fold_matrices(cfg: RunConfig, every_row: bool = False):
     method. ``split`` is the fold's labelled split with its validation ids
     carved out, and the matrix holds the rows that ``knn_eval.tune`` and
     ``knn_eval.evaluate`` read, the validation and test documents, against
-    the fold's training documents. With ``every_row`` the split is None and
-    the matrix holds every document's row."""
+    the fold's training documents. A transport matrix holds the k nearest
+    cells that a vote reads, as ``_distances`` finds them: a validation
+    row reads the training documents outside the validation set, a test
+    row every training document. With ``every_row`` the split is None and
+    the matrix holds every document's row, every cell exact."""
     methods = cfg.method_list()
     pipe = build_pipeline(cfg, need_store=any(m.uses_transport
                                               for m in methods))
@@ -458,9 +479,14 @@ def _fold_matrices(cfg: RunConfig, every_row: bool = False):
             0.2, seed=(cfg.seed, fold_idx))
         rows = all_ids if split is None else sorted(
             {*split.validation_ids, *split.test_ids})
+        refs = list(fold.train_ids)
+        unread = None if split is None else (
+            np.isin(rows, split.validation_ids)[:, None]
+            & np.isin(refs, split.validation_ids)[None, :])
         for method in methods:
             yield pipe, fold_idx, method, split, _distances(
-                pipe, cache, manifest, method, rows, list(fold.train_ids))
+                pipe, cache, manifest, method, rows, refs,
+                unread if method.uses_transport else None)
 
 
 # -- subcommands ---------------------------------------------------------------

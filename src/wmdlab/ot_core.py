@@ -212,8 +212,9 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
                            [0.0] * (rows.size + cols.size))
         return TransportPlan(entries=(), objective=0.0, row_potentials=u,
                              col_potentials=v, pivots=0, bland_pivots=0)
-    cost = problem.cost[np.ix_(rows, cols)]
     ns, nt = rows.size, cols.size
+    cost = problem.cost if (ns, nt) == problem.cost.shape \
+        else problem.cost[np.ix_(rows, cols)]
     c = cost.ravel().tolist()
 
     # Tree nodes: rows 0..ns-1, then columns ns..ns+nt-1; the root is row 0
@@ -234,7 +235,7 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
 
     tol = 1e-12 * max(1.0, float(cost.max()))
     max_pivots = 100 * ns * nt + 1000
-    reduced = np.empty_like(cost)
+    reduced = np.empty(cost.shape)  # C order, whatever the cost's layout
     flat_reduced = reduced.ravel()
     # Dantzig entering rule (ties -> lowest arc index) for speed; a run of
     # degenerate pivots switches to Bland's lowest-index rule, which cannot
@@ -243,8 +244,9 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
     degenerate_streak = 0
     bland_pivots = 0
     for pivots in range(max_pivots):
-        np.subtract(cost, np.array(pot[:ns])[:, None], out=reduced)
-        np.subtract(reduced, np.array(pot[ns:]), out=reduced)
+        p = np.array(pot)
+        np.subtract(cost, p[:ns, None], out=reduced)
+        np.subtract(reduced, p[ns:], out=reduced)
         if degenerate_streak < bland_threshold:
             enter = int(flat_reduced.argmin())
             if flat_reduced[enter] >= -tol:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -111,7 +112,9 @@ class DistanceMatrix:
 
     Cells are finite and nonnegative, except for a +inf sentinel marking
     documents unusable under the method: their rows and columns are +inf
-    throughout, the diagonal included.
+    throughout, the diagonal included. In a matrix filled with
+    ``pairwise_distances(..., k=k)`` +inf also marks a cell outside its
+    row's k nearest, or one the caller does not read.
     """
 
     row_ids: tuple[int, ...]
@@ -232,17 +235,68 @@ def _vector_cells(queries: Sequence[int], refs: Sequence[int],
         np.array([at.get(d, -1) for d in refs], dtype=np.int64)[cols], metric)
 
 
+def _rwmd(a: DocumentMeasure, refs: Sequence[DocumentMeasure],
+          costs: WordDistances) -> np.ndarray:
+    """A lower bound on the transport distance from ``a`` to each of
+    ``refs``: the relaxed WMD of Kusner et al. (2015), max(sum_i a_i min_j
+    c_ij, sum_j b_j min_i c_ij), from one slice of ``costs`` (a's words x
+    the references' words, concatenated), deflated by a relative 1e-12 so
+    that the rounding of these sums cannot lift it over the exact value."""
+    starts = np.cumsum([0] + [len(b.words) for b in refs[:-1]])
+    c = cost_submatrix(costs, a.words, [w for b in refs for w in b.words])
+    weights = np.concatenate([b.weights for b in refs])
+    moved_out = a.weights @ np.minimum.reduceat(c, starts, axis=1)
+    moved_in = np.add.reduceat(weights * c.min(axis=0), starts)
+    return np.maximum(moved_out, moved_in) * (1.0 - 1e-12)
+
+
 def _row_values(query_id: int, reps: Mapping, ref_ids: Sequence[int],
-                costs: EmbeddingStore | WordDistances) -> np.ndarray:
+                costs: EmbeddingStore | WordDistances,
+                known: np.ndarray | None = None,
+                k: int | None = None) -> np.ndarray:
     """The transport distances from one document to each of ``ref_ids``,
-    all usable and other than it. Every cost matrix is a slice of
-    ``costs``, the table of ``pair_distances``, or, given the store, of one
-    block: the query's words x the words of its references."""
+    all usable and other than it; each pair is solved from its lower id.
+    Every cost matrix is a slice of ``costs``, the table of
+    ``_fill_rows``, or, given the store, of one block: the query's words x
+    the words of its references.
+
+    ``known`` holds what is known of each cell: its distance (>= 0), minus
+    a lower bound (< 0), or NaN; only the cells without a distance are
+    worked on. With ``k`` and more than k references the row is an exact
+    top-k search: each NaN cell gets its ``_rwmd`` bound, and the cells
+    are solved in ascending (bound, id) order until the next bound lies
+    strictly above the k-th smallest distance of the row. The cells left
+    unsolved hold minus their bounds."""
     a = reps[query_id]
     if isinstance(costs, EmbeddingStore):
         costs = costs.distances(a.words,
                                 [w for r in ref_ids for w in reps[r].words])
-    return np.array([wmd_distance(a, reps[r], costs) for r in ref_ids])
+    back = WordDistances(costs.cols, costs.rows, costs.values.T)
+    values = np.full(len(ref_ids), np.nan) if known is None \
+        else np.array(known, dtype=np.float64)
+    todo = np.flatnonzero(~(values >= 0))
+    search = k is not None and len(ref_ids) > k
+    if search:
+        bounds = -values[todo]
+        fresh = np.isnan(bounds)
+        if fresh.any():
+            bounds[fresh] = _rwmd(
+                a, [reps[ref_ids[i]] for i in todo[fresh]], costs)
+        order = np.lexsort((np.asarray(ref_ids)[todo], bounds))
+        todo, bounds = todo[order], bounds[order]
+        nearest = sorted(values[values >= 0].tolist())[:k]
+    for n, i in enumerate(todo.tolist()):
+        if search and len(nearest) == k and bounds[n] > nearest[-1]:
+            values[todo[n:]] = -bounds[n:]
+            break
+        r = ref_ids[i]
+        d = wmd_distance(a, reps[r], costs) if query_id < r \
+            else wmd_distance(reps[r], a, back)
+        values[i] = d
+        if search:
+            bisect.insort(nearest, d)
+            del nearest[k:]
+    return values
 
 
 def _init_worker(reps, costs):
@@ -251,14 +305,42 @@ def _init_worker(reps, costs):
 
 def _worker_row(task):
     reps, costs = _STATE["args"]
-    return _row_values(task[0], reps, task[1], costs)
+    return _row_values(task[0], reps, task[1], costs, *task[2:])
 
 
 # The most bytes of the one word x word table a call may share with every
 # row and worker: W**2 * 8 <= _TABLE_BYTES, i.e. W <= 5,792 words. Beyond
-# it, or where the blocks cost fewer distances, each source document gets a
-# block of just the words its pairs need.
+# it, or where the blocks cost fewer distances, each task gets a block of
+# just the words its row needs.
 _TABLE_BYTES = 256 << 20
+
+
+def _fill_rows(tasks: Sequence[tuple], reps: Mapping, store: EmbeddingStore,
+               workers: int) -> list[np.ndarray]:
+    """``_row_values`` of each task ``(query, refs[, known, k])``, in
+    ``workers`` processes. Their costs come from one table of the
+    distances between the W words of the tasks' documents, which computes
+    W(W+1)/2 distances, when it fits ``_TABLE_BYTES`` and the tasks' own
+    blocks would compute as many or more: |words(query)| x |the words of
+    its references| for each task. Otherwise each task builds its block.
+    A distance has the same bits in a block as in the table."""
+    if not tasks:
+        return []
+    docs = dict.fromkeys(d for q, refs, *_ in tasks for d in (q, *refs))
+    words = list(dict.fromkeys(w for d in docs for w in reps[d].words))
+    n = len(words)
+    blocks = sum(len(reps[q].words) * len({w for b in refs
+                                           for w in reps[b].words})
+                 for q, refs, *_ in tasks)
+    costs = store.distances(words, words) \
+        if n * n * 8 <= _TABLE_BYTES and n * (n + 1) // 2 <= blocks else store
+    if workers <= 1 or len(tasks) < 2:
+        return [_row_values(q, reps, refs, costs, *rest)
+                for q, refs, *rest in tasks]
+    with ProcessPoolExecutor(workers, initializer=_init_worker,
+                             initargs=(reps, costs)) as pool:
+        return list(pool.map(_worker_row, tasks, chunksize=max(
+            1, len(tasks) // (4 * workers))))
 
 
 def pair_distances(pairs: Sequence[tuple[int, int]], reps: Mapping,
@@ -266,36 +348,36 @@ def pair_distances(pairs: Sequence[tuple[int, int]], reps: Mapping,
     """The transport distance of each pair of distinct usable documents
     (``reps`` maps both to their measures), in the order asked. Each
     unordered pair is solved once, from its lower id, so a pair and its
-    reverse get the same bits. A source's pairs are one task; ``workers``
-    processes solve the tasks. Their costs come from one table of the
-    distances between the W words of the pairs' documents, which computes
-    W(W+1)/2 distances, when it fits ``_TABLE_BYTES`` and the tasks' own
-    blocks would compute as many or more: |words(a)| x |the words of a's
-    references| for each source a. Otherwise each task builds its block.
-    A distance has the same bits in a block as in the table."""
+    reverse get the same bits. A source's pairs are one task of
+    ``_fill_rows``."""
     ends = [(a, b) if a < b else (b, a) for a, b in pairs]
     by_source: dict[int, list[int]] = {}
     for a, b in dict.fromkeys(ends):
         by_source.setdefault(a, []).append(b)
     tasks = list(by_source.items())
-    docs = dict.fromkeys(d for p in ends for d in p)
-    words = list(dict.fromkeys(w for d in docs for w in reps[d].words))
-    n = len(words)
-    blocks = sum(len(reps[a].words) * len({w for b in refs
-                                           for w in reps[b].words})
-                 for a, refs in tasks)
-    costs = store.distances(words, words) \
-        if n * n * 8 <= _TABLE_BYTES and n * (n + 1) // 2 <= blocks else store
-    if workers <= 1 or len(tasks) < 2:
-        rows = [_row_values(a, reps, refs, costs) for a, refs in tasks]
-    else:
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(reps, costs)) as pool:
-            rows = list(pool.map(_worker_row, tasks, chunksize=max(
-                1, len(tasks) // (4 * workers))))
+    rows = _fill_rows(tasks, reps, store, workers)
     solved = {(a, b): v for (a, refs), row in zip(tasks, rows)
               for b, v in zip(refs, row.tolist())}
     return np.array([solved[p] for p in ends], dtype=np.float64)
+
+
+def open_rows(known: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Which rows of ``known`` a fill has to work on. A cell holds a
+    distance (>= 0, +inf for a cell that is unusable or not read), minus a
+    lower bound (< 0) or NaN. Without ``k`` a row is done when every cell
+    holds a distance. With ``k`` a row is also done when it proves its k
+    nearest: it has more than k cells that are not +inf, at least k of
+    them finite distances, and a bound strictly above the k-th smallest of
+    those in each of the others."""
+    pending = ~(known >= 0)
+    if k is None:
+        return pending.any(axis=1)
+    exact = np.where(known >= 0, known, np.inf)
+    kth = np.partition(exact, k - 1, axis=1)[:, k - 1] \
+        if known.shape[1] >= k else np.full(known.shape[0], np.inf)
+    proven = (~pending | (-known > kth[:, None])).all(axis=1) \
+        & ((~np.isposinf(known)).sum(axis=1) > k)
+    return pending.any(axis=1) & ~proven
 
 
 def pairwise_distances(
@@ -304,23 +386,28 @@ def pairwise_distances(
     method: Method,
     resources: Resources,
     known: np.ndarray | None = None,
+    k: int | None = None,
 ) -> DistanceMatrix:
     """Distance matrix between query and reference documents.
 
-    ``known``, a ``queries`` x ``refs`` array, holds cells computed before
-    and NaN where a cell is missing; only the missing cells are computed.
-    A BOW/TF-IDF matrix computes its missing cells in one batched call, in
-    the calling process. A transport matrix solves each missing
-    unordered pair once, from the document with the lower id, in
-    ``resources.workers`` processes. Self cells are 0 and the cells of a
-    document with no usable representation are +inf, whatever ``known``
-    holds there.
+    ``known``, a ``queries`` x ``refs`` float64 array, holds cells computed
+    before, as ``open_rows`` reads them, and is filled in place: NaN marks
+    a missing cell, +inf one not to compute. A BOW/TF-IDF matrix computes
+    its missing cells in one batched call, in the calling process. A
+    transport matrix solves each missing unordered pair once, from the
+    document with the lower id, in ``resources.workers`` processes; a
+    bound counts as missing. With ``k`` it only completes the rows that
+    ``open_rows`` leaves open, each as one ``_row_values`` search, which
+    stores minus the bound of each cell it leaves unsolved. Self cells are
+    0, or +inf with ``k``, and the cells of a document with no usable
+    representation are +inf, whatever ``known`` holds there; the returned
+    matrix reads +inf where ``known`` holds a bound.
     """
     store = resources.store
     if method.uses_transport and store is None:
         raise InvalidInput(f"method {method.label} needs an embedding store")
     values = np.full((len(queries), len(refs)), np.nan) if known is None \
-        else np.array(known, dtype=np.float64)
+        else np.asarray(known, dtype=np.float64)
     all_ids = list(dict.fromkeys(list(queries) + list(refs)))
     reps = representations(all_ids, method, resources)
     unusable = sorted(d for d, r in reps.items() if r is None)
@@ -330,17 +417,29 @@ def pairwise_distances(
     q, r = np.asarray(queries, dtype=np.int64), np.asarray(refs, dtype=np.int64)
     usable = np.array([reps[d] is not None for d in queries])[:, None] \
         & np.array([reps[d] is not None for d in refs])[None, :]
+    search = k is not None and method.uses_transport
     values[~usable] = np.inf
-    values[usable & (q[:, None] == r[None, :])] = 0.0
-    rows, cols = np.nonzero(np.isnan(values))
-    if not method.uses_transport:
-        values[rows, cols] = _vector_cells(queries, refs, rows, cols, reps,
-                                           method.metric)
+    # a search ranks a row's neighbours, and a document is not its own
+    values[usable & (q[:, None] == r[None, :])] = np.inf if search else 0.0
+    if not search:
+        rows, cols = np.nonzero(~(values >= 0))
+        if not method.uses_transport:
+            values[rows, cols] = _vector_cells(queries, refs, rows, cols,
+                                               reps, method.metric)
+        else:
+            pairs = list(zip(q[rows].tolist(), r[cols].tolist()))
+            values[rows, cols] = pair_distances(pairs, reps, store,
+                                                resources.workers)
     else:
-        pairs = list(zip(q[rows].tolist(), r[cols].tolist()))
-        values[rows, cols] = pair_distances(pairs, reps, store,
-                                            resources.workers)
-    return DistanceMatrix(tuple(queries), tuple(refs), values)
+        cells = [(i, np.flatnonzero(~np.isposinf(values[i])))
+                 for i in np.flatnonzero(open_rows(values, k)).tolist()]
+        tasks = [(queries[i], r[c].tolist(), values[i, c], k)
+                 for i, c in cells]
+        for (i, c), row in zip(cells, _fill_rows(tasks, reps, store,
+                                                 resources.workers)):
+            values[i, c] = row
+    return DistanceMatrix(tuple(queries), tuple(refs),
+                          np.where(values >= 0, values, np.inf))
 
 
 # -- cache file format ---------------------------------------------------------
@@ -349,10 +448,12 @@ def pairwise_distances(
 class PairStore:
     """Distances between every two of ``ids``, each unordered pair stored
     once: ``values`` is the upper triangle of the ``ids`` x ``ids`` matrix,
-    condensed row by row (N(N-1)/2 cells for N ids). NaN marks a pair not
-    computed yet, +inf a pair with an unusable document. A document's
+    condensed row by row (N(N-1)/2 cells for N ids). A cell is in one of
+    four states: NaN, a pair not computed yet; +inf, a pair with an
+    unusable document; >= 0, the pair's distance; < 0, minus a lower bound
+    on it, left by a top-k search of ``pairwise_distances``. A document's
     distance to itself is not stored: a matrix read from the store gives
-    0.0 where the row or column of the self cell holds a finite distance,
+    0.0 where the row or column of the self cell holds a finite value,
     else +inf (an unusable document's)."""
 
     def __init__(self, ids: Sequence[int], values: np.ndarray):
@@ -360,8 +461,8 @@ class PairStore:
         if values.shape != (n * (n - 1) // 2,):
             raise InvalidInput(f"values shape {values.shape} does not match "
                                f"{n} ids")
-        if np.any(values < 0):
-            raise InvalidInput("distances must be >= 0")
+        if np.any(values == -np.inf):
+            raise InvalidInput("a cell holds -inf")
         self.ids = tuple(ids)
         self.values = values
         self._pos = {d: p for p, d in enumerate(self.ids)}
@@ -410,16 +511,26 @@ class PairStore:
         return self._cells(self._positions([a for a, _ in pairs]),
                            self._positions([b for _, b in pairs]))
 
-    def update(self, dm: DistanceMatrix) -> None:
-        """Store every cell of ``dm`` but its self cells."""
-        cells = self._cells(self._positions(dm.row_ids)[:, None],
-                            self._positions(dm.col_ids)[None, :])
+    def update(self, row_ids: Sequence[int], col_ids: Sequence[int],
+               values: np.ndarray) -> None:
+        """Store the cells of a ``row_ids`` x ``col_ids`` array but its self
+        cells, as ``_fill`` takes them."""
+        cells = self._cells(self._positions(row_ids)[:, None],
+                            self._positions(col_ids)[None, :])
         pair = cells < self.values.size
-        self.values[cells[pair]] = dm.values[pair]
+        self._fill(cells[pair], np.asarray(values)[pair])
 
     def merge(self, other: "PairStore") -> None:
-        """Take ``other``'s distance for every pair this store lacks."""
-        np.copyto(self.values, other.values, where=np.isnan(self.values))
+        """Take ``other``'s cells as ``_fill`` takes them."""
+        self._fill(np.arange(self.values.size), other.values)
+
+    def _fill(self, cells: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` at ``cells``: a distance fills a missing cell or
+        replaces a bound, a bound fills a missing cell, and nothing
+        replaces a distance."""
+        old = self.values[cells]
+        take = np.isnan(old) & ~np.isnan(values) | (old < 0) & (values >= 0)
+        self.values[cells[take]] = values[take]
 
 
 def write_distance_matrix(pairs: PairStore, path: str) -> None:

@@ -108,12 +108,11 @@ def _npz(array: np.ndarray) -> bytes:
 
 def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
     """Files that must not load as the cached pair store ``values`` (a
-    float64 condensed array of at least 2 cells, no negative one), by what
-    is wrong with them. A NaN cell is a pair not computed yet, not an
-    error."""
+    float64 condensed array of at least 2 cells), by what is wrong with
+    them. A NaN cell is a pair not computed yet and a finite negative one
+    minus a lower bound, not errors."""
     values = np.asarray(values, dtype=np.float64)
-    negative, minus_inf = values.copy(), values.copy()
-    negative[1] = -0.5
+    minus_inf = values.copy()
     minus_inf[0] = -np.inf
     return {
         "empty": b"",
@@ -126,6 +125,5 @@ def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
         "wrong-shape": _npy(values[None, :].copy()),
         "wrong-length": _npy(values[:-1].copy()),
         "npz": _npz(values),
-        "negative": _npy(negative),
         "negative-inf": _npy(minus_inf),
     }

@@ -22,12 +22,12 @@ from wmdlab.corpus import filter_vocabulary, load_corpus
 from wmdlab.embeddings import TEXT, WORD2VEC_BINARY, l2_normalize, \
     load_embeddings, project_pca
 from wmdlab.errors import ParseError
-from wmdlab.knn_eval import LabeledSplit, make_validation_split
 from wmdlab.textrep import build_vocabulary
 from wmdlab import wmd
 from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
     representations, wmd_distance
 
+import reference_search
 from helpers import corrupt_cache_files
 
 
@@ -159,20 +159,30 @@ def test_no_compute_needs_every_pair_stored(workspace, tmp_path, capsys):
     assert f"missing cache: {store.name} lacks " in err
     assert run([*args, "--no-compute"]) == 0
     report = (out / "report.csv").read_bytes()
-    # forget one pair that the folds read: a needed pair is missing again.
-    # A fold reads a cell of documents 0 and 1 that lies in its validation
-    # and test rows and its training columns: here only the second fold
-    # reads one, so the first runs from the store and the second stops.
+    # forget one pair among the k nearest of a row of the second fold that
+    # the first fold does not read: that row no longer proves its k nearest
+    # from the store, so the second fold stops, naming every cell of the
+    # row that holds no distance
+    reads, reps, embeddings = _search_inputs(args)
+    cells = {}
+    reference_search.search(reads, reps, embeddings, cells)
+    assert [reference_search.lacking(f, reps, cells) for f in reads] == [0, 0]
+    q = min(reads[1])
+    nearest = sorted((cells[(min(q, c), max(q, c))], c) for c in reads[1][q]
+                     if c != q and reps[c] is not None)
+    forget = next((min(q, c), max(q, c)) for _, c in
+                  nearest[:reference_search.K]
+                  if (min(q, c), max(q, c)) not in _read_pairs(reads[0]))
+    del cells[forget]
     values = np.load(store)
-    values[0] = np.nan  # documents 0 and 1
+    PairStore(range(47), values).set_pair_values([forget], [np.nan])
     np.save(store, values)
-    read = [sum(a in rows and b in fold.train_ids for a, b in ((0, 1), (1, 0)))
-            for fold, rows in _folds_read(args)]
-    assert read == [0, 1]
+    lacks = reference_search.lacking(reads[1], reps, cells)
+    assert reference_search.lacking(reads[0], reps, cells) == 0 < lacks
     capsys.readouterr()
     assert run([*args, "--no-compute"]) == 1
     err = capsys.readouterr().err
-    assert f"missing cache: {store.name} lacks 1 distance(s)" in err
+    assert f"missing cache: {store.name} lacks {lacks} distance(s)" in err
     assert run(args) == 0
     assert run([*args, "--no-compute"]) == 0
     assert (out / "report.csv").read_bytes() == report
@@ -430,7 +440,7 @@ def test_repeated_dim_runs_once(workspace, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("option, value", [
     ("--pairs", "1"), ("--bin-width", "0"), ("--bin-width", "nan"),
-    ("--dims", "0"), ("--dims", "2,9")])
+    ("--bin-width", "1e-300"), ("--dims", "0"), ("--dims", "2,9")])
 def test_analyze_rejects_bad_option_before_any_work(workspace, tmp_path,
                                                     capsys, monkeypatch,
                                                     option, value):
@@ -456,9 +466,11 @@ def test_analyze_rejects_bad_option_before_any_work(workspace, tmp_path,
      "--train-fraction must be in (0, 1), got 1.5"),
     (["project", "--target-dim", "0"], "--target-dim must be >= 1, got 0"),
     (["analyze", "--bin-width", "inf"],
-     "--bin-width must be finite and > 0, got inf"),
+     "--bin-width must be finite and >= 2**-19 (2**20 bins reach distance 2), "
+     "got inf"),
     (["analyze", "--bin-width", "nan"],
-     "--bin-width must be finite and > 0, got nan"),
+     "--bin-width must be finite and >= 2**-19 (2**20 bins reach distance 2), "
+     "got nan"),
     # checked for every command, also where the value goes unused
     (["eval", "--pairs", "1"], "--pairs must be >= 2, got 1"),
     (["dedup", "--workers", "-1"], "--workers must be >= 0, got -1"),
@@ -562,22 +574,25 @@ def test_cache_key_reads_no_package_metadata(monkeypatch):
     assert [_cache_key(cfg, manifest, m, [0, 1]) for m in methods] == keys
 
 
-def _rows_read(train, test, labels, seed) -> set[int]:
-    """The documents whose rows ``eval`` reads in a fold: the validation
-    documents it carves out of ``train`` with ``seed``, and ``test``."""
-    split = make_validation_split(
-        LabeledSplit(tuple(train), tuple(test), labels), 0.2, seed=seed)
-    return {*split.validation_ids, *split.test_ids}
-
-
-def _folds_read(args) -> list[tuple]:
-    """Each fold of the ``eval`` run ``args``, with the documents whose
-    rows it reads."""
+def _search_inputs(args) -> tuple[list[dict], dict, object]:
+    """The reads of each fold of the ``eval`` run ``args`` (see
+    ``reference_search``), the documents' ``wmd`` measures and the
+    embedding store."""
     cfg = build_config(make_parser().parse_args([str(a) for a in args]))
-    corp = cli.build_pipeline(cfg).corpus
-    return [(fold, _rows_read(fold.train_ids, fold.test_ids,
-                              corp.labels_by_id(), seed=(cfg.seed, i)))
-            for i, fold in enumerate(corp.folds)]
+    pipe = cli.build_pipeline(cfg)
+    labels = pipe.corpus.labels_by_id()
+    reads = [reference_search.fold_reads(fold.train_ids, fold.test_ids,
+                                         labels, seed=(cfg.seed, i))
+             for i, fold in enumerate(pipe.corpus.folds)]
+    reps = representations(list(pipe.corpus.ids()), Method.parse("wmd"),
+                           pipe.resources)
+    return reads, reps, pipe.store
+
+
+def _read_pairs(fold: dict) -> set[tuple[int, int]]:
+    # document 46 has no word with an embedding: no usable pair
+    return {(min(a, b), max(a, b)) for a, cols in fold.items() for b in cols
+            if a != b and 46 not in (a, b)}
 
 
 def _count_solves(monkeypatch) -> list:
@@ -608,22 +623,23 @@ def test_edited_fold_file_reuses_stored_pairs(workspace, tmp_path,
         return (out / "report.csv").read_bytes(), len(solves)
 
     labels = load_corpus(str(workspace / "docs.txt")).labels_by_id()
+    _, reps, embeddings = _search_inputs(base_args(workspace, tmp_path))
+    cells = {}
 
-    def usable_pairs(train, test):
-        # every document pair that the fold's validation and test rows read
-        # against its training documents; document 46 has no word with an
-        # embedding, so it has no usable pair
-        return {(min(a, b), max(a, b))
-                for a in _rows_read(train, test, labels, seed=(0, 0))
-                for b in train if a != b and 46 not in (a, b)}
+    def searched(train, test):
+        # the pairs the fold's searches solve beyond the cells stored
+        return reference_search.search(
+            [reference_search.fold_reads(train, test, labels, seed=(0, 0))],
+            reps, embeddings, cells)
 
     first = (range(30), range(30, 47))
     _, cold = eval_with_fold(*first, tmp_path / "a", tmp_path / "c")
-    assert cold == len(usable_pairs(*first))
+    assert cold == len(searched(*first))
     edited = (range(10, 40), [*range(10), *range(40, 47)])
     warm, solved = eval_with_fold(*edited, tmp_path / "b", tmp_path / "c")
-    # the edited run solves just the pairs the first run did not store
-    assert solved == len(usable_pairs(*edited) - usable_pairs(*first)) > 0
+    # the edited run solves just the pairs its searches need that the
+    # first run did not store
+    assert solved == len(searched(*edited)) > 0
     assert len(list((tmp_path / "c").iterdir())) == 2  # one per method
     fresh, _ = eval_with_fold(*edited, tmp_path / "d", tmp_path / "new")
     assert warm == fresh
@@ -664,15 +680,18 @@ def test_eval_solves_only_the_pairs_its_folds_read(workspace, tmp_path,
     solves = _count_solves(monkeypatch)
     args = base_args(workspace, tmp_path / "run", ["--method", "wmd"])
     assert run(args) == 0
-    read, every = set(), set()
-    for fold, rows in _folds_read(args):
-        for queries, pairs in ((rows, read),
-                               ((*fold.train_ids, *fold.test_ids), every)):
-            # document 46 has no word with an embedding: no usable pair
-            pairs.update((min(a, b), max(a, b)) for a in queries
-                         for b in fold.train_ids if a != b
-                         and 46 not in (a, b))
-    assert len(solves) == len(read) < len(every)
+    solved = len(solves)
+    reads, reps, embeddings = _search_inputs(args)
+    searched = reference_search.search(reads, reps, embeddings)
+    read = set().union(*map(_read_pairs, reads))
+    cfg = build_config(make_parser().parse_args([str(a) for a in args]))
+    every = set().union(*(
+        _read_pairs({a: fold.train_ids for a in (*fold.train_ids,
+                                                 *fold.test_ids)})
+        for fold in cli.build_pipeline(cfg).corpus.folds))
+    # each row solves only what proves its k nearest
+    assert solved == len(searched) < len(read) < len(every)
+    assert set(searched) <= read
 
 
 @pytest.mark.parametrize("classifier", ["knn", "wknn"])
@@ -697,8 +716,15 @@ def test_each_pair_solved_once_across_eval_and_analyze(workspace, tmp_path,
     inputs = ["--dataset", workspace / "docs.txt", "--embeddings",
               workspace / "emb.txt", "--folds", "2", "--seed", "1",
               "--workers", "1", "--cache-dir", tmp_path / "cache"]
-    assert run(["eval", "--method", "wmd", "--out", tmp_path / "eval",
-                *inputs]) == 0
+    eval_args = ["eval", "--method", "wmd", "--out", tmp_path / "eval",
+                 *inputs]
+    assert run(eval_args) == 0
+    solved_by_eval = len(solves)
+    assert solved_by_eval == len(reference_search.search(*_search_inputs(
+        eval_args)))
+    solves.clear()
+    # analyze solves every other pair of the matrix it reads, and bounds
+    # count as missing there
     analyze = ["analyze", "--pairs", "30", "--dims", "3,8",
                "--out", tmp_path / "an", *inputs]
     assert run(analyze) == 0
@@ -716,7 +742,7 @@ def test_each_pair_solved_once_across_eval_and_analyze(workspace, tmp_path,
     assert len(measures) == usable
     sampled = sample_document_pairs(sorted(measures), 30, 1)
     extra = usable + len(set(sampled))
-    assert len(solves) == usable * (usable - 1) // 2 + extra
+    assert solved_by_eval + len(solves) == usable * (usable - 1) // 2 + extra
     solves.clear()
     assert run(analyze) == 0
     assert len(solves) == extra

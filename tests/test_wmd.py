@@ -417,7 +417,7 @@ def test_cache_round_trip(tmp_path, small_resources):
     ids = [0, 1, 2, 6]
     dm = pairwise_distances(ids, ids, Method.parse("wmd"), small_resources)
     pairs = PairStore.empty(ids)
-    pairs.update(dm)
+    pairs.update(dm.row_ids, dm.col_ids, dm.values)
     path = tmp_path / "cache.npy"
     write_distance_matrix(pairs, str(path))
     back = read_distance_matrix(str(path), ids)
@@ -457,10 +457,12 @@ def test_cache_rejects_corrupt_file(tmp_path):
         read_distance_matrix(str(path), (0, 1, 2, 3))
     assert np.array_equal(read_distance_matrix(path, (5, 6, 7)).values,
                           values)
-    # NaN marks a pair not computed yet, not a corrupt file
-    write_distance_matrix(PairStore((0, 1, 2), np.array([1.5, np.nan, 4.0])),
+    # NaN marks a pair not computed yet, and a finite negative cell minus a
+    # lower bound, not a corrupt file
+    write_distance_matrix(PairStore((0, 1, 2), np.array([1.5, np.nan, -4.0])),
                           path)
-    assert np.isnan(read_distance_matrix(path, (0, 1, 2)).values[1])
+    back = read_distance_matrix(path, (0, 1, 2)).values
+    assert np.isnan(back[1]) and back[2] == -4.0
 
 
 # -- pair store ---------------------------------------------------------------------
@@ -486,7 +488,7 @@ def test_pair_store_self_cells_and_missing_pairs():
     # nothing finite stored yet: a self cell reads as an unusable document's
     assert pairs.matrix([0], [0]).tolist() == [[math.inf]]
     dm = DistanceMatrix((0, 1, 2), (1,), [[0.5], [0.0], [math.inf]])
-    pairs.update(dm)
+    pairs.update(dm.row_ids, dm.col_ids, dm.values)
     grid = pairs.matrix((0, 1, 2), (0, 1, 2))
     assert grid[0].tolist()[:2] == [0.0, 0.5] and np.isnan(grid[0, 2])
     assert grid[1].tolist() == [0.5, 0.0, math.inf]
@@ -526,7 +528,7 @@ def test_cold_warm_and_direct_matrices_agree_on_self_cells(small_resources,
     store = PairStore.empty(list(range(7)))
     cold = pairwise_distances(queries, refs, method, small_resources,
                               store.matrix(queries, refs))
-    store.update(cold)
+    store.update(cold.row_ids, cold.col_ids, cold.values)
     warm = store.matrix(queries, refs)
     assert direct.values[0, 1] == direct.values[1, 3] == 0.0
     assert np.isinf(direct.values[2]).all()
