@@ -6,7 +6,7 @@ import bisect
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -151,6 +151,9 @@ class Resources:
     ``doc_freq``/``n_docs`` are corpus-level statistics used by the tfidf
     weightings. ``workers`` processes solve the pairs of a transport matrix;
     BOW/TF-IDF matrices are computed in the calling process.
+    ``representations`` keeps what it builds in ``built``, so that each
+    document's TF-IDF vector, and its representation under a weighting
+    and a norm, is built once however many methods share them.
     """
 
     counts: Mapping[int, SparseVector]
@@ -159,6 +162,10 @@ class Resources:
     doc_freq: np.ndarray | None = None
     n_docs: int | None = None
     workers: int = 1
+    # "tfidf" -> {doc id: TF-IDF vector}; (tfidf, norm) -> {doc id:
+    # representation}, with norm None for a transport method's measure
+    built: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 def make_measure(vec: SparseVector, vocab: Vocabulary) -> DocumentMeasure:
@@ -207,11 +214,16 @@ def representations(ids: Sequence[int], method: Method,
     tfidf = method.kind in ("tfidf", "wmd-tfidf")
     if tfidf and (res.doc_freq is None or res.n_docs is None):
         raise InvalidInput("tfidf methods need doc_freq and n_docs")
-    reps: dict[int, object] = {}
+    reps = res.built.setdefault((tfidf, method.norm), {})
+    weighted = res.built.setdefault("tfidf", {})
     for doc_id in ids:
+        if doc_id in reps:
+            continue
         vec = res.counts[doc_id]
         if tfidf:
-            vec = tfidf_vector(vec, res.doc_freq, res.n_docs)
+            if doc_id not in weighted:
+                weighted[doc_id] = tfidf_vector(vec, res.doc_freq, res.n_docs)
+            vec = weighted[doc_id]
         # a transport method has no norm: an empty measure is unusable too
         if vec.nnz == 0 and method.norm is not NormScheme.NONE:
             reps[doc_id] = None
@@ -219,7 +231,7 @@ def representations(ids: Sequence[int], method: Method,
             reps[doc_id] = make_measure(vec, res.vocab)
         else:
             reps[doc_id] = normalize(vec, method.norm)
-    return reps
+    return {doc_id: reps[doc_id] for doc_id in ids}
 
 
 def _vector_cells(queries: Sequence[int], refs: Sequence[int],
@@ -241,11 +253,19 @@ def _rwmd(a: DocumentMeasure, refs: Sequence[DocumentMeasure],
     ``refs``: the relaxed WMD of Kusner et al. (2015), max(sum_i a_i min_j
     c_ij, sum_j b_j min_i c_ij), from one slice of ``costs`` (a's words x
     the references' words, concatenated), deflated by a relative 1e-12 so
-    that the rounding of these sums cannot lift it over the exact value."""
+    that the rounding of these sums cannot lift it over the exact value.
+
+    The first sum runs over a's words from left to right, each step over
+    every reference at once, so a reference's bound has the same bits
+    whichever references share the call; a matrix product, or a pairwise
+    ``sum``, may round one reference alone differently from a batch."""
     starts = np.cumsum([0] + [len(b.words) for b in refs[:-1]])
     c = cost_submatrix(costs, a.words, [w for b in refs for w in b.words])
     weights = np.concatenate([b.weights for b in refs])
-    moved_out = a.weights @ np.minimum.reduceat(c, starts, axis=1)
+    mins = np.minimum.reduceat(c, starts, axis=1)
+    moved_out = a.weights[0] * mins[0]
+    for w, row in zip(a.weights[1:], mins[1:]):
+        moved_out += w * row
     moved_in = np.add.reduceat(weights * c.min(axis=0), starts)
     return np.maximum(moved_out, moved_in) * (1.0 - 1e-12)
 

@@ -300,6 +300,25 @@ def test_binary_records_split_across_blocks(tmp_path, monkeypatch, block):
     assert err.value.offset == p.stat().st_size - 1
 
 
+@pytest.mark.parametrize("block", [12, 30, embeddings._BLOCK_BYTES])
+@pytest.mark.parametrize("vocabulary", [{"absent"}, {"w0"}])
+def test_block_without_a_corpus_word_yields_its_zero_rows(
+        tmp_path, monkeypatch, block, vocabulary):
+    # 12-byte records: at 12 and 30 bytes the blocks after the first hold
+    # one or two records and no corpus word, and with {"absent"} none does
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+    p = tmp_path / "emb.bin"
+    write_binary(p, [("w0", [1, 2]), ("z1", [0, 0]), ("w2", [3, 4]),
+                     ("z3", [0, -0.0]), ("w4", [5, 6])], dim=2)
+    with embeddings._HashedFile(str(p)) as stream:
+        got = [(n, t, z) for n, t, _, z in
+               embeddings._Word2VecRecords().select(stream, vocabulary)]
+    assert got == [(4, "w0", False)] * ("w0" in vocabulary) \
+        + [(16, "z1", True), (40, "z3", True)]
+    with pytest.raises(ZeroVector, match="^z1$"):
+        load_normalized(p, WORD2VEC_BINARY, vocabulary)
+
+
 def test_load_logs_kept_rows(tmp_path, caplog):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 2.0\nb 3.0 4.0\na 5.0 6.0\n")
@@ -317,7 +336,8 @@ def hashed_load(path, fmt, vocabulary=None):
     return store, sha.hexdigest()
 
 
-@pytest.mark.parametrize("block", [5, 64, 16 << 20])
+# the shipped block size, and 16 MiB, a block far larger than any file here
+@pytest.mark.parametrize("block", [5, 64, embeddings._BLOCK_BYTES, 16 << 20])
 def test_load_hashes_every_byte_of_the_file(tmp_path, monkeypatch, block):
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
     records = [(f"w{i}", [i + 1.0, -i, 0.5]) for i in range(20)]
@@ -377,7 +397,7 @@ def write_broken(path, kind):
 
 @pytest.mark.parametrize("kind", ["bad token bytes", "short vector",
                                   "no token terminator", "zero"])
-@pytest.mark.parametrize("block", [3, 16 << 20])
+@pytest.mark.parametrize("block", [3, embeddings._BLOCK_BYTES, 16 << 20])
 def test_load_leaves_no_thread_running(tmp_path, monkeypatch, kind, block):
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
     before = threading.enumerate()

@@ -3,6 +3,7 @@ against the token-based builders it replaced, compared bit for bit for the
 12 BOW/TF-IDF grid methods, ``wmd`` and ``wmd-tfidf``."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from wmdlab.corpus import Corpus, Document, filter_vocabulary
 from wmdlab.textrep import NormScheme, build_vocabulary, document_frequencies
-from wmdlab.wmd import Method, Resources, representations
+from wmdlab import wmd
+from wmdlab.wmd import DocumentMeasure, Method, Resources, representations
 
 import reference_representations as reference
 from helpers import counts_of
@@ -21,16 +23,34 @@ GRID = [f"{kind}({norm},{metric})" for kind in ("bow", "tfidf")
 METHODS = [Method.parse(s) for s in GRID + ["wmd", "wmd-tfidf"]]
 
 
+def resources_of(tokens, vocab_docs=None):
+    """``Resources`` over ``tokens``, with the vocabulary of ``vocab_docs``
+    (default: all documents)."""
+    vocab = build_vocabulary(list(tokens.values() if vocab_docs is None
+                                  else vocab_docs))
+    return Resources(counts=counts_of(tokens, vocab), vocab=vocab,
+                     doc_freq=document_frequencies(tokens.values(), vocab),
+                     n_docs=len(tokens))
+
+
+def same_bits(a, b):
+    """Whether two representations (or None) are equal bit for bit."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, DocumentMeasure):
+        return (a.words, a.weights.tobytes()) \
+            == (b.words, b.weights.tobytes())
+    return (a.dim, a.ids.tobytes(), a.values.tobytes()) \
+        == (b.dim, b.ids.tobytes(), b.values.tobytes())
+
+
 def compare(tokens, vocab_docs=None):
     """Check every method's representations of ``tokens`` against the
     reference; the vocabulary comes from ``vocab_docs`` (default: all
     documents). Returns the number of usable documents per method."""
-    vocab = build_vocabulary(list(tokens.values() if vocab_docs is None
-                                  else vocab_docs))
-    df = document_frequencies(tokens.values(), vocab)
-    res = Resources(counts=counts_of(tokens, vocab), vocab=vocab,
-                    doc_freq=df, n_docs=len(tokens))
-    ref = reference.TokenResources(tokens, vocab, df, len(tokens))
+    res = resources_of(tokens, vocab_docs)
+    ref = reference.TokenResources(tokens, res.vocab, res.doc_freq,
+                                   len(tokens))
     ids = list(tokens)
     usable = {}
     for method in METHODS:
@@ -38,18 +58,7 @@ def compare(tokens, vocab_docs=None):
         want = reference.representations(ids, method, ref)
         assert list(got) == list(want)
         for i in ids:
-            a, b = got[i], want[i]
-            if b is None:
-                assert a is None, (method.label, i)
-            elif method.uses_transport:
-                assert a.words == b.words, (method.label, i)
-                assert a.weights.tobytes() == b.weights.tobytes(), \
-                    (method.label, i)
-            else:
-                assert a.dim == b.dim, (method.label, i)
-                assert a.ids.tobytes() == b.ids.tobytes(), (method.label, i)
-                assert a.values.tobytes() == b.values.tobytes(), \
-                    (method.label, i)
+            assert same_bits(got[i], want[i]), (method.label, i)
         usable[method.label] = sum(r is not None for r in got.values())
     return usable
 
@@ -145,3 +154,42 @@ def test_random_corpora_bit_identical(corpus, data):
         vocab_docs = data.draw(st.lists(st.sampled_from(list(tokens.values())),
                                         min_size=1))
     compare(tokens, vocab_docs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_methods_share_one_build_bit_equal_to_a_fresh_one(monkeypatch, seed):
+    """Every method (the 12 of the grid, wmd and wmd-tfidf), built over
+    overlapping id sets in a drawn order from one ``Resources``, gets
+    representations bit-equal to a fresh build; each document's TF-IDF
+    vector is built once, and its representation once per weighting and
+    norm."""
+    tokens = seeded_corpus(seed, keep_oov=False, every_everywhere=False)
+    shared = resources_of(tokens)
+    calls = Counter()
+    for name in ("tfidf_vector", "normalize"):
+        real = getattr(wmd, name)
+        monkeypatch.setattr(wmd, name, lambda *a, name=name, real=real:
+                            calls.update([name]) or real(*a))
+    rng = np.random.default_rng(seed)
+    ids = list(tokens)
+    builds = [(METHODS[m], rng.permutation(ids)[:25].tolist())
+              for _ in range(3) for m in rng.permutation(len(METHODS))]
+    got = [representations(part, method, shared) for method, part in builds]
+    monkeypatch.undo()
+    for (method, part), reps in zip(builds, got):
+        fresh = representations(part, method, resources_of(tokens))
+        assert list(reps) == part
+        assert all(same_bits(reps[i], fresh[i]) for i in part), method.label
+    # each (weighting, norm) builds a document once, and the 12 grid
+    # methods need 6 vector sets; a usable representation makes one
+    # normalize call, an unusable one none
+    asked, usable = {}, {}
+    for (method, part), reps in zip(builds, got):
+        key = (method.kind in ("tfidf", "wmd-tfidf"), method.norm)
+        asked.setdefault(key, set()).update(part)
+        usable.setdefault(key, set()).update(
+            i for i in part if reps[i] is not None)
+    assert sum(norm is not None for _, norm in asked) == 6
+    assert calls["tfidf_vector"] == len(set().union(
+        *(d for (tfidf, _), d in asked.items() if tfidf)))
+    assert calls["normalize"] == sum(map(len, usable.values()))

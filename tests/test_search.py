@@ -88,6 +88,40 @@ def test_deflated_rwmd_never_exceeds_the_transport_distance(case):
     assert bounds[1] == 0.0 and 0.0 <= bounds[[0, 2]].max() <= exact
 
 
+@st.composite
+def query_and_references(draw):
+    """A query measure, one to six reference measures and a shuffle of
+    them, over up to eight embedded words."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.floats(-2, 2, allow_nan=False),
+                                  min_size=2, max_size=2),
+                         min_size=n, max_size=n))
+    store = EmbeddingStore([f"w{i}" for i in range(n)], np.array(rows))
+
+    def measure():
+        ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                            unique=True))
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=len(ids),
+                                   max_size=len(ids))), dtype=np.float64)
+        return DocumentMeasure(tuple(f"w{i}" for i in ids), w / w.sum())
+    refs = [measure() for _ in range(draw(st.integers(1, 6)))]
+    return store, measure(), refs, draw(st.permutations(range(len(refs))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(query_and_references())
+def test_each_bound_has_the_same_bits_alone_and_in_any_batch(case):
+    store, a, refs, order = case
+    table = store.distances(store.tokens, store.tokens)
+    words = [w for b in refs for w in b.words]
+    for costs in (table, store.distances(a.words, words)):
+        alone = np.concatenate([wmd._rwmd(a, [b], costs) for b in refs])
+        batch = wmd._rwmd(a, refs, costs)
+        shuffled = np.empty_like(batch)
+        shuffled[order] = wmd._rwmd(a, [refs[j] for j in order], costs)
+        assert alone.tobytes() == batch.tobytes() == shuffled.tobytes()
+
+
 # -- a search against a full fill ----------------------------------------------
 
 
