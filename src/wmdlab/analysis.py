@@ -104,8 +104,10 @@ def transport_histogram(
     return TransportHistogram(bin_edges=edges, masses=masses, total_mass=total)
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Product-moment correlation, clamped into [-1, 1]."""
+def pearson(xs: Sequence[float], ys: Sequence[float],
+            names: tuple[str, str] = ("xs", "ys")) -> float:
+    """Product-moment correlation, clamped into [-1, 1]; a constant series
+    fails, named by ``names``, whatever the rounding of its variance."""
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     n = len(xs)
@@ -118,8 +120,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     cov = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     sx = math.sqrt(math.fsum((x - mx) ** 2 for x in xs))
     sy = math.sqrt(math.fsum((y - my) ** 2 for y in ys))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateInput("zero variance")
+    for name, series, spread in zip(names, (xs, ys), (sx, sy)):
+        if spread == 0.0 or len(set(series)) == 1:
+            raise DegenerateInput(f"{name} is constant over {n} pairs")
     return max(-1.0, min(1.0, cov / (sx * sy)))
 
 
@@ -180,13 +183,13 @@ def dim_comparison(
     out: dict[int, float] = {}
     for d in dims:
         if d == store.dim and wmd_distances is not None:
-            out[int(d)] = pearson(bow_distances, wmd_distances)
-            continue
-        store_d = store if d == store.dim else project_pca(
-            store, d, fit_vocab=fit_vocab
-        )
-        out[int(d)] = pearson(bow_distances, pair_distances(
-            pairs, measures, store_d, workers).tolist())
+            wmds = wmd_distances
+        else:
+            store_d = store if d == store.dim else project_pca(
+                store, d, fit_vocab=fit_vocab)
+            wmds = pair_distances(pairs, measures, store_d, workers).tolist()
+        out[int(d)] = pearson(bow_distances, wmds,
+                              ("bow_l1l1", f"wmd at dim {d}"))
     return out
 
 

@@ -32,7 +32,8 @@ from .embeddings import (
     project_pca,
     zero_row_error,
 )
-from .errors import ParseError, WmdlabError, ZeroVector, text_lines
+from .errors import DegenerateInput, ParseError, WmdlabError, \
+    ZeroVector, text_lines
 from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
@@ -391,70 +392,40 @@ class DistanceCache:
             tmp.unlink(missing_ok=True)
 
 
-def _pair_store(pipe: Pipeline, cache: DistanceCache, manifest: dict,
-                method: Method) -> tuple[str, PairStore]:
-    ids = list(pipe.corpus.ids())
-    key = _cache_key(pipe.cfg, manifest, method, ids)
-    pairs = cache.get(key, ids)
-    return key, PairStore.empty(ids) if pairs is None else pairs
-
-
-def _may_compute(cfg: RunConfig, key: str, missing: int) -> None:
-    if cfg.no_compute:
-        raise CliError(f"missing cache: {key}.npy lacks {missing} "
-                       "distance(s) and --no-compute is set")
-
-
 def _distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
                method: Method, queries: list[int], refs: list[int],
-               unread: np.ndarray | None = None) -> wmd.DistanceMatrix:
+               read: np.ndarray | None = None,
+               k: int | None = None) -> wmd.DistanceMatrix:
     """The ``queries`` x ``refs`` matrix of ``method`` from its pair store;
     the cells the store lacks are computed and stored first. Given
-    ``unread``, the cells no vote reads, each row needs only its k nearest
-    of the others, k being the most neighbours a tuned vote reads: they are
-    proven from the store's distances and bounds, or found by the search
-    of ``pairwise_distances``, and every other cell reads +inf."""
-    key, pairs = _pair_store(pipe, cache, manifest, method)
+    ``read``, only its True cells are worked on and the others read +inf.
+    Given ``k``, each row needs only its k nearest cells: they are proven
+    from the store's distances and bounds, or found by the search of
+    ``pairwise_distances``, and every other cell reads +inf."""
+    ids = list(pipe.corpus.ids())
+    key = _cache_key(pipe.cfg, manifest, method, ids)
+    pairs = cache.get(key, ids) or PairStore.empty(ids)
     known = pairs.matrix(queries, refs)
-    k = None
-    if unread is not None:
-        known[unread] = np.inf
-        k = max(knn_eval.WKNN_FIXED_K, *knn_eval.TuningGrid().k_candidates)
+    if read is not None:
+        known[~read] = np.inf
     pending = ~(known >= 0)
     missing = int(pending[wmd.open_rows(known, k)].sum())
     if not missing:
         return wmd.DistanceMatrix(tuple(queries), tuple(refs),
                                   np.where(known >= 0, known, np.inf))
-    _may_compute(pipe.cfg, key, missing)
+    if pipe.cfg.no_compute:
+        raise CliError(f"missing cache: {key}.npy lacks {missing} "
+                       "distance(s) and --no-compute is set")
     dm = pairwise_distances(queries, refs, method, pipe.resources, known, k)
     logger.info("computing %s (%d x %d cells: %d computed, %d bounded)",
                 method.label, len(queries), len(refs),
                 (pending & (known >= 0) & (known < np.inf)).sum(),
                 (pending & (known < 0)).sum())
-    if unread is not None:
-        known[unread] = np.nan
+    if read is not None:
+        known[~read] = np.nan
     pairs.update(queries, refs, known)
     cache.put(key, pairs)
     return dm
-
-
-def _pair_distances(pipe: Pipeline, cache: DistanceCache, manifest: dict,
-                    method: Method, pairs: list[tuple[int, int]],
-                    reps: dict) -> list[float]:
-    """The transport distance of each pair of distinct usable documents,
-    read from the pair store once the pairs it lacks, or holds only a
-    bound for, are solved and stored."""
-    key, store = _pair_store(pipe, cache, manifest, method)
-    values = store.pair_values(pairs)
-    miss = ~(values >= 0)
-    if miss.any():
-        missing = [p for p, m in zip(pairs, miss) if m]
-        _may_compute(pipe.cfg, key, len(missing))
-        values[miss] = wmd.pair_distances(missing, reps, pipe.store,
-                                          pipe.resources.workers)
-        store.set_pair_values(missing, values[miss])
-        cache.put(key, store)
-    return values.tolist()
 
 
 def _fold_matrices(cfg: RunConfig, every_row: bool = False):
@@ -480,13 +451,14 @@ def _fold_matrices(cfg: RunConfig, every_row: bool = False):
         rows = all_ids if split is None else sorted(
             {*split.validation_ids, *split.test_ids})
         refs = list(fold.train_ids)
-        unread = None if split is None else (
+        read = None if split is None else ~(
             np.isin(rows, split.validation_ids)[:, None]
             & np.isin(refs, split.validation_ids)[None, :])
         for method in methods:
+            search = read is not None and method.uses_transport
             yield pipe, fold_idx, method, split, _distances(
                 pipe, cache, manifest, method, rows, refs,
-                unread if method.uses_transport else None)
+                *((read, knn_eval.VOTE_K) if search else ()))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -590,22 +562,37 @@ def cmd_analyze(cfg: RunConfig) -> int:
     nn_pairs = analysis.nearest_neighbor_pairs(dm_usable, mode)
     hist = analysis.transport_histogram(nn_pairs, measures, pipe.store,
                                         cfg.bin_width)
-    analysis.write_histogram_csv(hist, str(out_dir / "transport_histogram.csv"))
 
     pairs = analysis.sample_document_pairs(sorted(measures), cfg.pairs,
                                            cfg.seed)
-    wmds = _pair_distances(pipe, cache, manifest, wmd_method, pairs, measures)
+    # the scatter reads its pairs' cells of (first ids) x (second ids)
+    firsts, seconds = ({d: i for i, d in enumerate(sorted(set(ends)))}
+                       for ends in zip(*pairs))
+    cells = ([firsts[a] for a, _ in pairs], [seconds[b] for _, b in pairs])
+    read = np.zeros((len(firsts), len(seconds)), dtype=bool)
+    read[cells] = True
+    wmds = _distances(pipe, cache, manifest, wmd_method, list(firsts),
+                      list(seconds), read).values[cells].tolist()
     points = analysis.bow_wmd_scatter(pairs, bows, wmds)
+    bow_l1 = [x for x, _ in points]
+    # a constant series fails before any analysis file is written
+    try:
+        r = analysis.pearson(bow_l1, wmds, ("bow_l1l1", "wmd"))
+    except DegenerateInput as exc:
+        raise CliError(f"scatter.csv: {exc}") from None
+    try:
+        table = analysis.dim_comparison(
+            pairs, bow_l1, measures, pipe.store, dims, res.vocab.words,
+            res.workers, wmds) if dims else {}
+    except DegenerateInput as exc:
+        raise CliError(f"dim_comparison.csv: {exc}") from None
+
+    analysis.write_histogram_csv(hist, str(out_dir / "transport_histogram.csv"))
     analysis.write_scatter_csv(points, str(out_dir / "scatter.csv"))
-    r = analysis.pearson([p[0] for p in points], [p[1] for p in points])
     with open(out_dir / "scatter_pearson.json", "w", encoding="utf-8") as fh:
         json.dump({"pearson": r, "n_pairs": len(points)}, fh, indent=2)
         fh.write("\n")
-
     if dims:
-        table = analysis.dim_comparison(pairs, [x for x, _ in points],
-                                        measures, pipe.store, dims,
-                                        res.vocab.words, res.workers, wmds)
         with open(out_dir / "dim_comparison.csv", "w", encoding="utf-8") as fh:
             fh.write("dim,pearson\n")
             for d in dims:

@@ -55,6 +55,11 @@ class TuningGrid:
     )
 
 
+# the most neighbours a tuned vote reads: a transport matrix needs only
+# each row's VOTE_K nearest cells
+VOTE_K = max(WKNN_FIXED_K, *TuningGrid().k_candidates)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     k: int

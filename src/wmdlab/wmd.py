@@ -502,34 +502,18 @@ class PairStore:
         return np.where(i == j, self.values.size,
                         i * (2 * n - i - 1) // 2 + j - i - 1)
 
-    def _read(self, cells: np.ndarray) -> np.ndarray:
-        return np.append(self.values, np.nan)[cells]
-
     def matrix(self, queries: Sequence[int],
                refs: Sequence[int]) -> np.ndarray:
         """The ``queries`` x ``refs`` distances, NaN where a pair is
         missing."""
         cells = self._cells(self._positions(queries)[:, None],
                             self._positions(refs)[None, :])
-        out = self._read(cells)
+        out = np.append(self.values, np.nan)[cells]
         i, j = np.nonzero(cells == self.values.size)
         finite = np.isfinite(out)  # self cells read NaN here
         out[i, j] = np.where(finite[i].any(axis=1) | finite[:, j].any(axis=0),
                              0.0, np.inf)
         return out
-
-    def pair_values(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """The distance of each pair of distinct documents, NaN where
-        missing."""
-        return self._read(self._pair_cells(pairs))
-
-    def set_pair_values(self, pairs: Sequence[tuple[int, int]],
-                        values: Sequence[float]) -> None:
-        self.values[self._pair_cells(pairs)] = values
-
-    def _pair_cells(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        return self._cells(self._positions([a for a, _ in pairs]),
-                           self._positions([b for _, b in pairs]))
 
     def update(self, row_ids: Sequence[int], col_ids: Sequence[int],
                values: np.ndarray) -> None:

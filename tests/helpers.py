@@ -1,6 +1,7 @@
 """Sparse vectors from pairs and dense views of sparse library objects,
 count vectors of token lists, embedding rows by word, broken cache files,
-and the dual certificate of a transport plan, for the tests."""
+the pair store's cell layout, and the dual certificate of a transport
+plan, for the tests."""
 
 from __future__ import annotations
 
@@ -104,6 +105,15 @@ def _npz(array: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, values=array)
     return buf.getvalue()
+
+
+def condensed_index(n: int, i: int, j: int) -> int:
+    """Where a pair store over n ids keeps the pair of the ids at positions
+    i and j, in either order: the upper triangle of the n x n matrix, row
+    by row, puts (i, j), i < j, at i (2n - i - 1) / 2 + j - i - 1."""
+    i, j = min(i, j), max(i, j)
+    assert 0 <= i < j < n
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:

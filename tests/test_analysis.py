@@ -189,6 +189,15 @@ def test_pearson_degenerate_inputs():
         pearson([1.0, 2.0], [1.0])
 
 
+def test_pearson_names_a_constant_series():
+    # the mean of three 0.1s rounds off 0.1: the computed variance is not 0
+    assert math.fsum([0.1] * 3) / 3 != 0.1
+    with pytest.raises(DegenerateInput, match="^wmd is constant over 3 pairs$"):
+        pearson([0.0, 1.0, 2.0], [0.1] * 3, ("bow_l1l1", "wmd"))
+    with pytest.raises(DegenerateInput, match="^xs is constant over 2 pairs$"):
+        pearson([2.0, 2.0], [2.0, 2.0])
+
+
 def test_pearson_affine_invariance():
     rng = np.random.default_rng(43)
     xs = rng.random(20).tolist()

@@ -28,7 +28,7 @@ from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
     representations, wmd_distance
 
 import reference_search
-from helpers import corrupt_cache_files
+from helpers import condensed_index, corrupt_cache_files
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ def test_no_compute_needs_every_pair_stored(workspace, tmp_path, capsys):
                   if (min(q, c), max(q, c)) not in _read_pairs(reads[0]))
     del cells[forget]
     values = np.load(store)
-    PairStore(range(47), values).set_pair_values([forget], [np.nan])
+    values[condensed_index(47, *forget)] = np.nan  # ids 0..46 in order
     np.save(store, values)
     lacks = reference_search.lacking(reads[1], reps, cells)
     assert reference_search.lacking(reads[0], reps, cells) == 0 < lacks
@@ -748,6 +748,102 @@ def test_each_pair_solved_once_across_eval_and_analyze(workspace, tmp_path,
     assert len(solves) == extra
 
 
+def test_cross_split_analyze_fills_the_pairs_its_scatter_reads(
+        workspace, tmp_path, monkeypatch, capsys):
+    # one fold: dists stores every document against the training
+    # documents, and no pair of two test documents, which the scatter reads
+    inputs = ["--dataset", workspace / "docs.txt", "--embeddings",
+              workspace / "emb.txt", "--folds", "1", "--seed", "2",
+              "--workers", "1", "--cache-dir", tmp_path / "cache"]
+    assert run(["dists", "--method", "wmd", "--out", tmp_path / "dists",
+                *inputs]) == 0
+    store, = (tmp_path / "cache").iterdir()
+    analyze = ["analyze", "--pairs", "200", *inputs]
+    cfg = build_config(make_parser().parse_args([str(a) for a in analyze]))
+    pipe = cli.build_pipeline(cfg)
+    fold, = pipe.corpus.folds
+    ids = list(pipe.corpus.ids())
+    reps = representations(ids, Method.parse("wmd"), pipe.resources)
+    usable = sorted(d for d in ids if reps[d] is not None)
+    sampled = sample_document_pairs(usable, 200, 2)
+    # the read cells that hold no distance: a repeated pair is one cell, a
+    # pair and its reverse are two
+    lacking = {p for p in sampled if set(p) <= set(fold.test_ids)}
+    unordered = {(min(p), max(p)) for p in lacking}
+    assert sum(set(p) <= set(fold.test_ids) for p in sampled) \
+        > len(lacking) > len(unordered) > 1
+    capsys.readouterr()
+    assert run([*analyze, "--no-compute", "--out", tmp_path / "a"]) == 1
+    assert f"missing cache: {store.name} lacks {len(lacking)} distance(s)" \
+        in capsys.readouterr().err
+    solves = _count_solves(monkeypatch)
+    assert run([*analyze, "--out", tmp_path / "b"]) == 0
+    # the histogram solves one plan per usable training document
+    histogram = sum(reps[d] is not None for d in fold.train_ids)
+    assert len(solves) == histogram + len(unordered)
+    values = np.load(store)
+    for a, b in unordered:
+        got = values[condensed_index(len(ids), ids.index(a), ids.index(b))]
+        want = wmd_distance(reps[a], reps[b], pipe.store)
+        assert np.float64(got).view(np.int64) == \
+            np.float64(want).view(np.int64)
+    solves.clear()
+    assert run([*analyze, "--no-compute", "--out", tmp_path / "c"]) == 0
+    assert len(solves) == histogram
+    for name in ("transport_histogram.csv", "scatter.csv",
+                 "scatter_pearson.json"):
+        assert (tmp_path / "b" / name).read_bytes() == \
+            (tmp_path / "c" / name).read_bytes()
+
+
+@pytest.mark.parametrize("folds", ["1", "2"])
+def test_warm_analyze_computes_no_matrix(workspace, tmp_path, monkeypatch,
+                                         folds):
+    # one fold: cross-split; two: leave-one-out
+    calls = []
+    real = cli.pairwise_distances
+    monkeypatch.setattr(cli, "pairwise_distances",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    args = ["analyze", "--dataset", workspace / "docs.txt", "--embeddings",
+            workspace / "emb.txt", "--folds", folds, "--seed", "3",
+            "--pairs", "30", "--workers", "1", "--out", tmp_path / "run"]
+    assert run(args) == 0
+    assert calls
+    calls.clear()
+    assert run(args) == 0
+    assert not calls
+
+
+def test_degenerate_analyze_names_its_series_and_writes_no_analysis_file(
+        tmp_path, capsys):
+    # no two documents share a word: every bow_l1l1 distance is 2
+    (tmp_path / "docs.txt").write_text("a\tw0\nb\tw1\nc\tw2\n")
+    (tmp_path / "emb.txt").write_text("w0 1 0\nw1 0 1\nw2 -1 0\n")
+    out = tmp_path / "out"
+    assert run(["analyze", "--dataset", tmp_path / "docs.txt",
+                "--embeddings", tmp_path / "emb.txt", "--pairs", "3",
+                "--workers", "1", "--out", out,
+                "--cache-dir", tmp_path / "cache"]) == 1
+    assert "error: scatter.csv: bow_l1l1 is constant over 3 pairs\n" \
+        in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_constant_dims_series_names_its_dimension(workspace, tmp_path,
+                                                  capsys, monkeypatch):
+    # every projected transport distance the same
+    monkeypatch.setattr(cli.analysis, "pair_distances",
+                        lambda pairs, *args: np.full(len(pairs), 0.5))
+    out = tmp_path / "out"
+    assert run(["analyze", "--dataset", workspace / "docs.txt",
+                "--embeddings", workspace / "emb.txt", "--folds", "2",
+                "--pairs", "20", "--dims", "8,2", "--workers", "1",
+                "--out", out, "--cache-dir", tmp_path / "cache"]) == 1
+    assert "error: dim_comparison.csv: wmd at dim 2 is constant over 20 " \
+        "pairs\n" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_stored_transport_cells_are_solved_from_the_lower_id(workspace,
                                                              tmp_path):
     out = tmp_path / "run"
@@ -766,8 +862,8 @@ def test_stored_transport_cells_are_solved_from_the_lower_id(workspace,
         reps = representations(ids, method, pipe.resources)
         checked = 0
         for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                got, = stored.pair_values([(a, b)])
+            for j, b in enumerate(ids[i + 1:], i + 1):
+                got = stored.values[condensed_index(len(ids), i, j)]
                 if np.isnan(got):
                     continue  # a pair neither fold reads
                 if reps[a] is None or reps[b] is None:

@@ -25,7 +25,8 @@ from wmdlab.wmd import (
     write_distance_matrix,
 )
 
-from helpers import corrupt_cache_files, counts_of, vector_to_dense
+from helpers import condensed_index, corrupt_cache_files, counts_of, \
+    vector_to_dense
 from oracle import brute_force_transport
 from reference_vector import reference_distance
 
@@ -469,16 +470,20 @@ def test_cache_rejects_corrupt_file(tmp_path):
 
 
 def test_pair_store_layout():
-    # ids in any order; pair (ids[i], ids[j]), i < j, sits at the condensed
-    # upper-triangle position, read the same from both orientations
+    # ids in any order; pair (ids[i], ids[j]) sits at the condensed
+    # upper-triangle position of ``condensed_index``, read the same from
+    # both orientations
     ids = (7, 2, 9, 4)
     pairs = PairStore(ids, np.arange(6, dtype=np.float64))
     grid = pairs.matrix(ids, ids)
     assert np.array_equal(grid, grid.T)
     assert grid[np.triu_indices(4, 1)].tolist() == [0, 1, 2, 3, 4, 5]
     assert np.all(np.diag(grid) == 0.0)
-    assert pairs.pair_values([(9, 7), (2, 4), (4, 2)]).tolist() == [1, 4, 4]
-    pairs.set_pair_values([(4, 9)], [8.5])
+    assert all(grid[i, j] == condensed_index(4, i, j)
+               for i in range(4) for j in range(4) if i != j)
+    assert pairs.matrix([9, 2, 4], [7, 4]).tolist() == \
+        [[1, 5], [0, 4], [2, 0]]
+    pairs.values[condensed_index(4, 3, 2)] = 8.5  # the pair of 4 and 9
     assert pairs.matrix([9], [4, 9]).tolist() == [[8.5, 0.0]]
 
 
