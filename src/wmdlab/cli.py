@@ -3,7 +3,9 @@
 The subcommands are the ``_COMMANDS`` functions. Each option is a
 ``RunConfig`` field, set from an optional ``key = value`` file plus flags;
 flags win. Every run writes a manifest recording the resolved
-configuration, the seed, and content hashes of the inputs.
+configuration, the seed, and content hashes of the inputs: of the corpus
+and stopword files, and of the embedding rows the run read, not the
+embedding file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import sys
 import typing
 from collections.abc import Collection
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
@@ -210,6 +213,19 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _rows_sha256(store: EmbeddingStore) -> str:
+    """The SHA-256 of ``store``'s tokens and rows, encoded as: the dim and
+    the row count n as little-endian uint64; the UTF-8 byte length of each
+    token, in store order, as n little-endian uint64; those tokens' bytes
+    back to back; the n x dim matrix as row-major little-endian float64."""
+    tokens = list(map(str.encode, store.tokens))
+    h = hashlib.sha256(np.array([store.dim, len(tokens)], "<u8"))
+    h.update(np.fromiter(map(len, tokens), "<u8", len(tokens)))
+    h.update(b"".join(tokens))
+    h.update(np.ascontiguousarray(store.matrix, "<f8"))
+    return h.hexdigest()
+
+
 def _config_dict(cfg: RunConfig) -> dict:
     return {k: getattr(cfg, k) for k in sorted(RunConfig.__dataclass_fields__)}
 
@@ -217,8 +233,11 @@ def _config_dict(cfg: RunConfig) -> dict:
 def write_manifest(cfg: RunConfig, out_dir: Path,
                    embeddings_sha256: str | None) -> dict:
     """Write ``manifest.json``. ``embeddings_sha256`` is the SHA-256 of
-    ``cfg.embeddings`` that ``load_embeddings`` computed while reading it
-    (None without embeddings), so the file is not read again."""
+    the embedding rows the run read, as ``_rows_sha256`` encodes them
+    before unit-norm scaling (None without embeddings): two files that
+    differ only in rows no document uses share a manifest, and so the
+    cache keys built from it. The corpus and stopword entries are the
+    SHA-256 of their files."""
     manifest = {
         "version": __version__,
         "seed": cfg.seed,
@@ -278,16 +297,16 @@ def _filtered_corpus(cfg: RunConfig) -> tuple[
         corpus_mod.Corpus, EmbeddingStore | None, str | None]:
     """``cfg.dataset`` without its stopwords and (unless ``keep_oov``) its
     words missing from ``cfg.embeddings``, the unit-norm embeddings of the
-    corpus's words, stopwords included, and the SHA-256 of the embedding
-    file, from the one pass that reads it (both None without
-    embeddings)."""
+    corpus's words, stopwords included, and the ``_rows_sha256`` of those
+    rows as loaded (both None without embeddings)."""
     corp = _load_corpus(cfg)
     store = digest = None
     if cfg.embeddings:
         vocabulary = {t for d in corp.documents for t in d.tokens}
-        sha = hashlib.sha256()
-        store = _embeddings(cfg, vocabulary, sha)
-        digest = sha.hexdigest()
+        with _embedding_faults(cfg):
+            loaded = load_embeddings(cfg.embeddings, cfg.format, vocabulary)
+            digest = _rows_sha256(loaded)
+            store = l2_normalize(loaded)
     stopwords = _stopwords(cfg)
     if store is not None or stopwords:
         corp = corpus_mod.filter_vocabulary(
@@ -313,14 +332,20 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
         raise
 
 
-def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None,
-                hasher=None) -> EmbeddingStore:
-    """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed; a
-    ``ParseError`` is raised again naming the file, and an all-zero row as
-    one naming its record."""
-    try:
+def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None
+                ) -> EmbeddingStore:
+    """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed."""
+    with _embedding_faults(cfg):
         return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
-                                            vocabulary, hasher))
+                                            vocabulary))
+
+
+@contextmanager
+def _embedding_faults(cfg: RunConfig):
+    """Raise a ``ParseError`` from reading ``cfg.embeddings`` again naming
+    the file, and an all-zero row as one naming its record."""
+    try:
+        yield
     except ParseError as exc:
         exc.path = cfg.embeddings
         raise

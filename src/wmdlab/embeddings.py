@@ -19,8 +19,6 @@ from __future__ import annotations
 import io
 import logging
 import re
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
@@ -93,82 +91,41 @@ class EmbeddingStore:
 
 
 # Bytes read from an embedding file at a time. A load holds the kept rows,
-# the record it is reading and at most three blocks (the one it parses and
-# up to two being hashed), whatever the size of the file, while every
-# record fits in a block. A longer record also costs a few copies of its
-# token (the match, the join, the decode) and the read at twice the size
-# that holds it: 8.4-9.5 blocks at the peak in one measured load, against
-# 2.4-2.5 without such a record. At 1 MiB a block stays in a core's L2
-# cache (2 MiB per core on the machine measured) from its read through its
-# parse to its hash, and a fresh process faults in a few MiB of buffers, not
-# tens. A hashed, filtered load of a 121 MB, 100k x 300 word2vec-binary file
-# in a fresh process, median of 9 interleaved runs per size on 2 cores:
-# 256 KiB 0.144 s, 512 KiB 0.122 s, 1 MiB 0.118 s, 2 MiB 0.115 s, 4 MiB
-# 0.120 s, 16 MiB 0.160 s; peak RSS 38 MB up to 1 MiB, 48 MB at 4 MiB and
-# 88 MB at 16 MiB.
+# the record it is reading and at most two blocks (the one it parses and the
+# one before it), whatever the size of the file, while every record fits in
+# a block. A longer record also costs a few copies of its token (the match,
+# the join, the decode) and the read at twice the size that holds it: 8.2
+# blocks at the peak in one measured load, against 2.2-2.3 without such a
+# record. At 1 MiB a block stays in a core's L2 cache (2 MiB per core on the
+# machine measured) from its read through its parse, and a fresh process
+# faults in a few MiB of buffers, not tens. A filtered load (556 rows kept)
+# of a 121 MB, 100k x 300 word2vec-binary file in a fresh process, median of
+# 24 interleaved runs per size on 2 cores: 256 KiB 0.085 s, 1 MiB 0.085 s,
+# 4 MiB 0.096 s; peak RSS 33.5, 34.2 and 43.6 MB.
 _BLOCK_BYTES = 1 << 20
-# Parsed reads handed to the hashing thread and not yet hashed, at most.
-_HASH_QUEUE = 2
 
 
-class _HashedFile(io.RawIOBase):
-    """A file read forward, each read starting at or after the last one's
-    start.
+class _BlockReader(io.RawIOBase):
+    """A file read forward a block at a time: ``read_at`` reads ``size``
+    bytes from an offset, and ``readinto`` reads on from the end of the last
+    read, so the file can be read through an ``io.BufferedReader``."""
 
-    With ``hasher`` (e.g. ``hashlib.sha256()``) the bytes of a read are fed
-    to it once a later read starts past them, so it takes every byte before
-    the last read's start once and in file order. ``hashlib`` releases the
-    GIL on large updates, so it runs on a helper thread at most
-    ``_HASH_QUEUE`` updates behind the reader. ``readinto`` reads on from
-    the end of the last read, so the file can be read through an
-    ``io.BufferedReader``. ``close`` waits for the helper thread to end.
-    """
-
-    def __init__(self, path: str, hasher=None):
+    def __init__(self, path: str):
         self._fh = open(path, "rb")
-        self._hasher = hasher
-        self._pool = ThreadPoolExecutor(1)  # starts no thread until used
-        self._pending: deque = deque()
-        self._start, self._data = 0, b""  # the last read
-        self._hashed = 0  # bytes fed to hasher
 
     def readable(self) -> bool:
         return True
 
     def read_at(self, offset: int, size: int) -> bytes:
         """``size`` bytes of the file from ``offset`` on; fewer at its end."""
-        if self._hasher is not None and offset > self._hashed:
-            if len(self._pending) == _HASH_QUEUE:
-                self._pending.popleft().result()
-            parsed = memoryview(self._data)[self._hashed - self._start:
-                                            offset - self._start]
-            self._pending.append(self._pool.submit(self._hasher.update,
-                                                   parsed))
-            self._hashed = offset
         self._fh.seek(offset)
-        self._start, self._data = offset, self._fh.read(size)
-        return self._data
+        return self._fh.read(size)
 
     def readinto(self, buf) -> int:
-        data = self.read_at(self._start + len(self._data), len(buf))
-        buf[:len(data)] = data
-        return len(data)
-
-    def finish(self) -> None:
-        """Feed the rest of the file to ``hasher``, then wait until it has
-        taken every byte."""
-        if self._hasher is None:
-            return
-        while self.read_at(self._start + len(self._data), _BLOCK_BYTES):
-            pass
-        while self._pending:
-            self._pending.popleft().result()
+        return self._fh.readinto(buf)
 
     def close(self) -> None:
-        # after a failed read, what the hash may have raised is dropped:
-        # the read's own error is the one to report
         if not self.closed:
-            self._pool.shutdown()  # joins the helper thread
             self._fh.close()
         super().close()
 
@@ -182,7 +139,7 @@ class _TextRecords:
         self.dim: int | None = None
         self.count = 0
 
-    def select(self, stream: _HashedFile,
+    def select(self, stream: _BlockReader,
                vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, np.ndarray, bool]]:
         """``(line number, token, vector, is zero)`` for every record
@@ -192,39 +149,35 @@ class _TextRecords:
         # bytes that are not UTF-8 are raised with their line, in line order
         text = io.TextIOWrapper(io.BufferedReader(stream, _BLOCK_BYTES),
                                 encoding="utf-8", errors="surrogateescape")
-        try:
-            for lineno, line in enumerate(text, start=1):
-                check_utf8(line, lineno)
-                fields = line.split()
-                if not fields:
-                    continue
-                if lineno == 1 and len(fields) == 2:
-                    try:
-                        int(fields[0]), int(fields[1])
-                        continue  # optional "count dim" header
-                    except ValueError:
-                        pass
+        for lineno, line in enumerate(text, start=1):
+            check_utf8(line, lineno)
+            fields = line.split()
+            if not fields:
+                continue
+            if lineno == 1 and len(fields) == 2:
                 try:
-                    vec = np.array([float(x) for x in fields[1:]],
-                                   dtype=np.float64)
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-                if vec.size == 0:
-                    raise ParseError("no vector components", line=lineno)
-                if self.dim is None:
-                    self.dim = vec.size
-                elif vec.size != self.dim:
-                    raise ParseError(f"expected {self.dim} components, got "
-                                     f"{vec.size}", line=lineno)
-                self.count += 1
-                # the norm is 0 exactly when every square is 0, underflow
-                # included
-                zero = not (vec * vec).any()
-                if vocabulary is None or fields[0] in vocabulary or zero:
-                    yield lineno, fields[0], vec, zero
-        finally:
-            # the stream stays open for the load to finish
-            text.detach().detach()
+                    int(fields[0]), int(fields[1])
+                    continue  # optional "count dim" header
+                except ValueError:
+                    pass
+            try:
+                vec = np.array([float(x) for x in fields[1:]],
+                               dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if vec.size == 0:
+                raise ParseError("no vector components", line=lineno)
+            if self.dim is None:
+                self.dim = vec.size
+            elif vec.size != self.dim:
+                raise ParseError(f"expected {self.dim} components, got "
+                                 f"{vec.size}", line=lineno)
+            self.count += 1
+            # the norm is 0 exactly when every square is 0, underflow
+            # included
+            zero = not (vec * vec).any()
+            if vocabulary is None or fields[0] in vocabulary or zero:
+                yield lineno, fields[0], vec, zero
         if self.dim is None:
             raise ParseError("no embedding records found", line=1)
 
@@ -251,7 +204,7 @@ class _Word2VecRecords:
         self.dim: int | None = None
         self.count = 0
 
-    def select(self, stream: _HashedFile,
+    def select(self, stream: _BlockReader,
                vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, bytes, bool]]:
         """``(offset, token, vector bytes, is zero)`` for every record
@@ -364,8 +317,8 @@ def _truncated(data: bytes, offset: int) -> ParseError:
 
 
 def load_embeddings(path: str, format: str = TEXT,
-                    vocabulary: Collection[str] | None = None,
-                    hasher=None) -> EmbeddingStore:
+                    vocabulary: Collection[str] | None = None
+                    ) -> EmbeddingStore:
     """Read an embedding file in the text or word2vec-binary layout.
 
     Every record is parsed and checked, and the first occurrence of a token
@@ -373,11 +326,7 @@ def load_embeddings(path: str, format: str = TEXT,
     memory follows the vocabulary, not the file; ``None`` keeps every row.
     The file is read once, in blocks of ``_BLOCK_BYTES``. A word2vec-binary
     block starts where the last whole record ended, and one that holds no
-    whole record is read again at twice the size. With ``hasher`` (e.g.
-    ``hashlib.sha256()``) each byte is fed to ``hasher`` once, from the
-    read that parsed it, and the bytes after a word2vec-binary file's last
-    record follow; the helper thread that hashes has ended when the load
-    returns or raises.
+    whole record is read again at twice the size.
 
     A filtered load followed by ``l2_normalize`` fails as the whole file
     would: a parse error anywhere in the file comes first, then
@@ -396,7 +345,7 @@ def load_embeddings(path: str, format: str = TEXT,
     # file; some may repeat an earlier token
     dropped_zeros: list[tuple[int, str]] = []
     kept_zero = False
-    with _HashedFile(path, hasher) as stream:
+    with _BlockReader(path) as stream:
         for n, token, raw, zero in records.select(stream, vocabulary):
             if token in kept:
                 continue
@@ -406,7 +355,6 @@ def load_embeddings(path: str, format: str = TEXT,
                     kept_zero = zero
             elif zero and not kept_zero:
                 dropped_zeros.append((n, token))
-        stream.finish()
     if dropped_zeros:
         token = _first_occurrence(path, type(records)(), dropped_zeros)
         if token is not None:
@@ -427,7 +375,7 @@ def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
     wanted = {token for _, token in candidates}
     last = candidates[-1][0]
     first_at: dict[str, int] = {}
-    with _HashedFile(path) as stream:
+    with _BlockReader(path) as stream:
         for n, token, _, _ in records.select(stream, wanted):
             if n > last:
                 break
@@ -444,7 +392,7 @@ def zero_row_error(path: str, format: str, token: str) -> ParseError:
     ``l2_normalize`` raised ``ZeroVector`` for: ``token``'s first record,
     at its line or, in a word2vec-binary file, its byte offset."""
     records = _TextRecords() if format == TEXT else _Word2VecRecords()
-    with _HashedFile(path) as stream:
+    with _BlockReader(path) as stream:
         place = next(n for n, t, _, _ in records.select(stream, {token})
                      if t == token)
     return ParseError(f"all-zero vector for {token!r}", path,

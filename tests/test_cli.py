@@ -6,6 +6,7 @@ import importlib.metadata
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -349,48 +350,121 @@ def _sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _embeddings_as(workspace, path, fmt):
-    """emb.txt with CRLF line ends and blank lines, or as word2vec-binary
-    with bytes after its last counted record."""
-    lines = (workspace / "emb.txt").read_text().splitlines()
+def _rows_of(workspace):
+    """emb.txt's rows, each value rounded to float32, then a row for a word
+    no document uses."""
+    rows = []
+    for line in (workspace / "emb.txt").read_text().splitlines():
+        token, *values = line.split()
+        rows.append((token, np.array(values, np.float32).tolist()))
+    return rows + [("spare", [0.5] * 8)]
+
+
+def _write_embeddings(path, fmt, rows, crlf=False, trailing=b""):
+    """``rows`` as a text file (CRLF line ends and a blank line after each
+    record with ``crlf``) or as word2vec-binary, with ``trailing`` bytes
+    after the last counted record."""
     if fmt == TEXT:
-        path.write_bytes(b"\r\n\r\n".join(l.encode() for l in lines)
-                         + b"\r\n\r\n")
-        return path
-    with open(path, "wb") as fh:
-        fh.write(f"{len(lines)} 8\n".encode())
-        for line in lines:
-            token, *values = line.split()
-            fh.write(token.encode() + b" "
-                     + np.array(values, dtype="<f4").tobytes() + b"\n")
-        fh.write(b"trailing bytes that no record counts \xff")
+        end = b"\r\n\r\n" if crlf else b"\n"
+        data = b"".join(f"{t} {' '.join(map(repr, v))}".encode() + end
+                        for t, v in rows)
+    else:
+        data = f"{len(rows)} 8\n".encode() + b"".join(
+            t.encode() + b" " + np.array(v, "<f4").tobytes() + b"\n"
+            for t, v in rows)
+    path.write_bytes(data + trailing)
     return path
 
 
+def _documented_digest(rows, vocabulary):
+    """The SHA-256 of the rows of ``vocabulary``'s words, built from the
+    encoding that ``cli._rows_sha256`` documents."""
+    kept = [(t.encode(), v) for t, v in rows if t in vocabulary]
+    h = hashlib.sha256(struct.pack("<QQ", 8, len(kept)))
+    h.update(b"".join(struct.pack("<Q", len(t)) for t, _ in kept))
+    h.update(b"".join(t for t, _ in kept))
+    h.update(b"".join(struct.pack("<8d", *v) for _, v in kept))
+    return h.hexdigest()
+
+
+def _run_in(workspace, tmp_path, command, emb, fmt, name, *extra):
+    """``command`` on emb with the shared cache; its exit status and
+    manifest inputs (None when it wrote no manifest)."""
+    out = tmp_path / name / command
+    status = run([command, "--dataset", workspace / "docs.txt",
+                  "--embeddings", emb, "--format", fmt, "--folds", "1",
+                  "--pairs", "10", "--workers", "1", "--out", out,
+                  "--cache-dir", tmp_path / "cache", *extra])
+    manifest = out / "manifest.json"
+    return status, (json.loads(manifest.read_text())["inputs"]
+                    if manifest.exists() else None)
+
+
 @pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
-def test_manifest_holds_the_sha256_of_the_embedding_file(workspace, tmp_path,
-                                                         fmt):
-    emb = _embeddings_as(workspace, tmp_path / "emb", fmt)
+def test_manifest_holds_the_sha256_of_the_rows_read(workspace, tmp_path, fmt):
+    rows = _rows_of(workspace)
+    vocabulary = {t for line in (workspace / "docs.txt").read_text()
+                  .splitlines() for t in line.split("\t")[1].split()}
+    assert "spare" not in vocabulary
     inputs = {"dataset": _sha256_of(workspace / "docs.txt"),
-              "embeddings": _sha256_of(emb), "stopwords": None}
+              "embeddings": _documented_digest(rows, vocabulary),
+              "stopwords": None}
+    plain = _write_embeddings(tmp_path / "plain.emb", fmt, rows)
     for command in ("eval", "analyze", "dedup"):
-        out = tmp_path / command
-        args = [command, "--dataset", workspace / "docs.txt", "--embeddings",
-                emb, "--format", fmt, "--folds", "1", "--pairs", "10",
-                "--workers", "1", "--out", out]
-        assert run(args) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["inputs"] == inputs
-        # caches keyed by a manifest that hashed the file itself still hit
-        cfg = build_config(make_parser().parse_args([str(a) for a in args]))
-        for method in cfg.method_list():
-            assert _cache_key(cfg, manifest, method, [0, 1]) \
-                == _cache_key(cfg, {"inputs": inputs}, method, [0, 1])
+        assert _run_in(workspace, tmp_path, command, plain, fmt,
+                       "plain") == (0, inputs)
+    changed = [(t, [9.0] * 8 if t == "spare" else v) for t, v in rows]
+    same_rows = {
+        "extra unused row": _write_embeddings(
+            tmp_path / "extra.emb", fmt, rows + [("extra", [1.0] * 8)]),
+        "changed unused row": _write_embeddings(tmp_path / "changed.emb", fmt,
+                                                changed),
+        "line ends or trailing bytes": _write_embeddings(
+            tmp_path / "framed.emb", fmt, rows, crlf=fmt == TEXT,
+            trailing=b"" if fmt == TEXT else b"bytes no record counts \xff"),
+    }
+    # the plain file's caches hold every cell these runs read
+    for name, emb in same_rows.items():
+        assert plain.read_bytes() != emb.read_bytes()
+        for command in ("eval", "analyze"):
+            assert _run_in(workspace, tmp_path, command, emb, fmt, name,
+                           "--no-compute") == (0, inputs), (name, command)
+        assert _run_in(workspace, tmp_path, "dedup", emb, fmt,
+                       name) == (0, inputs), name
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+def test_one_ulp_in_a_used_row_misses_the_cache(workspace, tmp_path, capsys,
+                                                fmt):
+    rows = _rows_of(workspace)
+    plain = _write_embeddings(tmp_path / "plain.emb", fmt, rows)
+    _, inputs = _run_in(workspace, tmp_path, "eval", plain, fmt, "plain")
+    caches = sorted((tmp_path / "cache").iterdir())
+    # w0's first value one unit in the last place up, in the file's precision
+    width = np.float64 if fmt == TEXT else np.float32
+    token, values = rows[0]
+    assert token == "w0"
+    values = [float(np.nextafter(width(values[0]), width(np.inf))),
+              *values[1:]]
+    emb = _write_embeddings(tmp_path / "ulp.emb", fmt, [(token, values),
+                                                    *rows[1:]])
+    status, got = _run_in(workspace, tmp_path, "eval", emb, fmt, "ulp",
+                          "--no-compute")
+    assert status == 1
+    assert got["embeddings"] != inputs["embeddings"]
+    assert got == {**inputs, "embeddings": got["embeddings"]}
+    cfg = RunConfig(embeddings=str(emb), format=fmt)
+    key = _cache_key(cfg, {"inputs": got}, Method.parse(cli.BASE_METHOD),
+                     list(load_corpus(str(workspace / "docs.txt")).ids()))
+    assert f"missing cache: {key}.npy lacks" in capsys.readouterr().err
+    assert sorted((tmp_path / "cache").iterdir()) == caches
+    assert _run_in(workspace, tmp_path, "dedup", emb, fmt, "ulp") == (0, got)
 
 
 def test_pool_starts_with_no_hashing_thread_alive(workspace, tmp_path,
                                                   monkeypatch):
-    # a forked worker must not inherit a thread that holds a lock
+    # a forked worker must not inherit a thread that holds a lock: when the
+    # pool starts, no thread but the main one is alive
     alive = []
 
     class Pool(wmd.ProcessPoolExecutor):
@@ -399,11 +473,11 @@ def test_pool_starts_with_no_hashing_thread_alive(workspace, tmp_path,
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(wmd, "ProcessPoolExecutor", Pool)
-    before = threading.enumerate()
     args = base_args(workspace, tmp_path / "run", ["--method", "wmd"])
     args[args.index("--workers") + 1] = "2"
     assert run(args) == 0
-    assert alive and all(threads == before for threads in alive)
+    assert alive and all(threads == [threading.main_thread()]
+                         for threads in alive)
 
 
 def test_analyze_outputs(workspace, tmp_path):

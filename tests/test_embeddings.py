@@ -1,4 +1,3 @@
-import hashlib
 import logging
 import math
 import pickle
@@ -310,7 +309,7 @@ def test_block_without_a_corpus_word_yields_its_zero_rows(
     p = tmp_path / "emb.bin"
     write_binary(p, [("w0", [1, 2]), ("z1", [0, 0]), ("w2", [3, 4]),
                      ("z3", [0, -0.0]), ("w4", [5, 6])], dim=2)
-    with embeddings._HashedFile(str(p)) as stream:
+    with embeddings._BlockReader(str(p)) as stream:
         got = [(n, t, z) for n, t, _, z in
                embeddings._Word2VecRecords().select(stream, vocabulary)]
     assert got == [(4, "w0", False)] * ("w0" in vocabulary) \
@@ -327,33 +326,29 @@ def test_load_logs_kept_rows(tmp_path, caplog):
     assert "embeddings: kept 1 of 3 rows (dim 2)" in caplog.messages
 
 
-# -- one pass: every byte parsed once and hashed ---------------------------------
-
-
-def hashed_load(path, fmt, vocabulary=None):
-    sha = hashlib.sha256()
-    store = load_embeddings(str(path), fmt, vocabulary, sha)
-    return store, sha.hexdigest()
+# -- line ends, blank lines and trailing bytes -------------------------------------
 
 
 # the shipped block size, and 16 MiB, a block far larger than any file here
 @pytest.mark.parametrize("block", [5, 64, embeddings._BLOCK_BYTES, 16 << 20])
-def test_load_hashes_every_byte_of_the_file(tmp_path, monkeypatch, block):
+def test_load_skips_line_ends_blank_lines_and_trailing_bytes(
+        tmp_path, monkeypatch, block):
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
     records = [(f"w{i}", [i + 1.0, -i, 0.5]) for i in range(20)]
+    plain = tmp_path / "plain.bin"
+    write_binary(plain, records, dim=3)
     p = tmp_path / "emb.bin"
-    write_binary(p, records, dim=3)
-    with open(p, "ab") as fh:
-        fh.write(b"bytes after the last record \xff\x00")
-    store, digest = hashed_load(p, WORD2VEC_BINARY, {"w3", "w19"})
-    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+    p.write_bytes(plain.read_bytes() + b"bytes after the last record \xff\x00")
+    store = load_embeddings(str(p), WORD2VEC_BINARY, {"w3", "w19"})
     assert store.tokens == ("w3", "w19")
+    assert store.matrix.tobytes() == load_embeddings(
+        str(plain), WORD2VEC_BINARY, {"w3", "w19"}).matrix.tobytes()
     p = tmp_path / "emb.txt"
     p.write_bytes(b"20 3\r\n\r\n" + b"".join(
         f"{t} {' '.join(map(repr, v))}\r\n\r\n".encode()
         for t, v in records))
-    store, digest = hashed_load(p, TEXT, {"w3", "w19"})
-    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+    store = load_embeddings(str(p), TEXT, {"w3", "w19"})
+    assert store.tokens == ("w3", "w19")
     assert word_vector(store, "w19").tolist() == [20.0, -19.0, 0.5]
 
 
@@ -364,10 +359,9 @@ def test_text_records_split_across_blocks(tmp_path, monkeypatch):
                   .encode())
     whole = load_embeddings(str(p), TEXT)
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 7)
-    store, digest = hashed_load(p, TEXT)
+    store = load_embeddings(str(p), TEXT)
     assert store.tokens == whole.tokens and len(store) == 300
     assert store.matrix.tobytes() == whole.matrix.tobytes()
-    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_unterminated_last_token_fails_in_linear_time(tmp_path, monkeypatch):
@@ -399,17 +393,25 @@ def write_broken(path, kind):
                                   "no token terminator", "zero"])
 @pytest.mark.parametrize("block", [3, embeddings._BLOCK_BYTES, 16 << 20])
 def test_load_leaves_no_thread_running(tmp_path, monkeypatch, kind, block):
+    # a load starts no thread at all, so none can outlive it
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
-    before = threading.enumerate()
+    started, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    before = threading.active_count()
     p = tmp_path / "emb.bin"
     write_records(p, WORD2VEC_BINARY, [("a", [1, 2]), ("b", [3, 4])], dim=2)
-    hashed_load(p, WORD2VEC_BINARY, {"a"})
-    assert threading.enumerate() == before
+    load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
+    assert threading.active_count() == before
     write_broken(p, kind)
     with pytest.raises(ZeroVector if kind == "zero" else ParseError,
                        match="^z$" if kind == "zero" else kind):
-        hashed_load(p, WORD2VEC_BINARY, {"a"})
-    assert threading.enumerate() == before
+        load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
+    assert threading.active_count() == before and not started
 
 
 # tokens that repeat, are multi-byte, are not UTF-8, are empty or hold a
@@ -447,20 +449,17 @@ def outcome(load):
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=binary_files(), block=st.integers(1, 64), hashed=st.booleans(),
+@given(data=binary_files(), block=st.integers(1, 64),
        vocabulary=st.one_of(st.none(), st.sets(st.sampled_from(
            ["a", "bb", "é", "日本", "", "x\ny", "absent"]))))
 def test_binary_reader_agrees_with_a_whole_file_reader(
-        tmp_path_factory, data, block, hashed, vocabulary):
+        tmp_path_factory, data, block, vocabulary):
     p = tmp_path_factory.getbasetemp() / "drawn.bin"
     p.write_bytes(data)
     expected = outcome(lambda: reference_embeddings.load(data, vocabulary))
 
     def load():
-        sha = hashlib.sha256() if hashed else None
-        store = load_embeddings(str(p), WORD2VEC_BINARY, vocabulary, sha)
-        if hashed:
-            assert sha.hexdigest() == hashlib.sha256(data).hexdigest()
+        store = load_embeddings(str(p), WORD2VEC_BINARY, vocabulary)
         return store.tokens, store.matrix
 
     with pytest.MonkeyPatch.context() as mp:
@@ -485,32 +484,30 @@ def test_load_holds_at_most_a_few_blocks(tmp_path, monkeypatch):
     write_binary(p, records, dim=200)
     # the long record, held in the doubled block and copied as its token,
     # is not what is bounded: the peak is taken from the last read that
-    # starts less than four blocks after it, when the hashing thread, at
-    # most _HASH_QUEUE reads behind, has let go of the doubled block
+    # starts less than four blocks after it
     past_long = block + block // 2 + 4 * block
     assert p.stat().st_size > past_long + 50 * block
-    read_at = embeddings._HashedFile.read_at
+    read_at = embeddings._BlockReader.read_at
 
     def read_at_resetting_peak(self, offset, size):
         if offset <= past_long:
             tracemalloc.reset_peak()
         return read_at(self, offset, size)
 
-    monkeypatch.setattr(embeddings._HashedFile, "read_at",
+    monkeypatch.setattr(embeddings._BlockReader, "read_at",
                         read_at_resetting_peak)
     vocabulary = {f"w{i}" for i in range(0, 4500, 500)}
     tracemalloc.start()
     try:
-        store, _ = hashed_load(p, WORD2VEC_BINARY, vocabulary)
+        store = load_embeddings(str(p), WORD2VEC_BINARY, vocabulary)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(store) == 9
     # the kept rows are held as float32 bytes and then as float64
     kept = len(store) * 200 * (4 + 8)
-    # Measured at 2.6 blocks: the block parsed, the one before it and the
-    # lists of their records; 3.8 when the hashing thread fell two reads
-    # behind. A reader that kept reading twice the block size measured 4.6
+    # Measured at 2.0-2.2 blocks: the block parsed, the one before it and
+    # the lists of their records. A reader that kept reading twice the block size measured 4.6
     # to 6.9 blocks, one that kept every block 61. The bound is 4.33 blocks
     # here: half a block of slack over the worst run measured.
     assert peak < 4 * block + kept, peak / block
