@@ -1,7 +1,7 @@
 """Document distances via exact optimal transport, classical baselines, and
 the evaluation/analysis harness around them."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .ot_core import TransportPlan, TransportProblem, solve_transport
 from .textrep import (

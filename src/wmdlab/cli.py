@@ -399,14 +399,15 @@ class DistanceCache:
         return pairs
 
     def put(self, key: str, pairs: PairStore) -> None:
-        """Take into ``pairs`` every pair that the file on disk holds and it
-        lacks, then write a temporary sibling and rename it over the file:
-        readers see the old file or the new one, never a partial one. A run
-        renaming in between loses only fills, which are computed again."""
+        """Take into ``pairs`` the cells of the file on disk, a block at a
+        time, as ``read_distance_matrix`` takes them, then write a
+        temporary sibling and rename it over the file: readers see the old
+        file or the new one, never a partial one. A run renaming in between
+        loses only fills, which are computed again."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"{key}.npy"
         try:
-            pairs.merge(read_distance_matrix(path, pairs.ids))
+            read_distance_matrix(path, pairs.ids, into=pairs)
         except (ParseError, OSError):
             pass  # no file yet, or a corrupt one to replace
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

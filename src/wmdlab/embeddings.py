@@ -161,8 +161,7 @@ class _TextRecords:
                 except ValueError:
                     pass
             try:
-                vec = np.array([float(x) for x in fields[1:]],
-                               dtype=np.float64)
+                vec = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             if vec.size == 0:

@@ -464,6 +464,10 @@ def pairwise_distances(
 
 # -- cache file format ---------------------------------------------------------
 
+# Cells a pair store's file is read and written by, a multiple of 8: 256 KiB
+# of float64 values and 4 KiB of presence bits a block.
+_BLOCK = 1 << 15
+
 
 class PairStore:
     """Distances between every two of ``ids``, each unordered pair stored
@@ -474,15 +478,14 @@ class PairStore:
     on it, left by a top-k search of ``pairwise_distances``. A document's
     distance to itself is not stored: a matrix read from the store gives
     0.0 where the row or column of the self cell holds a finite value,
-    else +inf (an unusable document's)."""
+    else +inf (an unusable document's). On disk a store keeps only its
+    cells that are not NaN (``write_distance_matrix``)."""
 
     def __init__(self, ids: Sequence[int], values: np.ndarray):
         n = len(ids)
         if values.shape != (n * (n - 1) // 2,):
             raise InvalidInput(f"values shape {values.shape} does not match "
                                f"{n} ids")
-        if np.any(values == -np.inf):
-            raise InvalidInput("a cell holds -inf")
         self.ids = tuple(ids)
         self.values = values
         self._pos = {d: p for p, d in enumerate(self.ids)}
@@ -518,43 +521,98 @@ class PairStore:
     def update(self, row_ids: Sequence[int], col_ids: Sequence[int],
                values: np.ndarray) -> None:
         """Store the cells of a ``row_ids`` x ``col_ids`` array but its self
-        cells, as ``_fill`` takes them."""
+        cells, as ``_fill`` takes them; a pair named in both orientations
+        is one cell named twice."""
         cells = self._cells(self._positions(row_ids)[:, None],
                             self._positions(col_ids)[None, :])
         pair = cells < self.values.size
         self._fill(cells[pair], np.asarray(values)[pair])
 
-    def merge(self, other: "PairStore") -> None:
-        """Take ``other``'s cells as ``_fill`` takes them."""
-        self._fill(np.arange(self.values.size), other.values)
-
     def _fill(self, cells: np.ndarray, values: np.ndarray) -> None:
         """Store ``values`` at ``cells``: a distance fills a missing cell or
         replaces a bound, a bound fills a missing cell, and nothing
-        replaces a distance."""
+        replaces a distance. A cell named twice takes a distance over a
+        bound."""
         old = self.values[cells]
-        take = np.isnan(old) & ~np.isnan(values) | (old < 0) & (values >= 0)
-        self.values[cells[take]] = values[take]
+        bound = np.isnan(old) & (values < 0)
+        exact = ~(old >= 0) & (values >= 0)
+        self.values[cells[bound]] = values[bound]
+        self.values[cells[exact]] = values[exact]
 
 
 def write_distance_matrix(pairs: PairStore, path: str) -> None:
-    """Save a pair store's values as one float64 ``.npy`` array. The ids
-    are not stored: the cache key that names the file covers them."""
+    """Save a pair store as one 1-D uint8 ``.npy`` array of two parts: the
+    ``np.packbits`` presence bits of its N(N-1)/2 cells, a cell being
+    present when it is not NaN, then the present cells' values as
+    little-endian float64, in cell order. Exact distances, bounds and +inf
+    are kept bit for bit, and a missing pair costs one bit. The ids are
+    not stored: the cache key that names the file covers them. Written a
+    block of ``_BLOCK`` cells at a time, so no copy of the store is
+    made."""
+    values = pairs.values
+    blocks = range(0, values.size, _BLOCK)
+    n_bits = -(-values.size // 8)
+    present = values.size - sum(int(np.isnan(values[lo:lo + _BLOCK]).sum())
+                                for lo in blocks)
     with open(path, "wb") as fh:
-        np.save(fh, pairs.values, allow_pickle=False)
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": "|u1", "fortran_order": False,
+            "shape": (n_bits + 8 * present,)})
+        bits_at = fh.tell()
+        at = bits_at + n_bits
+        for lo in blocks:
+            block = values[lo:lo + _BLOCK]
+            kept = ~np.isnan(block)
+            fh.seek(bits_at + lo // 8)
+            fh.write(np.packbits(kept))
+            fh.seek(at)
+            at += fh.write(block[kept].astype("<f8", copy=False))
 
 
-def read_distance_matrix(path: str, ids: Sequence[int]) -> PairStore:
-    """Load a pair store saved by ``write_distance_matrix`` for these ids."""
-    with open(path, "rb") as fh:
-        try:
-            values = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
-            raise ParseError(f"not a .npy array: {exc}") from None
-        # an .npz gives an NpzFile, which is only valid while fh is open
-        if not isinstance(values, np.ndarray) or values.dtype != np.float64:
-            raise ParseError("not a float64 array")
+def read_distance_matrix(path: str, ids: Sequence[int],
+                         into: PairStore | None = None) -> PairStore:
+    """Load the pair store that ``write_distance_matrix`` saved for these
+    ids, its absent cells NaN. Given ``into``, a store over the same ids,
+    take the file's cells into it instead, as ``PairStore._fill`` takes
+    them, and return it.
+
+    ParseError, before any cell is taken, unless the file is a 1-D uint8
+    ``.npy`` array whose presence bits past the last cell are 0 and whose
+    values are 8 bytes for each presence bit set, none NaN or -inf: a
+    truncated, foreign or older dense file is never misread. Read through
+    a memory map a block of ``_BLOCK`` cells at a time."""
+    n = len(ids)
+    size = n * (n - 1) // 2
+    n_bits = -(-size // 8)
     try:
-        return PairStore(ids, values)
-    except InvalidInput as exc:
-        raise ParseError(str(exc)) from None
+        data = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ParseError(f"not a .npy array: {exc}") from None
+    if not isinstance(data, np.ndarray):  # an .npz archive
+        data.close()
+        raise ParseError("not a .npy array")
+    data = data.view(np.ndarray)  # the same mapped bytes, minus memmap's cost
+    if data.dtype != np.uint8 or data.ndim != 1 or data.size < n_bits:
+        raise ParseError(f"not a pair store over {n} ids: a {data.dtype} "
+                         f"array of shape {data.shape}")
+    bits, payload = data[:n_bits], data[n_bits:]
+    if size % 8 and bits[-1] & (0xFF >> size % 8):
+        raise ParseError(f"presence bits set past the {size} cells")
+    present = sum(int(np.unpackbits(bits[lo:lo + _BLOCK // 8]).sum())
+                  for lo in range(0, n_bits, _BLOCK // 8))
+    if payload.size != 8 * present:
+        raise ParseError(f"{payload.size} bytes of values for {present} "
+                         "present cells")
+    values = payload.view("<f8")
+    for lo in range(0, present, _BLOCK):
+        if not (values[lo:lo + _BLOCK] > -np.inf).all():
+            raise ParseError("a present cell holds NaN or -inf")
+    pairs = PairStore.empty(ids) if into is None else into
+    at = 0
+    for lo in range(0, size, _BLOCK):
+        kept = np.unpackbits(bits[lo // 8:(lo + _BLOCK) // 8],
+                             count=min(_BLOCK, size - lo)).view(bool)
+        cells = lo + np.flatnonzero(kept)
+        pairs._fill(cells, values[at:at + cells.size])
+        at += cells.size
+    return pairs

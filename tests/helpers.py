@@ -95,13 +95,13 @@ def vector_to_dense(v: SparseVector) -> np.ndarray:
     return out
 
 
-def _npy(array: np.ndarray) -> bytes:
+def npy_bytes(array: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, array, allow_pickle=True)
     return buf.getvalue()
 
 
-def _npz(array: np.ndarray) -> bytes:
+def npz_bytes(array: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, values=array)
     return buf.getvalue()
@@ -116,24 +116,49 @@ def condensed_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
+def store_file(values: np.ndarray) -> np.ndarray:
+    """The uint8 array a pair-store file holds for the condensed float64
+    ``values``, built from the layout: the presence bits of the cells (a
+    cell is present when it is not NaN), then the present values as
+    little-endian float64."""
+    present = ~np.isnan(values)
+    return np.concatenate([np.packbits(present),
+                           values[present].astype("<f8").view(np.uint8)])
+
+
 def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
     """Files that must not load as the cached pair store ``values`` (a
     float64 condensed array of at least 2 cells), by what is wrong with
     them. A NaN cell is a pair not computed yet and a finite negative one
     minus a lower bound, not errors."""
     values = np.asarray(values, dtype=np.float64)
+    data = store_file(values)
     minus_inf = values.copy()
     minus_inf[0] = -np.inf
+    nan_value = data.copy()  # the first present cell's value made NaN
+    n_bits = -(-values.size // 8)
+    nan_value[n_bits:n_bits + 8] = np.array([np.nan], "<f8").view(np.uint8)
     return {
         "empty": b"",
         "text": b"2 2\n0 1\n0 1\n1.0 2.0\n3.0 x\n",
-        "truncated": _npy(values)[:-3],
-        "truncated-header": _npy(values)[:20],
-        "pickled-object-array": _npy(values.astype(object)),
+        "truncated": npy_bytes(data)[:-3],
+        "truncated-header": npy_bytes(data)[:20],
+        "pickled-object-array": npy_bytes(data.astype(object)),
         "pickle": pickle.dumps(values.tolist()),
-        "float32": _npy(values.astype(np.float32)),
-        "wrong-shape": _npy(values[None, :].copy()),
-        "wrong-length": _npy(values[:-1].copy()),
-        "npz": _npz(values),
-        "negative-inf": _npy(minus_inf),
+        "float32": npy_bytes(values.astype(np.float32)),
+        "wrong-shape": npy_bytes(data[None, :].copy()),
+        # one present cell more: its bit lands past the last cell, or
+        # shifts every value by a byte
+        "wrong-length": npy_bytes(store_file(np.append(values, 1.0))),
+        "npz": npz_bytes(data),
+        "negative-inf": npy_bytes(store_file(minus_inf)),
+        # the dense layout of versions before 0.5.0
+        "dense-float64": npy_bytes(values),
+        # the file's bytes, zero-padded to whole values, under a float64
+        # header
+        "float64-bytes": npy_bytes(np.frombuffer(
+            data.tobytes() + bytes(-data.size % 8), "<f8")),
+        "payload-short": npy_bytes(data[:-8]),
+        "payload-long": npy_bytes(np.append(data, data[-8:])),
+        "nan-value": npy_bytes(nan_value),
     }

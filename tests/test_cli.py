@@ -26,7 +26,7 @@ from wmdlab.errors import ParseError
 from wmdlab.textrep import build_vocabulary
 from wmdlab import wmd
 from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
-    representations, wmd_distance
+    representations, wmd_distance, write_distance_matrix
 
 import reference_search
 from helpers import condensed_index, corrupt_cache_files
@@ -131,16 +131,16 @@ def test_corrupt_cache_file_recomputed_by_eval(workspace, tmp_path, caplog,
     assert run(args) == 0
     report = (out / "report.csv").read_bytes()
     cache_file, = (out / "cache").iterdir()
-    values = np.load(cache_file)
-    bad = corrupt_cache_files(values)[case]
-    cache_file.write_bytes(bad)
+    good = cache_file.read_bytes()
+    values = read_distance_matrix(cache_file, range(47)).values  # 47 documents
+    cache_file.write_bytes(corrupt_cache_files(values)[case])
     with pytest.raises(ParseError):
-        read_distance_matrix(cache_file, range(47))  # the workspace's documents
+        read_distance_matrix(cache_file, range(47))
     with caplog.at_level(logging.WARNING, logger="wmdlab"):
         assert run(args) == 0
     assert any("corrupted cache" in r.message for r in caplog.records)
     assert (out / "report.csv").read_bytes() == report
-    assert np.load(cache_file).tobytes() == values.tobytes()
+    assert cache_file.read_bytes() == good
 
 
 def test_no_compute_fails_without_cache(workspace, tmp_path, capsys):
@@ -175,9 +175,9 @@ def test_no_compute_needs_every_pair_stored(workspace, tmp_path, capsys):
                   nearest[:reference_search.K]
                   if (min(q, c), max(q, c)) not in _read_pairs(reads[0]))
     del cells[forget]
-    values = np.load(store)
-    values[condensed_index(47, *forget)] = np.nan  # ids 0..46 in order
-    np.save(store, values)
+    pairs = read_distance_matrix(store, range(47))  # ids 0..46 in order
+    pairs.values[condensed_index(47, *forget)] = np.nan
+    write_distance_matrix(pairs, store)
     lacks = reference_search.lacking(reads[1], reps, cells)
     assert reference_search.lacking(reads[0], reps, cells) == 0 < lacks
     capsys.readouterr()
@@ -239,6 +239,9 @@ def test_input_that_is_not_utf8_exits_1(workspace, tmp_path, capsys, bad):
     (TEXT, b"w0 0.5\nw1 x\n", 2, None,
      "line 2: could not convert string to float: 'x'"),
     (TEXT, b"\n", 1, None, "line 1: no embedding records found"),
+    # two bad components: the first is named
+    (TEXT, b"w0 0.5 1_0 2\nw1 1 abc 0x1p3\n", 2, None,
+     "line 2: could not convert string to float: 'abc'"),
     (WORD2VEC_BINARY, b"2 2\nw0 " + bytes(8) + b"w1 " + bytes(7), None, 18,
      "byte 18: truncated record: short vector"),
     (WORD2VEC_BINARY, b"2\n", None, 0, "byte 0: header must be 'count dim'"),
@@ -855,7 +858,7 @@ def test_cross_split_analyze_fills_the_pairs_its_scatter_reads(
     # the histogram solves one plan per usable training document
     histogram = sum(reps[d] is not None for d in fold.train_ids)
     assert len(solves) == histogram + len(unordered)
-    values = np.load(store)
+    values = read_distance_matrix(store, ids).values
     for a, b in unordered:
         got = values[condensed_index(len(ids), ids.index(a), ids.index(b))]
         want = wmd_distance(reps[a], reps[b], pipe.store)
@@ -1041,17 +1044,16 @@ def test_concurrent_fills_of_one_store(workspace, tmp_path):
     assert run(dists(everything, tmp_path / "solo", tmp_path / "solo-cache")) \
         == 0
     solo, = (tmp_path / "solo-cache").iterdir()
-    whole = np.load(solo)
+    whole = read_distance_matrix(solo, range(47)).values
     assert not np.isnan(whole).any()
     store, = shared.iterdir()
     assert store.name == solo.name
-    values = np.load(store)
-    assert values.shape == whole.shape
+    values = read_distance_matrix(store, range(47)).values
     filled = ~np.isnan(values)
     assert filled.sum() > 0
     assert values[filled].tobytes() == whole[filled].tobytes()
     assert run(dists(everything, tmp_path / "third", shared)) == 0
-    assert np.load(store).tobytes() == whole.tobytes()
+    assert store.read_bytes() == solo.read_bytes()
 
 
 def _python_here(script, *args, cwd=None, hash_seed=None):

@@ -77,6 +77,24 @@ def test_load_text_bad_float(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("component", ["1_0", "nan", "-nan", "-inf",
+                                       "1e400", "1e-400", "5e-324", "\uff11",
+                                       "0x1p3", "abc"])
+def test_text_components_read_as_float_reads_them(tmp_path, component):
+    # the same value, bit for bit, or the same message as float()
+    p = tmp_path / "emb.txt"
+    p.write_text(f"a 0.5 {component}\n", encoding="utf-8")
+    try:
+        want = np.array([0.5, float(component)])
+    except ValueError as exc:
+        with pytest.raises(ParseError) as err:
+            load_embeddings(str(p), TEXT)
+        assert str(err.value) == f"line 1: {exc}"
+    else:
+        got = word_vector(load_embeddings(str(p), TEXT), "a")
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_load_text_duplicates_keep_first(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0\na 2.0\n")

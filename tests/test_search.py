@@ -18,7 +18,8 @@ from wmdlab.errors import ParseError
 from wmdlab.knn_eval import neighbor_order
 from wmdlab.textrep import build_vocabulary
 from wmdlab.wmd import DocumentMeasure, Method, PairStore, Resources, \
-    pairwise_distances, read_distance_matrix, wmd_distance
+    pairwise_distances, read_distance_matrix, wmd_distance, \
+    write_distance_matrix
 
 import reference_search
 from helpers import counts_of
@@ -289,8 +290,9 @@ def test_pruned_eval_reports_as_a_full_fill(tmp_path, seed):
         # each exact cell has the full fill's bits; each bound lies at or
         # below the full fill's distance
         for store in (pruned / "cache").iterdir():
-            mine = np.load(store)
-            theirs = np.load(full / "cache" / store.name)
+            mine = read_distance_matrix(store, range(80)).values
+            theirs = read_distance_matrix(full / "cache" / store.name,
+                                          range(80)).values
             exact, bound = mine >= 0, mine < 0
             assert mine[exact].tobytes() == theirs[exact].tobytes()
             assert bound.any() and np.all(-mine[bound] <= theirs[bound])
@@ -321,10 +323,11 @@ def test_no_compute_after_a_pruned_eval(tmp_path, capsys):
     # forget the nearest stored distance: some row no longer proves its k
     # nearest
     for store in (tmp_path / "cache").iterdir():
-        values = np.load(store)
+        pairs = read_distance_matrix(store, range(80))  # 80 documents
+        values = pairs.values
         exact = np.flatnonzero((values >= 0) & (values < np.inf))
         values[exact[np.argmin(values[exact])]] = np.nan
-        np.save(store, values)
+        write_distance_matrix(pairs, store)
     capsys.readouterr()
     assert run([*args, "--no-compute"]) == 1
     err = capsys.readouterr().err
@@ -336,18 +339,20 @@ def test_no_compute_after_a_pruned_eval(tmp_path, capsys):
 # -- bound cells in the pair store ----------------------------------------------
 
 
-def test_an_exact_value_beats_a_bound_and_a_bound_fills_a_missing_cell():
+def test_an_exact_value_beats_a_bound_and_a_bound_fills_a_missing_cell(
+        tmp_path):
     # per cell: bound vs exact, NaN vs bound, exact vs bound, bound vs
-    # bound, NaN vs NaN, exact vs NaN
+    # bound, NaN vs NaN, exact vs NaN; theirs are merged from a file
     mine = PairStore((0, 1, 2, 3), np.array(
         [-1.0, np.nan, 2.0, -3.0, np.nan, 5.0]))
-    theirs = PairStore((0, 1, 2, 3), np.array(
-        [0.5, -2.0, -9.0, -4.0, np.nan, np.nan]))
-    mine.merge(theirs)
+    theirs = tmp_path / "theirs.npy"
+    write_distance_matrix(PairStore((0, 1, 2, 3), np.array(
+        [0.5, -2.0, -9.0, -4.0, np.nan, np.nan])), theirs)
+    read_distance_matrix(theirs, (0, 1, 2, 3), into=mine)
     assert mine.values[[0, 1, 2, 3, 5]].tolist() == [0.5, -2.0, 2.0, -3.0,
                                                       5.0]
     assert np.isnan(mine.values[4])
-    # update takes cells as merge does: pairs (0, 1), (0, 2), (0, 3)
+    # update takes cells as a merge does: pairs (0, 1), (0, 2), (0, 3)
     mine.update([0], [1, 2, 3], np.array([[-7.0, 1.5, 3.25]]))
     assert mine.values[:3].tolist() == [0.5, 1.5, 2.0]
 
@@ -362,7 +367,8 @@ def test_cache_put_keeps_exact_values_over_bounds(tmp_path):
 
 def test_minus_inf_cell_is_rejected_on_read(tmp_path, caplog):
     path = tmp_path / ("k" * 64 + ".npy")
-    np.save(path, np.array([1.0, -np.inf, -2.0]))
+    write_distance_matrix(PairStore((0, 1, 2), np.array([1.0, -np.inf, -2.0])),
+                          path)
     with pytest.raises(ParseError):
         read_distance_matrix(path, (0, 1, 2))
     assert DistanceCache(tmp_path).get("k" * 64, (0, 1, 2)) is None

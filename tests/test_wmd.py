@@ -1,8 +1,12 @@
 import io
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from wmdlab import embeddings, wmd
@@ -26,7 +30,7 @@ from wmdlab.wmd import (
 )
 
 from helpers import condensed_index, corrupt_cache_files, counts_of, \
-    vector_to_dense
+    npy_bytes, store_file, vector_to_dense
 from oracle import brute_force_transport
 from reference_vector import reference_distance
 
@@ -431,17 +435,16 @@ def test_cache_round_trip(tmp_path, small_resources):
 
 
 def test_cache_file_bytes(tmp_path):
-    pairs = PairStore((3, 10, 7, 0), np.array(
-        [math.inf, 0.0, 5e-324, math.nan, 1 / 3, 1.7976931348623157e308]))
     path = tmp_path / "pinned.npy"
-    write_distance_matrix(pairs, str(path))
-    # a plain float64 .npy of the condensed values alone, as np.save writes it
-    expected = io.BytesIO()
-    np.save(expected, pairs.values)
-    assert path.read_bytes() == expected.getvalue()
-    loaded = np.load(path)
-    assert loaded.dtype == np.float64 and loaded.shape == (6,)
-    assert loaded.tobytes() == pairs.values.tobytes()
+    write_distance_matrix(PairStore((0, 1, 2), np.array([0.5, np.nan, -0.25])),
+                          str(path))
+    # the .npy header of a 1-D uint8 array of 17 bytes, as np.save writes
+    # it; the presence bits 101 of the three cells, padded with 0s; then
+    # the two present values as little-endian float64
+    header = io.BytesIO()
+    np.save(header, np.zeros(17, dtype=np.uint8))
+    assert path.read_bytes() == header.getvalue()[:-17] + b"\xa0" \
+        + struct.pack("<dd", 0.5, -0.25)
 
 
 def test_cache_rejects_corrupt_file(tmp_path):
@@ -451,19 +454,75 @@ def test_cache_rejects_corrupt_file(tmp_path):
         path.write_bytes(data)
         with pytest.raises(ParseError):
             read_distance_matrix(str(path), (0, 1, 2))
-    # the ids a store is read for must match its length
     path = tmp_path / "good.npy"
-    write_distance_matrix(PairStore((0, 1, 2), values), path)
+    path.write_bytes(npy_bytes(store_file(values)))
+    assert read_distance_matrix(path, (5, 6, 7)).values.tobytes() == \
+        values.tobytes()
+    # read for 2 ids, the bits of the 2nd and 3rd cells lie past the last
+    # cell; the file does not hold its ids, which the cache key names
     with pytest.raises(ParseError):
-        read_distance_matrix(str(path), (0, 1, 2, 3))
-    assert np.array_equal(read_distance_matrix(path, (5, 6, 7)).values,
-                          values)
+        read_distance_matrix(str(path), (0, 1))
     # NaN marks a pair not computed yet, and a finite negative cell minus a
     # lower bound, not a corrupt file
     write_distance_matrix(PairStore((0, 1, 2), np.array([1.5, np.nan, -4.0])),
                           path)
     back = read_distance_matrix(path, (0, 1, 2)).values
     assert np.isnan(back[1]) and back[2] == -4.0
+
+
+# NaN, +inf, bounds, signed zeros, subnormals and ordinary values
+_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(min_value=-1e-300, max_value=1e-300, width=64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_CELLS, min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))))
+def test_cache_file_round_trips_every_cell_bit_for_bit(tmp_path_factory,
+                                                       case):
+    n, cells = case
+    values = np.array(cells, dtype=np.float64)
+    path = tmp_path_factory.mktemp("store") / "pairs.npy"
+    write_distance_matrix(PairStore(range(n), values), str(path))
+    assert path.read_bytes() == npy_bytes(store_file(values))
+    back = read_distance_matrix(str(path), range(n)).values
+    nan = np.isnan(values)
+    assert np.array_equal(np.isnan(back), nan)
+    assert back[~nan].tobytes() == values[~nan].tobytes()
+
+
+def test_cache_file_is_written_and_read_in_bounded_memory(tmp_path):
+    # 2,000 ids: 1,999,000 cells, 16 MB dense; about 40 % missing, in runs
+    rng = np.random.default_rng(0)
+    values = rng.random(1_999_000)
+    values[(np.arange(values.size) // 500) % 5 < 2] = np.nan
+    values[::7] *= -1.0
+    pairs = PairStore(range(2000), values)
+    path = tmp_path / "big.npy"
+    tracemalloc.start()
+    try:
+        write_distance_matrix(pairs, str(path))
+        _, written = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_distance_matrix(str(path), range(2000))
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written < 2e6
+    assert read < values.nbytes + 2e6
+    assert back.values.tobytes() == values.tobytes()
+    # so does a merge into a store over the same ids
+    tracemalloc.start()
+    try:
+        read_distance_matrix(str(path), range(2000), into=pairs)
+        _, merged = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert merged < 2e6
 
 
 # -- pair store ---------------------------------------------------------------------
@@ -500,11 +559,23 @@ def test_pair_store_self_cells_and_missing_pairs():
     assert grid[2, 2] == math.inf  # its only stored pair is inf
 
 
-def test_pair_store_merge_fills_only_missing_pairs():
+def test_pair_store_merge_fills_only_missing_pairs(tmp_path):
     mine = PairStore((0, 1, 2), np.array([1.0, np.nan, np.nan]))
-    theirs = PairStore((0, 1, 2), np.array([9.0, 2.0, np.nan]))
-    mine.merge(theirs)
+    path = tmp_path / "theirs.npy"
+    write_distance_matrix(PairStore((0, 1, 2), np.array([9.0, 2.0, np.nan])),
+                          str(path))
+    assert read_distance_matrix(str(path), (0, 1, 2), into=mine) is mine
     assert mine.values[:2].tolist() == [1.0, 2.0] and np.isnan(mine.values[2])
+
+
+@pytest.mark.parametrize("cells", [[[np.nan, 0.5], [-0.4, np.nan]],
+                                   [[np.nan, -0.4], [0.5, np.nan]]])
+def test_pair_store_update_takes_a_distance_over_a_bound_of_its_pair(cells):
+    # the pair (0, 1) in both orientations of one update: a distance and
+    # a bound on it
+    pairs = PairStore.empty((0, 1, 2))
+    pairs.update((0, 1), (0, 1), np.array(cells))
+    assert pairs.values[0] == 0.5 and np.isnan(pairs.values[1:]).all()
 
 
 def test_pairwise_computes_only_missing_cells(small_resources, monkeypatch):
