@@ -41,7 +41,7 @@ from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
 from .wmd import Method, PairStore, Resources, pairwise_distances, \
-    read_distance_matrix, write_distance_matrix
+    merge_distance_matrix, read_distance_matrix, write_distance_matrix
 
 logger = logging.getLogger("wmdlab")
 
@@ -400,14 +400,14 @@ class DistanceCache:
 
     def put(self, key: str, pairs: PairStore) -> None:
         """Take into ``pairs`` the cells of the file on disk, a block at a
-        time, as ``read_distance_matrix`` takes them, then write a
+        time, as ``merge_distance_matrix`` takes them, then write a
         temporary sibling and rename it over the file: readers see the old
         file or the new one, never a partial one. A run renaming in between
         loses only fills, which are computed again."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"{key}.npy"
         try:
-            read_distance_matrix(path, pairs.ids, into=pairs)
+            merge_distance_matrix(path, pairs)
         except (ParseError, OSError):
             pass  # no file yet, or a corrupt one to replace
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -7,7 +7,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -541,14 +541,14 @@ class PairStore:
 
 
 def write_distance_matrix(pairs: PairStore, path: str) -> None:
-    """Save a pair store as one 1-D uint8 ``.npy`` array of two parts: the
-    ``np.packbits`` presence bits of its N(N-1)/2 cells, a cell being
-    present when it is not NaN, then the present cells' values as
-    little-endian float64, in cell order. Exact distances, bounds and +inf
-    are kept bit for bit, and a missing pair costs one bit. The ids are
-    not stored: the cache key that names the file covers them. Written a
-    block of ``_BLOCK`` cells at a time, so no copy of the store is
-    made."""
+    """Save a pair store as one 1-D uint8 ``.npy`` array of three parts:
+    its cell count N(N-1)/2 as a little-endian uint64; the
+    ``np.packbits`` presence bits of the cells, a cell being present when
+    it is not NaN; then the present cells' values as little-endian
+    float64, in cell order. Exact distances, bounds and +inf are kept bit
+    for bit, and a missing pair costs one bit. The ids are not stored: the
+    cache key that names the file covers them. Written a block of
+    ``_BLOCK`` cells at a time, so no copy of the store is made."""
     values = pairs.values
     blocks = range(0, values.size, _BLOCK)
     n_bits = -(-values.size // 8)
@@ -557,7 +557,8 @@ def write_distance_matrix(pairs: PairStore, path: str) -> None:
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
             "descr": "|u1", "fortran_order": False,
-            "shape": (n_bits + 8 * present,)})
+            "shape": (8 + n_bits + 8 * present,)})
+        fh.write(np.array(values.size, "<u8").tobytes())
         bits_at = fh.tell()
         at = bits_at + n_bits
         for lo in blocks:
@@ -569,20 +570,17 @@ def write_distance_matrix(pairs: PairStore, path: str) -> None:
             at += fh.write(block[kept].astype("<f8", copy=False))
 
 
-def read_distance_matrix(path: str, ids: Sequence[int],
-                         into: PairStore | None = None) -> PairStore:
-    """Load the pair store that ``write_distance_matrix`` saved for these
-    ids, its absent cells NaN. Given ``into``, a store over the same ids,
-    take the file's cells into it instead, as ``PairStore._fill`` takes
-    them, and return it.
+def _stored_cells(path: str,
+                  size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The present cells of a ``write_distance_matrix`` file of ``size``
+    cells, as (cell indices, values) blocks of up to ``_BLOCK`` cells read
+    through a memory map.
 
-    ParseError, before any cell is taken, unless the file is a 1-D uint8
-    ``.npy`` array whose presence bits past the last cell are 0 and whose
-    values are 8 bytes for each presence bit set, none NaN or -inf: a
-    truncated, foreign or older dense file is never misread. Read through
-    a memory map a block of ``_BLOCK`` cells at a time."""
-    n = len(ids)
-    size = n * (n - 1) // 2
+    ParseError, before the first block, unless the file is a 1-D uint8
+    ``.npy`` array that holds ``size`` as its cell count, whose presence
+    bits past the last cell are 0 and whose values are 8 bytes for each
+    presence bit set, none NaN or -inf: a truncated, foreign or older
+    dense file, or one written for other ids, is never misread."""
     n_bits = -(-size // 8)
     try:
         data = np.load(path, mmap_mode="r", allow_pickle=False)
@@ -592,10 +590,13 @@ def read_distance_matrix(path: str, ids: Sequence[int],
         data.close()
         raise ParseError("not a .npy array")
     data = data.view(np.ndarray)  # the same mapped bytes, minus memmap's cost
-    if data.dtype != np.uint8 or data.ndim != 1 or data.size < n_bits:
-        raise ParseError(f"not a pair store over {n} ids: a {data.dtype} "
+    if data.dtype != np.uint8 or data.ndim != 1 or data.size < 8 + n_bits:
+        raise ParseError(f"not a pair store of {size} cells: a {data.dtype} "
                          f"array of shape {data.shape}")
-    bits, payload = data[:n_bits], data[n_bits:]
+    count = int(data[:8].view("<u8")[0])
+    if count != size:
+        raise ParseError(f"a pair store of {count} cells, not {size}")
+    bits, payload = data[8:8 + n_bits], data[8 + n_bits:]
     if size % 8 and bits[-1] & (0xFF >> size % 8):
         raise ParseError(f"presence bits set past the {size} cells")
     present = sum(int(np.unpackbits(bits[lo:lo + _BLOCK // 8]).sum())
@@ -607,12 +608,28 @@ def read_distance_matrix(path: str, ids: Sequence[int],
     for lo in range(0, present, _BLOCK):
         if not (values[lo:lo + _BLOCK] > -np.inf).all():
             raise ParseError("a present cell holds NaN or -inf")
-    pairs = PairStore.empty(ids) if into is None else into
     at = 0
     for lo in range(0, size, _BLOCK):
         kept = np.unpackbits(bits[lo // 8:(lo + _BLOCK) // 8],
                              count=min(_BLOCK, size - lo)).view(bool)
         cells = lo + np.flatnonzero(kept)
-        pairs._fill(cells, values[at:at + cells.size])
+        yield cells, values[at:at + cells.size]
         at += cells.size
+
+
+def read_distance_matrix(path: str, ids: Sequence[int]) -> PairStore:
+    """Load the pair store that ``write_distance_matrix`` saved for these
+    ids, its absent cells NaN; ParseError as ``_stored_cells`` raises
+    it."""
+    pairs = PairStore.empty(ids)
+    for cells, values in _stored_cells(path, pairs.values.size):
+        pairs.values[cells] = values
     return pairs
+
+
+def merge_distance_matrix(path: str, pairs: PairStore) -> None:
+    """Take the cells of the file that ``write_distance_matrix`` saved for
+    the ids of ``pairs`` into it, as ``PairStore._fill`` takes them; no
+    cell is taken when ``_stored_cells`` raises ParseError."""
+    for cells, values in _stored_cells(path, pairs.values.size):
+        pairs._fill(cells, values)

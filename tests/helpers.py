@@ -118,11 +118,12 @@ def condensed_index(n: int, i: int, j: int) -> int:
 
 def store_file(values: np.ndarray) -> np.ndarray:
     """The uint8 array a pair-store file holds for the condensed float64
-    ``values``, built from the layout: the presence bits of the cells (a
-    cell is present when it is not NaN), then the present values as
-    little-endian float64."""
+    ``values``, built from the layout: the cell count as a little-endian
+    uint64, the presence bits of the cells (a cell is present when it is
+    not NaN), then the present values as little-endian float64."""
     present = ~np.isnan(values)
-    return np.concatenate([np.packbits(present),
+    count = np.array([values.size], "<u8").view(np.uint8)
+    return np.concatenate([count, np.packbits(present),
                            values[present].astype("<f8").view(np.uint8)])
 
 
@@ -137,7 +138,7 @@ def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
     minus_inf[0] = -np.inf
     nan_value = data.copy()  # the first present cell's value made NaN
     n_bits = -(-values.size // 8)
-    nan_value[n_bits:n_bits + 8] = np.array([np.nan], "<f8").view(np.uint8)
+    nan_value[8 + n_bits:16 + n_bits] = np.array([np.nan], "<f8").view(np.uint8)
     return {
         "empty": b"",
         "text": b"2 2\n0 1\n0 1\n1.0 2.0\n3.0 x\n",
@@ -147,9 +148,12 @@ def corrupt_cache_files(values: np.ndarray) -> dict[str, bytes]:
         "pickle": pickle.dumps(values.tolist()),
         "float32": npy_bytes(values.astype(np.float32)),
         "wrong-shape": npy_bytes(data[None, :].copy()),
-        # one present cell more: its bit lands past the last cell, or
-        # shifts every value by a byte
+        # one present cell more
         "wrong-length": npy_bytes(store_file(np.append(values, 1.0))),
+        # the cells of a store twice the size: bits and values that fit
+        "wrong-cell-count": npy_bytes(np.concatenate([
+            np.array([2 * values.size], "<u8").view(np.uint8),
+            data[8:]])),
         "npz": npz_bytes(data),
         "negative-inf": npy_bytes(store_file(minus_inf)),
         # the dense layout of versions before 0.5.0

@@ -18,8 +18,8 @@ from wmdlab.errors import ParseError
 from wmdlab.knn_eval import neighbor_order
 from wmdlab.textrep import build_vocabulary
 from wmdlab.wmd import DocumentMeasure, Method, PairStore, Resources, \
-    pairwise_distances, read_distance_matrix, wmd_distance, \
-    write_distance_matrix
+    merge_distance_matrix, pairwise_distances, read_distance_matrix, \
+    wmd_distance, write_distance_matrix
 
 import reference_search
 from helpers import counts_of
@@ -348,7 +348,7 @@ def test_an_exact_value_beats_a_bound_and_a_bound_fills_a_missing_cell(
     theirs = tmp_path / "theirs.npy"
     write_distance_matrix(PairStore((0, 1, 2, 3), np.array(
         [0.5, -2.0, -9.0, -4.0, np.nan, np.nan])), theirs)
-    read_distance_matrix(theirs, (0, 1, 2, 3), into=mine)
+    merge_distance_matrix(theirs, mine)
     assert mine.values[[0, 1, 2, 3, 5]].tolist() == [0.5, -2.0, 2.0, -3.0,
                                                       5.0]
     assert np.isnan(mine.values[4])

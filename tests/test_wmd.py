@@ -22,6 +22,7 @@ from wmdlab.wmd import (
     PairStore,
     Resources,
     make_measure,
+    merge_distance_matrix,
     pairwise_distances,
     read_distance_matrix,
     representations,
@@ -438,13 +439,14 @@ def test_cache_file_bytes(tmp_path):
     path = tmp_path / "pinned.npy"
     write_distance_matrix(PairStore((0, 1, 2), np.array([0.5, np.nan, -0.25])),
                           str(path))
-    # the .npy header of a 1-D uint8 array of 17 bytes, as np.save writes
-    # it; the presence bits 101 of the three cells, padded with 0s; then
-    # the two present values as little-endian float64
+    # the .npy header of a 1-D uint8 array of 25 bytes, as np.save writes
+    # it; the cell count 3 as a little-endian uint64; the presence bits 101
+    # of the three cells, padded with 0s; then the two present values as
+    # little-endian float64
     header = io.BytesIO()
-    np.save(header, np.zeros(17, dtype=np.uint8))
-    assert path.read_bytes() == header.getvalue()[:-17] + b"\xa0" \
-        + struct.pack("<dd", 0.5, -0.25)
+    np.save(header, np.zeros(25, dtype=np.uint8))
+    assert path.read_bytes() == header.getvalue()[:-25] \
+        + struct.pack("<Q", 3) + b"\xa0" + struct.pack("<dd", 0.5, -0.25)
 
 
 def test_cache_rejects_corrupt_file(tmp_path):
@@ -458,10 +460,10 @@ def test_cache_rejects_corrupt_file(tmp_path):
     path.write_bytes(npy_bytes(store_file(values)))
     assert read_distance_matrix(path, (5, 6, 7)).values.tobytes() == \
         values.tobytes()
-    # read for 2 ids, the bits of the 2nd and 3rd cells lie past the last
-    # cell; the file does not hold its ids, which the cache key names
-    with pytest.raises(ParseError):
-        read_distance_matrix(str(path), (0, 1))
+    # the ids a store is read for must match its cell count
+    for ids in [(0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(ParseError):
+            read_distance_matrix(str(path), ids)
     # NaN marks a pair not computed yet, and a finite negative cell minus a
     # lower bound, not a corrupt file
     write_distance_matrix(PairStore((0, 1, 2), np.array([1.5, np.nan, -4.0])),
@@ -518,7 +520,7 @@ def test_cache_file_is_written_and_read_in_bounded_memory(tmp_path):
     # so does a merge into a store over the same ids
     tracemalloc.start()
     try:
-        read_distance_matrix(str(path), range(2000), into=pairs)
+        merge_distance_matrix(str(path), pairs)
         _, merged = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -564,7 +566,7 @@ def test_pair_store_merge_fills_only_missing_pairs(tmp_path):
     path = tmp_path / "theirs.npy"
     write_distance_matrix(PairStore((0, 1, 2), np.array([9.0, 2.0, np.nan])),
                           str(path))
-    assert read_distance_matrix(str(path), (0, 1, 2), into=mine) is mine
+    merge_distance_matrix(str(path), mine)
     assert mine.values[:2].tolist() == [1.0, 2.0] and np.isnan(mine.values[2])
 
 
