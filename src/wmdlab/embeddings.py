@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import io
 import logging
+import mmap
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
@@ -90,44 +93,39 @@ class EmbeddingStore:
                              {w: j for j, w in enumerate(dst)}, values)
 
 
-# Bytes read from an embedding file at a time. A load holds the kept rows,
-# the record it is reading and at most two blocks (the one it parses and the
-# one before it), whatever the size of the file, while every record fits in
-# a block. A longer record also costs a few copies of its token (the match,
-# the join, the decode) and the read at twice the size that holds it: 8.2
-# blocks at the peak in one measured load, against 2.2-2.3 without such a
-# record. At 1 MiB a block stays in a core's L2 cache (2 MiB per core on the
-# machine measured) from its read through its parse, and a fresh process
-# faults in a few MiB of buffers, not tens. A filtered load (556 rows kept)
-# of a 121 MB, 100k x 300 word2vec-binary file in a fresh process, median of
-# 24 interleaved runs per size on 2 cores: 256 KiB 0.085 s, 1 MiB 0.085 s,
-# 4 MiB 0.096 s; peak RSS 33.5, 34.2 and 43.6 MB.
+# Bytes of an embedding file parsed at a time. A text file is read through a
+# buffer of this size. A word2vec-binary file is mapped read-only a window of
+# this size at a time, from where the last whole record ended; its records
+# are parsed in place, only the kept rows' vectors are copied out, and each
+# window is unmapped before the next is mapped. A load holds the kept rows,
+# the record it is reading and at most one window of mapped file pages,
+# whatever the size of the file, while every record fits in a window. A
+# longer record also costs a few copies of its token (the match, the join,
+# the decode) and is mapped again at twice the size that holds it. A
+# filtered load (556 rows kept) of a 121 MB, 100k x 300 word2vec-binary file
+# in a fresh process, median of 12 interleaved runs per size on 2 cores:
+# 256 KiB 0.051 s, 1 MiB 0.041 s, 4 MiB 0.038 s; peak RSS 38.9-39.2,
+# 38.9-39.2 and 39.6-39.8 MB: 1 MiB maps a quarter of the pages of 4 MiB
+# for 3 ms more. Copying each 1 MiB block out of the file instead took
+# 0.051 s (39.8-39.9 MB).
 _BLOCK_BYTES = 1 << 20
 
 
-class _BlockReader(io.RawIOBase):
-    """A file read forward a block at a time: ``read_at`` reads ``size``
-    bytes from an offset, and ``readinto`` reads on from the end of the last
-    read, so the file can be read through an ``io.BufferedReader``."""
-
-    def __init__(self, path: str):
-        self._fh = open(path, "rb")
-
-    def readable(self) -> bool:
-        return True
-
-    def read_at(self, offset: int, size: int) -> bytes:
-        """``size`` bytes of the file from ``offset`` on; fewer at its end."""
-        self._fh.seek(offset)
-        return self._fh.read(size)
-
-    def readinto(self, buf) -> int:
-        return self._fh.readinto(buf)
-
-    def close(self) -> None:
-        if not self.closed:
-            self._fh.close()
-        super().close()
+@contextmanager
+def _window(fd: int, file_size: int, pos: int, size: int
+            ) -> Iterator[tuple[mmap.mmap | bytes, int]]:
+    """``(buf, base)``: the file ``fd``, of ``file_size`` bytes,
+    mapped read-only from ``base``, ``pos`` rounded down to the map
+    granularity, to ``pos + size`` or the file's end. No NumPy array or
+    memoryview of ``buf`` may outlive the ``with`` block, which unmaps it.
+    A window of no bytes, which cannot be mapped, is ``b""``."""
+    base = pos - pos % mmap.ALLOCATIONGRANULARITY
+    length = min(pos + size, file_size) - base
+    if length <= 0:
+        yield b"", base
+        return
+    with mmap.mmap(fd, length, access=mmap.ACCESS_READ, offset=base) as buf:
+        yield buf, base
 
 
 class _TextRecords:
@@ -139,7 +137,7 @@ class _TextRecords:
         self.dim: int | None = None
         self.count = 0
 
-    def select(self, stream: _BlockReader,
+    def select(self, stream: io.RawIOBase,
                vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, np.ndarray, bool]]:
         """``(line number, token, vector, is zero)`` for every record
@@ -147,36 +145,37 @@ class _TextRecords:
         vector is zero, duplicates included."""
         # universal newlines, as errors.text_lines reads the other inputs;
         # bytes that are not UTF-8 are raised with their line, in line order
-        text = io.TextIOWrapper(io.BufferedReader(stream, _BLOCK_BYTES),
-                                encoding="utf-8", errors="surrogateescape")
-        for lineno, line in enumerate(text, start=1):
-            check_utf8(line, lineno)
-            fields = line.split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2:
+        with io.TextIOWrapper(io.BufferedReader(stream, _BLOCK_BYTES),
+                              encoding="utf-8",
+                              errors="surrogateescape") as text:
+            for lineno, line in enumerate(text, start=1):
+                check_utf8(line, lineno)
+                fields = line.split()
+                if not fields:
+                    continue
+                if lineno == 1 and len(fields) == 2:
+                    try:
+                        int(fields[0]), int(fields[1])
+                        continue  # optional "count dim" header
+                    except ValueError:
+                        pass
                 try:
-                    int(fields[0]), int(fields[1])
-                    continue  # optional "count dim" header
-                except ValueError:
-                    pass
-            try:
-                vec = np.array(fields[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if vec.size == 0:
-                raise ParseError("no vector components", line=lineno)
-            if self.dim is None:
-                self.dim = vec.size
-            elif vec.size != self.dim:
-                raise ParseError(f"expected {self.dim} components, got "
-                                 f"{vec.size}", line=lineno)
-            self.count += 1
-            # the norm is 0 exactly when every square is 0, underflow
-            # included
-            zero = not (vec * vec).any()
-            if vocabulary is None or fields[0] in vocabulary or zero:
-                yield lineno, fields[0], vec, zero
+                    vec = np.array(fields[1:], dtype=np.float64)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+                if vec.size == 0:
+                    raise ParseError("no vector components", line=lineno)
+                if self.dim is None:
+                    self.dim = vec.size
+                elif vec.size != self.dim:
+                    raise ParseError(f"expected {self.dim} components, got "
+                                     f"{vec.size}", line=lineno)
+                self.count += 1
+                # the norm is 0 exactly when every square is 0, underflow
+                # included
+                zero = not (vec * vec).any()
+                if vocabulary is None or fields[0] in vocabulary or zero:
+                    yield lineno, fields[0], vec, zero
         if self.dim is None:
             raise ParseError("no embedding records found", line=1)
 
@@ -203,20 +202,24 @@ class _Word2VecRecords:
         self.dim: int | None = None
         self.count = 0
 
-    def select(self, stream: _BlockReader,
+    def select(self, stream: io.RawIOBase,
                vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, bytes, bool]]:
         """``(offset, token, vector bytes, is zero)`` for every record
         whose token is in ``vocabulary`` (every record when None) or whose
         vector is zero, duplicates included; the offset is the token's."""
-        size = 4096
-        while b"\n" not in (head := stream.read_at(0, size)) \
-                and len(head) == size:
+        fd = stream.fileno()
+        file_size = os.fstat(fd).st_size
+        size = _BLOCK_BYTES
+        while True:
+            with _window(fd, file_size, 0, size) as (buf, _):
+                newline = buf.find(b"\n")
+                header = buf[:max(newline, 0)].split()
+            if newline >= 0 or size >= file_size:
+                break
             size *= 2
-        newline = head.find(b"\n")
         if newline < 0:
             raise ParseError("missing header line", offset=0)
-        header = head[:newline].split()
         if len(header) != 2:
             raise ParseError("header must be 'count dim'", offset=0)
         try:
@@ -231,36 +234,40 @@ class _Word2VecRecords:
             t.encode("utf-8", "surrogatepass") for t in vocabulary}
         pos, size = newline + 1, _BLOCK_BYTES  # pos: the next record's offset
         while self.count < count:
-            buf = stream.read_at(pos, size)
-            # Every record that ends in buf has its token terminator at or
-            # before the last space that leaves room for a vector, and the
-            # records up to there match the pattern one after another.
-            # Ending the search there also bounds what findall retries after
-            # the last record to rec_bytes positions.
-            cut = buf.rfind(b" ", 0, max(0, len(buf) - rec_bytes))
-            if cut >= 0:
-                found = _record_pattern(rec_bytes).findall(
-                    buf, 0, cut + 1 + rec_bytes)[:count - self.count]
-                pos += yield from self._records(found, buf, pos, wanted)
-                size = _BLOCK_BYTES
-            elif len(buf) < size:
-                raise _truncated(buf, pos)
-            else:  # the record at pos is longer than buf
-                size *= 2
+            with _window(fd, file_size, pos, size) as (buf, base):
+                at = pos - base
+                # Every record that ends in the window has its token
+                # terminator at or before the last space that leaves room
+                # for a vector, and the records up to there match the
+                # pattern one after another. Ending the search there also
+                # bounds what findall retries after the last record to
+                # rec_bytes positions.
+                cut = buf.rfind(b" ", at, max(at, len(buf) - rec_bytes))
+                if cut >= 0:
+                    found = _record_pattern(rec_bytes).findall(
+                        buf, at, cut + 1 + rec_bytes)[:count - self.count]
+                    pos = base + (yield from self._records(
+                        found, buf, at, base, wanted))
+                    size = _BLOCK_BYTES
+                    continue
+                if len(buf) - at < size:
+                    raise _truncated(buf[at:], pos)
+            size *= 2  # the record at pos is longer than the window
 
-    def _records(self, found: list[bytes], buf: bytes, base: int,
-                 wanted: set[bytes] | None
+    def _records(self, found: list[bytes], buf: mmap.mmap, start: int,
+                 base: int, wanted: set[bytes] | None
                  ) -> Iterator[tuple[int, str, bytes, bool]]:
-        """Check the records ``found`` at the start of ``buf``, which sits
-        at file offset ``base``, each as the bytes before its space, and
-        yield the ones ``select`` picks; return where the last one ends."""
+        """Check the records ``found`` from ``buf[start]`` on, where ``buf``
+        sits at file offset ``base``, each as the bytes before its space,
+        and yield the ones ``select`` picks; return where in ``buf`` the
+        last one ends."""
         rec_bytes = 4 * self.dim
         k = len(found)
         # where each record's vector starts in buf
-        vectors = np.cumsum(np.fromiter(map(len, found), np.int64, k)
-                            + (1 + rec_bytes)) - rec_bytes
+        vectors = start + np.cumsum(np.fromiter(map(len, found), np.int64, k)
+                                    + (1 + rec_bytes)) - rec_bytes
         # no Python statement runs once per record: map, set methods and
-        # compress walk the block's tokens in C
+        # compress walk the window's tokens in C
         tokens = list(map(bytes.lstrip, found, repeat(b"\n", k)))
         try:
             # no invalid sequence is made valid by joining at an ASCII byte
@@ -275,9 +282,12 @@ class _Word2VecRecords:
         zeros = {i for i in np.flatnonzero(low == 0).tolist()
                  if not np.frombuffer(buf, "<f4", self.dim,
                                       int(vectors[i])).any()}
+        # a view of buf that an exception's traceback kept would make
+        # unmapping the window fail
+        del u8
         if wanted is None:
             picks = range(k)
-        elif wanted.isdisjoint(tokens):  # a block with no corpus word
+        elif wanted.isdisjoint(tokens):  # a window with no corpus word
             picks = sorted(zeros)
         else:
             picks = sorted(zeros.union(
@@ -323,9 +333,14 @@ def load_embeddings(path: str, format: str = TEXT,
     Every record is parsed and checked, and the first occurrence of a token
     wins. With ``vocabulary``, only the rows of its tokens are kept, so
     memory follows the vocabulary, not the file; ``None`` keeps every row.
-    The file is read once, in blocks of ``_BLOCK_BYTES``. A word2vec-binary
-    block starts where the last whole record ended, and one that holds no
-    whole record is read again at twice the size.
+    The file is read once. A text file is read through a buffer of
+    ``_BLOCK_BYTES``. A word2vec-binary file is mapped read-only a window of
+    ``_BLOCK_BYTES`` at a time, and each window is unmapped before the next
+    is mapped: a window starts where the last whole record ended, and one
+    that holds no whole record is mapped again at twice the size. Only the
+    kept rows' vectors are copied out of a window. A word2vec-binary file
+    that another process truncates while a window of it is mapped kills the
+    process with SIGBUS, not a ``ParseError``.
 
     A filtered load followed by ``l2_normalize`` fails as the whole file
     would: a parse error anywhere in the file comes first, then
@@ -344,7 +359,7 @@ def load_embeddings(path: str, format: str = TEXT,
     # file; some may repeat an earlier token
     dropped_zeros: list[tuple[int, str]] = []
     kept_zero = False
-    with _BlockReader(path) as stream:
+    with open(path, "rb", buffering=0) as stream:
         for n, token, raw, zero in records.select(stream, vocabulary):
             if token in kept:
                 continue
@@ -374,7 +389,7 @@ def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
     wanted = {token for _, token in candidates}
     last = candidates[-1][0]
     first_at: dict[str, int] = {}
-    with _BlockReader(path) as stream:
+    with open(path, "rb", buffering=0) as stream:
         for n, token, _, _ in records.select(stream, wanted):
             if n > last:
                 break
@@ -391,7 +406,7 @@ def zero_row_error(path: str, format: str, token: str) -> ParseError:
     ``l2_normalize`` raised ``ZeroVector`` for: ``token``'s first record,
     at its line or, in a word2vec-binary file, its byte offset."""
     records = _TextRecords() if format == TEXT else _Word2VecRecords()
-    with _BlockReader(path) as stream:
+    with open(path, "rb", buffering=0) as stream:
         place = next(n for n, t, _, _ in records.select(stream, {token})
                      if t == token)
     return ParseError(f"all-zero vector for {token!r}", path,

@@ -511,9 +511,13 @@ class PairStore:
         missing."""
         cells = self._cells(self._positions(queries)[:, None],
                             self._positions(refs)[None, :])
-        out = np.append(self.values, np.nan)[cells]
         i, j = np.nonzero(cells == self.values.size)
-        finite = np.isfinite(out)  # self cells read NaN here
+        # a self cell is read from a stored cell, then set to NaN: a NaN
+        # cell appended to values would copy the whole store
+        out = (self.values.take(cells, mode="clip") if self.values.size
+               else np.empty(cells.shape))
+        out[i, j] = np.nan
+        finite = np.isfinite(out)
         out[i, j] = np.where(finite[i].any(axis=1) | finite[:, j].any(axis=0),
                              0.0, np.inf)
         return out

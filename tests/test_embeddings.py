@@ -1,5 +1,6 @@
 import logging
 import math
+import mmap
 import pickle
 import struct
 import threading
@@ -327,7 +328,7 @@ def test_block_without_a_corpus_word_yields_its_zero_rows(
     p = tmp_path / "emb.bin"
     write_binary(p, [("w0", [1, 2]), ("z1", [0, 0]), ("w2", [3, 4]),
                      ("z3", [0, -0.0]), ("w4", [5, 6])], dim=2)
-    with embeddings._BlockReader(str(p)) as stream:
+    with open(p, "rb", buffering=0) as stream:
         got = [(n, t, z) for n, t, _, z in
                embeddings._Word2VecRecords().select(stream, vocabulary)]
     assert got == [(4, "w0", False)] * ("w0" in vocabulary) \
@@ -490,30 +491,129 @@ def test_binary_reader_agrees_with_a_whole_file_reader(
         assert got == expected
 
 
+GRANULARITY = mmap.ALLOCATIONGRANULARITY
+
+
+def boundary_file(kind, n=500, dim=3):
+    """A word2vec-binary file of ``n`` records over a few map granularity
+    pages, its tokens and the offset where each record ends: ``kind`` adds
+    blank lines and trailing bytes, a record longer than a few pages, a
+    dropped record with a non-UTF-8 token or a zero row, or cuts the last
+    record short."""
+    rng = np.random.default_rng(11)
+    data = bytearray(f"{n} {dim}\n".encode())
+    tokens, ends = [], []
+    for i in range(n):
+        lead = b"\n" * (i % 4 if kind == "blank lines" else i > 0)
+        token = f"w{i}".encode()
+        if kind == "long record" and i == 100:
+            token = b"L" * (3 * GRANULARITY + 5)
+        # pad the token so that the record ends on a page start when the
+        # next one is near
+        page = (len(data) // GRANULARITY + 1) * GRANULARITY
+        pad = page - (len(data) + len(lead) + len(token) + 1 + 4 * dim)
+        if 0 <= pad < 30:
+            token += b"_" * pad
+        if kind == "bad token" and i == 301:
+            token = b"\xff" + token
+        vector = [0.0] * dim if kind == "zero row" and i == 301 \
+            else rng.normal(size=dim)
+        data += lead + token + b" " + np.asarray(vector, "<f4").tobytes()
+        tokens.append(token.decode("utf-8", "surrogateescape"))
+        ends.append(len(data))
+    if kind == "blank lines":
+        data += b"\n\n\ntrailing bytes \xff\x00"
+    if kind == "truncated":
+        del data[-5:]
+    return bytes(data), tokens, ends
+
+
+@pytest.mark.parametrize("vocabulary", [None, "every fifth"])
+@pytest.mark.parametrize("block", [1, 61, GRANULARITY - 3, GRANULARITY,
+                                   GRANULARITY + 5, embeddings._BLOCK_BYTES])
+@pytest.mark.parametrize("kind", ["plain", "blank lines", "long record",
+                                  "bad token", "zero row", "truncated",
+                                  "empty", "header only"])
+def test_binary_reader_agrees_with_a_whole_file_reader_at_window_edges(
+        tmp_path, monkeypatch, kind, block, vocabulary):
+    data, tokens, ends = boundary_file(kind)
+    # the next record starts, or its leading newlines do, where one ends
+    assert {end % GRANULARITY == 0 for end in ends} == {True, False}
+    if kind == "empty":
+        data = b""
+    elif kind == "header only":
+        data = data[:data.index(b"\n") + 1]
+    if vocabulary:
+        vocabulary = set(tokens[::5]) | {"absent"}
+    p = tmp_path / "emb.bin"
+    p.write_bytes(data)
+    expected = outcome(lambda: reference_embeddings.load(data, vocabulary))
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+
+    def load():
+        store = load_embeddings(str(p), WORD2VEC_BINARY, vocabulary)
+        return store.tokens, store.matrix
+
+    got = outcome(load)
+    loads = isinstance(expected[1], np.ndarray)
+    assert loads == (kind in ("plain", "blank lines", "long record")
+                     or kind == "zero row" and not vocabulary)
+    if loads:
+        assert got[0] == expected[0]
+        assert got[1].tobytes() == expected[1].tobytes()
+    else:
+        assert got == expected
+
+
+class WindowSpy:
+    """Stands in for the ``mmap`` module in ``wmdlab.embeddings``: maps
+    each window as ``mmap.mmap`` does, keeps it, and counts the windows
+    still mapped when each is mapped; ``on_map(offset)`` runs first."""
+
+    ACCESS_READ = mmap.ACCESS_READ
+    ALLOCATIONGRANULARITY = mmap.ALLOCATIONGRANULARITY
+
+    def __init__(self, on_map=lambda offset: None):
+        self.on_map = on_map
+        self.windows = []
+        self.most_mapped_before = 0
+
+    def mmap(self, fd, length, *, access, offset):
+        self.on_map(offset)
+        self.most_mapped_before = max(self.most_mapped_before, sum(
+            not w.closed for w in self.windows))
+        self.windows.append(mmap.mmap(fd, length, access=access,
+                                      offset=offset))
+        return self.windows[-1]
+
+    def check(self):
+        assert self.windows
+        assert self.most_mapped_before == 0
+        assert all(w.closed for w in self.windows)
+
+
 def test_load_holds_at_most_a_few_blocks(tmp_path, monkeypatch):
     block = 64 << 10
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
     rng = np.random.default_rng(5)
-    # a token longer than a block, so that its record is read again at
-    # twice the size, then 50 blocks of about 800-byte records
+    # a token longer than a window, so that its record is mapped again at
+    # twice the size, then 50 windows of about 800-byte records
     records = [(f"w{i}", rng.normal(size=200).tolist()) for i in range(4500)]
     records.insert(3, ("x" * (block + block // 2), [1.0] * 200))
     p = tmp_path / "emb.bin"
     write_binary(p, records, dim=200)
-    # the long record, held in the doubled block and copied as its token,
-    # is not what is bounded: the peak is taken from the last read that
-    # starts less than four blocks after it
+    # the long record, copied as its token, is not what is bounded: the
+    # peak is taken from the last window mapped from less than four blocks
+    # after it
     past_long = block + block // 2 + 4 * block
     assert p.stat().st_size > past_long + 50 * block
-    read_at = embeddings._BlockReader.read_at
 
-    def read_at_resetting_peak(self, offset, size):
+    def reset_peak(offset):
         if offset <= past_long:
             tracemalloc.reset_peak()
-        return read_at(self, offset, size)
 
-    monkeypatch.setattr(embeddings._BlockReader, "read_at",
-                        read_at_resetting_peak)
+    spy = WindowSpy(reset_peak)
+    monkeypatch.setattr(embeddings, "mmap", spy)
     vocabulary = {f"w{i}" for i in range(0, 4500, 500)}
     tracemalloc.start()
     try:
@@ -522,13 +622,45 @@ def test_load_holds_at_most_a_few_blocks(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(store) == 9
+    # the mapped file pages are not Python allocations, so tracemalloc
+    # cannot see them: one window at a time bounds those
+    spy.check()
     # the kept rows are held as float32 bytes and then as float64
     kept = len(store) * 200 * (4 + 8)
-    # Measured at 2.0-2.2 blocks: the block parsed, the one before it and
-    # the lists of their records. A reader that kept reading twice the block size measured 4.6
-    # to 6.9 blocks, one that kept every block 61. The bound is 4.33 blocks
-    # here: half a block of slack over the worst run measured.
+    # Measured at 0.76 blocks: the kept rows and the lists of a window's
+    # records. A reader that copied each block out of the file measured
+    # 2.0-2.2 blocks (the block parsed, the one before it and their lists),
+    # one that kept reading twice the block size 4.6 to 6.9, one that kept
+    # every block 61. The bound is 4.33 blocks here.
     assert peak < 4 * block + kept, peak / block
+
+
+@pytest.mark.parametrize("kind", ["none", "bad token bytes", "short vector",
+                                  "no token terminator", "zero"])
+@pytest.mark.parametrize("block", [3, 64, embeddings._BLOCK_BYTES])
+def test_load_unmaps_every_window_it_maps(tmp_path, monkeypatch, kind, block):
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
+    p = tmp_path / "emb.bin"
+    if kind == "none":
+        write_binary(p, [("a", [1, 2]), ("b", [3, 4])], dim=2)
+    else:
+        write_broken(p, kind)
+    spy = WindowSpy()
+    monkeypatch.setattr(embeddings, "mmap", spy)
+    if kind == "none":
+        assert load_embeddings(str(p), WORD2VEC_BINARY, {"a"}).tokens \
+            == ("a",)
+    else:
+        with pytest.raises(ZeroVector if kind == "zero" else ParseError,
+                           match="^z$" if kind == "zero" else kind):
+            load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
+    spy.check()
+    if kind == "zero":
+        # the error's search stops at its first match
+        spy.windows.clear()
+        assert embeddings.zero_row_error(str(p), WORD2VEC_BINARY, "z").offset \
+            == 14
+        spy.check()
 
 
 # -- normalization ----------------------------------------------------------------

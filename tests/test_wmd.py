@@ -561,6 +561,41 @@ def test_pair_store_self_cells_and_missing_pairs():
     assert grid[2, 2] == math.inf  # its only stored pair is inf
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 7))
+def test_pair_store_matrix_equals_a_read_through_an_appended_nan_cell(data, n):
+    values = np.array(data.draw(st.lists(st.sampled_from(
+        [np.nan, math.inf, 0.0, -0.0, 0.25, 2.0, -0.5, 5e-324, -1e-300]),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)), np.float64)
+    pairs = PairStore(range(n), values)
+    ids = st.lists(st.integers(0, n - 1), max_size=6) if n else st.just([])
+    queries, refs = data.draw(ids), data.draw(ids)
+    # the expression matrix used before, which copies the store per read
+    cells = pairs._cells(pairs._positions(queries)[:, None],
+                         pairs._positions(refs)[None, :])
+    expected = np.append(values, np.nan)[cells]
+    i, j = np.nonzero(cells == values.size)
+    finite = np.isfinite(expected)
+    expected[i, j] = np.where(finite[i].any(axis=1)
+                              | finite[:, j].any(axis=0), 0.0, np.inf)
+    got = pairs.matrix(queries, refs)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_pair_store_matrix_does_not_copy_the_store():
+    pairs = PairStore(range(2000), np.random.default_rng(0).random(1_999_000))
+    pairs.values[::3] = np.nan
+    tracemalloc.start()
+    try:
+        grid = pairs.matrix(range(0, 2000, 200), range(5, 2000, 200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (10, 10)
+    assert peak < 1e6  # the store is 16 MB
+
+
 def test_pair_store_merge_fills_only_missing_pairs(tmp_path):
     mine = PairStore((0, 1, 2), np.array([1.0, np.nan, np.nan]))
     path = tmp_path / "theirs.npy"
