@@ -19,7 +19,6 @@ import os
 import sys
 import typing
 from collections.abc import Collection
-from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
@@ -33,10 +32,8 @@ from .embeddings import (
     l2_normalize,
     load_embeddings,
     project_pca,
-    zero_row_error,
 )
-from .errors import DegenerateInput, ParseError, WmdlabError, \
-    ZeroVector, text_lines
+from .errors import DegenerateInput, ParseError, WmdlabError, text_lines
 from .textrep import bow_vector, build_vocabulary, document_frequencies
 # unused here; perfbench/tracer.py rebinds them at these names
 from .textrep import normalize, vector_distance  # noqa: F401
@@ -303,10 +300,9 @@ def _filtered_corpus(cfg: RunConfig) -> tuple[
     store = digest = None
     if cfg.embeddings:
         vocabulary = {t for d in corp.documents for t in d.tokens}
-        with _embedding_faults(cfg):
-            loaded = load_embeddings(cfg.embeddings, cfg.format, vocabulary)
-            digest = _rows_sha256(loaded)
-            store = l2_normalize(loaded)
+        loaded = load_embeddings(cfg.embeddings, cfg.format, vocabulary)
+        digest = _rows_sha256(loaded)
+        store = l2_normalize(loaded)
     stopwords = _stopwords(cfg)
     if store is not None or stopwords:
         corp = corpus_mod.filter_vocabulary(
@@ -322,8 +318,9 @@ def _stopwords(cfg: RunConfig) -> frozenset[str]:
 
 
 def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
-    """Load ``cfg.dataset``. When that fails, an error in the embedding file
-    is reported instead, as it is whenever both inputs are broken."""
+    """Load ``cfg.dataset``. When that fails, a fault of ``cfg.embeddings``
+    is raised instead, as whenever both inputs are broken: a load keeping
+    no row reads the file once, and again to place a zero row."""
     try:
         return corpus_mod.load_corpus(cfg.dataset)
     except (WmdlabError, OSError, ValueError):
@@ -335,23 +332,8 @@ def _load_corpus(cfg: RunConfig) -> corpus_mod.Corpus:
 def _embeddings(cfg: RunConfig, vocabulary: Collection[str] | None = None
                 ) -> EmbeddingStore:
     """``cfg.embeddings`` loaded by ``load_embeddings`` and unit-normed."""
-    with _embedding_faults(cfg):
-        return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
-                                            vocabulary))
-
-
-@contextmanager
-def _embedding_faults(cfg: RunConfig):
-    """Raise a ``ParseError`` from reading ``cfg.embeddings`` again naming
-    the file, and an all-zero row as one naming its record."""
-    try:
-        yield
-    except ParseError as exc:
-        exc.path = cfg.embeddings
-        raise
-    except ZeroVector as exc:
-        raise zero_row_error(cfg.embeddings, cfg.format,
-                             exc.args[0]) from None
+    return l2_normalize(load_embeddings(cfg.embeddings, cfg.format,
+                                        vocabulary))
 
 
 # -- distance caching ----------------------------------------------------------
@@ -644,6 +626,11 @@ def cmd_project(cfg: RunConfig) -> int:
     else:
         fit_vocab = [t for t in store.tokens if t not in stopwords]
     projected = project_pca(store, cfg.target_dim, fit_vocab)
+    # no reader takes a row whose squares are all zero: fail before writing
+    zero = np.flatnonzero(~(projected.matrix ** 2).any(axis=1))
+    if zero.size:
+        raise CliError("all-zero projected vector for "
+                       f"{projected.tokens[zero[0]]!r}")
     if cfg.renormalize:
         projected = l2_normalize(projected)
     out_path = Path(cfg.out_file)

@@ -333,19 +333,20 @@ def load_embeddings(path: str, format: str = TEXT,
     Every record is parsed and checked, and the first occurrence of a token
     wins. With ``vocabulary``, only the rows of its tokens are kept, so
     memory follows the vocabulary, not the file; ``None`` keeps every row.
-    The file is read once. A text file is read through a buffer of
-    ``_BLOCK_BYTES``. A word2vec-binary file is mapped read-only a window of
-    ``_BLOCK_BYTES`` at a time, and each window is unmapped before the next
-    is mapped: a window starts where the last whole record ended, and one
-    that holds no whole record is mapped again at twice the size. Only the
-    kept rows' vectors are copied out of a window. A word2vec-binary file
-    that another process truncates while a window of it is mapped kills the
-    process with SIGBUS, not a ``ParseError``.
+    The file is read once, and again to place a dropped zero row. A text
+    file is read through a buffer of ``_BLOCK_BYTES``. A word2vec-binary
+    file is mapped read-only a window of ``_BLOCK_BYTES`` at a time, and
+    each window is unmapped before the next is mapped: a window starts
+    where the last whole record ended, and one that holds no whole record
+    is mapped again at twice the size. Only the kept rows' vectors are
+    copied out of a window. A word2vec-binary file that another process
+    truncates while a window of it is mapped kills the process with
+    SIGBUS, not a ``ParseError``.
 
-    A filtered load followed by ``l2_normalize`` fails as the whole file
-    would: a parse error anywhere in the file comes first, then
-    ``ZeroVector`` for the file's first all-zero row. The loader raises
-    that itself when the row is one it drops.
+    Every ``ParseError`` names ``path``. A load fails as a whole-file load
+    would: a parse error anywhere comes first, then the first all-zero
+    row, kept or dropped, at its token's first line or byte offset. So
+    ``l2_normalize`` cannot fail on a loaded store.
     """
     if format == TEXT:
         records = _TextRecords()
@@ -354,34 +355,41 @@ def load_embeddings(path: str, format: str = TEXT,
     else:
         raise InvalidInput(f"unknown embedding format {format!r}")
     kept: dict = {}  # token -> row, in file order
-    # zero rows dropped before the first kept zero row, as (place, token):
-    # a record's place is its line, or its byte offset in a word2vec-binary
-    # file; some may repeat an earlier token
+    # (place, token) of the first kept zero row, and of the zero rows
+    # dropped before it: a record's place is its line, or its byte offset
+    # in a word2vec-binary file; a dropped one may repeat an earlier token
+    first_zero = None
     dropped_zeros: list[tuple[int, str]] = []
-    kept_zero = False
-    with open(path, "rb", buffering=0) as stream:
-        for n, token, raw, zero in records.select(stream, vocabulary):
-            if token in kept:
-                continue
-            if vocabulary is None or token in vocabulary:
-                kept[token] = raw
-                if vocabulary is not None and not kept_zero:
-                    kept_zero = zero
-            elif zero and not kept_zero:
-                dropped_zeros.append((n, token))
-    if dropped_zeros:
-        token = _first_occurrence(path, type(records)(), dropped_zeros)
-        if token is not None:
-            raise ZeroVector(token)
+    try:
+        with open(path, "rb", buffering=0) as stream:
+            for n, token, raw, zero in records.select(stream, vocabulary):
+                if token in kept:
+                    continue
+                if vocabulary is None or token in vocabulary:
+                    kept[token] = raw
+                    if zero and first_zero is None:
+                        first_zero = n, token
+                elif zero and first_zero is None:
+                    dropped_zeros.append((n, token))
+        if dropped_zeros:
+            first_zero = _first_occurrence(path, type(records)(),
+                                           dropped_zeros) or first_zero
+    except ParseError as exc:
+        exc.path = path
+        raise
+    if first_zero is not None:
+        n, token = first_zero
+        raise ParseError(f"all-zero vector for {token!r}", path,
+                         *((n, None) if format == TEXT else (None, n)))
     logger.info("embeddings: kept %d of %d rows (dim %d)", len(kept),
                 records.count, records.dim)
     return EmbeddingStore(list(kept), records.matrix(list(kept.values())))
 
 
 def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
-                      ) -> str | None:
-    """The token of the first candidate ``(place, token)`` that is its
-    token's first occurrence in the file, or None.
+                      ) -> tuple[int, str] | None:
+    """The first candidate ``(place, token)`` that is its token's first
+    occurrence in the file, or None.
 
     Re-reads the file as far as the last candidate, so that a load need not
     remember every token of the file for the rare file with a zero row.
@@ -395,22 +403,8 @@ def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
                 break
             if token in wanted:
                 first_at.setdefault(token, n)
-    for n, token in candidates:
-        if first_at[token] == n:
-            return token
-    return None
-
-
-def zero_row_error(path: str, format: str, token: str) -> ParseError:
-    """The error for the all-zero row that ``load_embeddings`` or
-    ``l2_normalize`` raised ``ZeroVector`` for: ``token``'s first record,
-    at its line or, in a word2vec-binary file, its byte offset."""
-    records = _TextRecords() if format == TEXT else _Word2VecRecords()
-    with open(path, "rb", buffering=0) as stream:
-        place = next(n for n, t, _, _ in records.select(stream, {token})
-                     if t == token)
-    return ParseError(f"all-zero vector for {token!r}", path,
-                      *((place, None) if format == TEXT else (None, place)))
+    return next(((n, token) for n, token in candidates
+                 if first_at[token] == n), None)
 
 
 def l2_normalize(store: EmbeddingStore) -> EmbeddingStore:

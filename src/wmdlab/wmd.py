@@ -338,12 +338,13 @@ _TABLE_BYTES = 256 << 20
 def _fill_rows(tasks: Sequence[tuple], reps: Mapping, store: EmbeddingStore,
                workers: int) -> list[np.ndarray]:
     """``_row_values`` of each task ``(query, refs[, known, k])``, in
-    ``workers`` processes. Their costs come from one table of the
-    distances between the W words of the tasks' documents, which computes
-    W(W+1)/2 distances, when it fits ``_TABLE_BYTES`` and the tasks' own
-    blocks would compute as many or more: |words(query)| x |the words of
-    its references| for each task. Otherwise each task builds its block.
-    A distance has the same bits in a block as in the table."""
+    ``workers`` processes, or one per task if fewer. Their costs come from
+    one table of the distances between the W words of the tasks'
+    documents, which computes W(W+1)/2 distances, when it fits
+    ``_TABLE_BYTES`` and the tasks' own blocks would compute as many or
+    more: |words(query)| x |the words of its references| for each task.
+    Otherwise each task builds its block. A distance has the same bits in
+    a block as in the table."""
     if not tasks:
         return []
     docs = dict.fromkeys(d for q, refs, *_ in tasks for d in (q, *refs))
@@ -354,7 +355,8 @@ def _fill_rows(tasks: Sequence[tuple], reps: Mapping, store: EmbeddingStore,
                  for q, refs, *_ in tasks)
     costs = store.distances(words, words) \
         if n * n * 8 <= _TABLE_BYTES and n * (n + 1) // 2 <= blocks else store
-    if workers <= 1 or len(tasks) < 2:
+    workers = min(workers, len(tasks))  # a pool starts all its workers
+    if workers <= 1:
         return [_row_values(q, reps, refs, costs, *rest)
                 for q, refs, *rest in tasks]
     with ProcessPoolExecutor(workers, initializer=_init_worker,

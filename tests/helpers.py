@@ -1,7 +1,7 @@
 """Sparse vectors from pairs and dense views of sparse library objects,
 count vectors of token lists, embedding rows by word, broken cache files,
-the pair store's cell layout, and the dual certificate of a transport
-plan, for the tests."""
+the pair store's cell layout, the dual certificate of a transport plan,
+and a spy on the files a module opens, for the tests."""
 
 from __future__ import annotations
 
@@ -40,6 +40,18 @@ def counts_of(tokens: Mapping[int, Sequence[str]],
 
 def word_vector(store: EmbeddingStore, token: str) -> np.ndarray:
     return store.matrix[store.index[token]]
+
+
+def opened_paths(monkeypatch, module) -> list[str]:
+    """The paths ``module`` opens from now on, in order."""
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(module, "open", spy, raising=False)
+    return opened
 
 
 def row_sums(plan: TransportPlan, n_rows: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wmdlab import cli
+from wmdlab import cli, embeddings
 from wmdlab.analysis import sample_document_pairs
 from wmdlab.cli import DistanceCache, RunConfig, _cache_key, build_config, \
     main, make_parser, read_config_file
@@ -29,7 +29,7 @@ from wmdlab.wmd import Method, PairStore, read_distance_matrix, \
     representations, wmd_distance, write_distance_matrix
 
 import reference_search
-from helpers import condensed_index, corrupt_cache_files
+from helpers import condensed_index, corrupt_cache_files, opened_paths
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +307,33 @@ def test_input_fault_names_its_file_and_place(tmp_path, capsys, name,
                 "--embeddings", tmp_path / emb, "--format", fmt,
                 "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+
+
+@pytest.mark.parametrize("corpus, emb, passes, message", [
+    # w1's zero row is kept: the load places it
+    (b"a\tw0\nb\tw1\n", b"w0 1 0\nw1 0 0\nw2 1 1\n", 1,
+     "line 2: all-zero vector for 'w1'"),
+    # no document uses w1: a second pass places its dropped zero row
+    (b"a\tw0\nb\tw2\n", b"w0 1 0\nw1 0 0\nw2 1 1\n", 2,
+     "line 2: all-zero vector for 'w1'"),
+    # a broken corpus: the embedding file is loaded keeping no row, and
+    # its fault is reported instead
+    (b"a\tw0\nb w1\n", b"w0 1 0\nw1 0 0\nw2 1 1\n", 2,
+     "line 2: all-zero vector for 'w1'"),
+    (b"a\tw0\nb w1\n", b"w0 1 0\nw1 0 0\nw2 1\n", 1,
+     "line 3: expected 2 components, got 1")],
+    ids=["kept", "dropped", "broken corpus", "both parse errors"])
+def test_embedding_fault_is_placed_in_at_most_two_passes(
+        tmp_path, capsys, monkeypatch, corpus, emb, passes, message):
+    (tmp_path / "c.txt").write_bytes(corpus)
+    (tmp_path / "emb.txt").write_bytes(emb)
+    opened = opened_paths(monkeypatch, embeddings)
+    assert run(["dedup", "--dataset", tmp_path / "c.txt",
+                "--embeddings", tmp_path / "emb.txt",
+                "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'emb.txt'}: {message}\n"
+    assert opened == [str(tmp_path / "emb.txt")] * passes
 
 
 def test_dedup_outputs(workspace, tmp_path):
@@ -1184,6 +1211,21 @@ def test_project_fits_without_stopwords(workspace, tmp_path):
                                   if t not in {"w0", "w11", "w25"}])
     got = load_embeddings(str(out_file), TEXT)
     assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("renormalize", [[], ["--renormalize"]])
+def test_project_refuses_an_all_zero_projection(tmp_path, capsys,
+                                                renormalize):
+    # the 1-d projection of d is exactly 0: the file would hold a row no
+    # command reads back, and with --renormalize it cannot be unit-normed
+    emb = tmp_path / "emb.txt"
+    emb.write_text("a 1 0\nb -1 0\nd 0 1\n")
+    out_file = tmp_path / "proj" / "p.txt"
+    assert run(["project", "--embeddings", emb, "--target-dim", "1",
+                "--out-file", out_file, *renormalize]) == 1
+    assert capsys.readouterr().err == \
+        "error: all-zero projected vector for 'd'\n"
+    assert not out_file.parent.exists()
 
 
 def test_missing_required_flag_names_it(tmp_path, capsys, workspace):

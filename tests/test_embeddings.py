@@ -2,6 +2,7 @@ import logging
 import math
 import mmap
 import pickle
+import re
 import struct
 import threading
 import time
@@ -32,7 +33,7 @@ from wmdlab.errors import (
 )
 
 import reference_embeddings
-from helpers import word_vector
+from helpers import opened_paths, word_vector
 
 
 def write_binary(path, records, dim):
@@ -65,9 +66,9 @@ def test_load_text_with_header(tmp_path):
 def test_load_text_ragged_rows(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 2.0\nb 3.0\n")
-    with pytest.raises(ParseError, match="^line 2: expected 2 components, "
-                       "got 1$"):
+    with pytest.raises(ParseError) as err:
         load_embeddings(str(p), TEXT)
+    assert str(err.value) == f"{p}: line 2: expected 2 components, got 1"
 
 
 def test_load_text_bad_float(tmp_path):
@@ -90,7 +91,7 @@ def test_text_components_read_as_float_reads_them(tmp_path, component):
     except ValueError as exc:
         with pytest.raises(ParseError) as err:
             load_embeddings(str(p), TEXT)
-        assert str(err.value) == f"line 1: {exc}"
+        assert str(err.value) == f"{p}: line 1: {exc}"
     else:
         got = word_vector(load_embeddings(str(p), TEXT), "a")
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -157,7 +158,7 @@ def test_text_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, lines,
     for vocabulary in (None, {"a"}):
         with pytest.raises(ParseError) as err:
             load_embeddings(str(p), TEXT, vocabulary)
-        assert str(err.value) == f"line {line}: {message}"
+        assert str(err.value) == f"{p}: line {line}: {message}"
         assert err.value.line == line
 
 
@@ -187,6 +188,15 @@ def write_records(path, fmt, records, dim):
 
 def load_normalized(path, fmt, vocabulary=None):
     return l2_normalize(load_embeddings(str(path), fmt, vocabulary))
+
+
+def raises_zero_row(path, fmt, token, line=None, offset=None):
+    """``pytest.raises`` for the loader's error for ``token``'s all-zero
+    row: at ``line`` of a text file, at byte ``offset`` of a
+    word2vec-binary one."""
+    where = f"line {line}" if fmt == TEXT else f"byte {offset}"
+    return pytest.raises(ParseError, match="^" + re.escape(
+        f"{path}: {where}: all-zero vector for {token!r}") + "$")
 
 
 @pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
@@ -229,7 +239,7 @@ def test_filtered_duplicates_keep_first(tmp_path, fmt, vocabulary):
     # a zero first copy is the file's zero row, kept or dropped
     write_records(p, fmt, [("a", [0, 0]), ("b", [3, 4]), ("a", [5, 6])],
                   dim=2)
-    with pytest.raises(ZeroVector, match="^a$"):
+    with raises_zero_row(p, fmt, "a", line=1, offset=4):
         load_normalized(p, fmt, vocabulary)
 
 
@@ -255,7 +265,8 @@ def test_filtered_load_checks_dropped_binary_records(tmp_path):
 def test_filtered_load_checks_dropped_text_records(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 2.0\nb 3.0\n")
-    with pytest.raises(ParseError, match="^line 2: expected 2"):
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"{p}: line 2: expected 2")):
         load_embeddings(str(p), TEXT, {"a"})
     p.write_text("a 1.0 2.0\nb 3.0 oops\n")
     with pytest.raises(ParseError) as err:
@@ -268,13 +279,14 @@ def test_filtered_load_checks_dropped_text_records(tmp_path):
 def test_dropped_zero_row_raises_first_zero_token(tmp_path, fmt, vocabulary):
     p = tmp_path / "emb"
     # "b" and then "c" are zero: "b" is the first zero row, dropped or not
+    # (11-byte binary records from byte 4)
     write_records(p, fmt, [("a", [0, 2]), ("b", [0, 0]), ("c", [0, -0.0])],
                   dim=2)
-    with pytest.raises(ZeroVector, match="^b$"):
+    with raises_zero_row(p, fmt, "b", line=2, offset=15):
         load_normalized(p, fmt, vocabulary)
     write_records(p, fmt, [("a", [0, 2]), ("c", [0, -0.0]), ("b", [0, 0])],
                   dim=2)
-    with pytest.raises(ZeroVector, match="^c$"):
+    with raises_zero_row(p, fmt, "c", line=2, offset=15):
         load_normalized(p, fmt, vocabulary)
 
 
@@ -286,12 +298,27 @@ def test_dropped_zero_row_loses_to_a_later_parse_error(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+@pytest.mark.parametrize("vocabulary, passes", [
+    (None, 1), ({"b", "c"}, 1),  # "b" is kept
+    ({"a", "c"}, 2), (set(), 2)])  # dropped: a second pass places it
+def test_zero_row_is_placed_in_one_pass_if_kept_two_if_dropped(
+        tmp_path, monkeypatch, fmt, vocabulary, passes):
+    p = tmp_path / "emb"
+    write_records(p, fmt, [("a", [1, 2]), ("b", [0, 0]), ("c", [3, 4])],
+                  dim=2)
+    opened = opened_paths(monkeypatch, embeddings)
+    with raises_zero_row(p, fmt, "b", line=2, offset=15):
+        load_embeddings(str(p), fmt, vocabulary)
+    assert opened == [str(p)] * passes
+
+
 def test_text_zero_row_is_one_whose_squares_underflow(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 2.0\nb 1e-200 -1e-200\n")
-    with pytest.raises(ZeroVector, match="^b$"):
+    with raises_zero_row(p, TEXT, "b", line=2):
         load_normalized(p, TEXT)
-    with pytest.raises(ZeroVector, match="^b$"):
+    with raises_zero_row(p, TEXT, "b", line=2):
         load_normalized(p, TEXT, {"a"})
 
 
@@ -333,7 +360,7 @@ def test_block_without_a_corpus_word_yields_its_zero_rows(
                embeddings._Word2VecRecords().select(stream, vocabulary)]
     assert got == [(4, "w0", False)] * ("w0" in vocabulary) \
         + [(16, "z1", True), (40, "z3", True)]
-    with pytest.raises(ZeroVector, match="^z1$"):
+    with raises_zero_row(p, WORD2VEC_BINARY, "z1", offset=16):
         load_normalized(p, WORD2VEC_BINARY, vocabulary)
 
 
@@ -408,6 +435,14 @@ def write_broken(path, kind):
         fh.write(b"2 2\n" + b"a " + struct.pack("<2f", 1, 2) + last)
 
 
+def raises_broken(path, kind):
+    """``pytest.raises`` for the loader's error for ``write_broken``'s
+    file: its dropped zero row, which starts at byte 14, or ``kind``."""
+    if kind == "zero":
+        return raises_zero_row(path, WORD2VEC_BINARY, "z", offset=14)
+    return pytest.raises(ParseError, match=kind)
+
+
 @pytest.mark.parametrize("kind", ["bad token bytes", "short vector",
                                   "no token terminator", "zero"])
 @pytest.mark.parametrize("block", [3, embeddings._BLOCK_BYTES, 16 << 20])
@@ -427,8 +462,7 @@ def test_load_leaves_no_thread_running(tmp_path, monkeypatch, kind, block):
     load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
     assert threading.active_count() == before
     write_broken(p, kind)
-    with pytest.raises(ZeroVector if kind == "zero" else ParseError,
-                       match="^z$" if kind == "zero" else kind):
+    with raises_broken(p, kind):
         load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
     assert threading.active_count() == before and not started
 
@@ -463,8 +497,8 @@ def binary_files(draw):
 def outcome(load):
     try:
         return load()
-    except (ParseError, ZeroVector) as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
 
 
 @settings(max_examples=400, deadline=None)
@@ -475,7 +509,8 @@ def test_binary_reader_agrees_with_a_whole_file_reader(
         tmp_path_factory, data, block, vocabulary):
     p = tmp_path_factory.getbasetemp() / "drawn.bin"
     p.write_bytes(data)
-    expected = outcome(lambda: reference_embeddings.load(data, vocabulary))
+    expected = outcome(lambda: reference_embeddings.load(data, vocabulary,
+                                                         str(p)))
 
     def load():
         store = load_embeddings(str(p), WORD2VEC_BINARY, vocabulary)
@@ -547,7 +582,8 @@ def test_binary_reader_agrees_with_a_whole_file_reader_at_window_edges(
         vocabulary = set(tokens[::5]) | {"absent"}
     p = tmp_path / "emb.bin"
     p.write_bytes(data)
-    expected = outcome(lambda: reference_embeddings.load(data, vocabulary))
+    expected = outcome(lambda: reference_embeddings.load(data, vocabulary,
+                                                         str(p)))
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block)
 
     def load():
@@ -556,8 +592,7 @@ def test_binary_reader_agrees_with_a_whole_file_reader_at_window_edges(
 
     got = outcome(load)
     loads = isinstance(expected[1], np.ndarray)
-    assert loads == (kind in ("plain", "blank lines", "long record")
-                     or kind == "zero row" and not vocabulary)
+    assert loads == (kind in ("plain", "blank lines", "long record"))
     if loads:
         assert got[0] == expected[0]
         assert got[1].tobytes() == expected[1].tobytes()
@@ -651,16 +686,10 @@ def test_load_unmaps_every_window_it_maps(tmp_path, monkeypatch, kind, block):
         assert load_embeddings(str(p), WORD2VEC_BINARY, {"a"}).tokens \
             == ("a",)
     else:
-        with pytest.raises(ZeroVector if kind == "zero" else ParseError,
-                           match="^z$" if kind == "zero" else kind):
+        # a dropped zero row is placed by a second pass, which stops at it
+        with raises_broken(p, kind):
             load_embeddings(str(p), WORD2VEC_BINARY, {"a"})
     spy.check()
-    if kind == "zero":
-        # the error's search stops at its first match
-        spy.windows.clear()
-        assert embeddings.zero_row_error(str(p), WORD2VEC_BINARY, "z").offset \
-            == 14
-        spy.check()
 
 
 # -- normalization ----------------------------------------------------------------

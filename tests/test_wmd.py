@@ -369,6 +369,47 @@ def test_single_pair_computes_only_its_documents_words(clustered_store,
     assert shapes == [(3, 4)]
 
 
+@pytest.mark.parametrize("workers, n_tasks, pool", [
+    (64, 3, (3, 1)),  # 3 open rows on a 64-CPU host: 3 workers, not 64
+    (30, 30, (30, 1)),
+    (2, 30, (2, 3)),  # as many tasks as workers or more: chunks unchanged
+    (8, 1, None),  # one task, or one worker, runs in this process
+    (1, 30, None)])
+def test_pool_has_no_more_workers_than_tasks(small_resources, monkeypatch,
+                                             workers, n_tasks, pool):
+    pools = []
+
+    class InlinePool:
+        """Records the workers and chunk size asked of a pool, and runs its
+        tasks in this process, so that no large pool is started."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append([max_workers])
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            pools[-1].append(chunksize)
+            return map(fn, tasks)
+
+    reps = representations(list(range(6)), Method.parse("wmd"),
+                           small_resources)
+    store = small_resources.store
+    tasks = [(a, (b,)) for a in range(6) for b in range(6) if a != b]
+    tasks = tasks[:n_tasks]
+    serial = wmd._fill_rows(tasks, reps, store, 1)
+    monkeypatch.setattr(wmd, "_STATE", {})
+    monkeypatch.setattr(wmd, "ProcessPoolExecutor", InlinePool)
+    got = wmd._fill_rows(tasks, reps, store, workers)
+    assert pools == ([] if pool is None else [list(pool)])
+    assert np.concatenate(got).tobytes() == np.concatenate(serial).tobytes()
+
+
 def test_vector_matrix_starts_no_pool(small_resources, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a BOW/TF-IDF matrix started a process pool")
