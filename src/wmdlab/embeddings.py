@@ -11,12 +11,11 @@ same bits in every block that holds it. A NumPy reduction (``sum``,
 ``einsum``, ``linalg.norm``, a dot product) may add in another order and
 differs from ``cdist`` in the last bits of most cells. Which blocks to
 build, and which to share between documents, is decided by the caller
-(``wmd.pair_distances``).
+(``wmd._fill_rows``).
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import mmap
 import os
@@ -35,7 +34,7 @@ from .errors import (
     ParseError,
     RankDeficient,
     ZeroVector,
-    check_utf8,
+    text_lines,
 )
 
 TEXT = "text"
@@ -93,21 +92,21 @@ class EmbeddingStore:
                              {w: j for j, w in enumerate(dst)}, values)
 
 
-# Bytes of an embedding file parsed at a time. A text file is read through a
-# buffer of this size. A word2vec-binary file is mapped read-only a window of
-# this size at a time, from where the last whole record ended; its records
-# are parsed in place, only the kept rows' vectors are copied out, and each
-# window is unmapped before the next is mapped. A load holds the kept rows,
-# the record it is reading and at most one window of mapped file pages,
-# whatever the size of the file, while every record fits in a window. A
-# longer record also costs a few copies of its token (the match, the join,
-# the decode) and is mapped again at twice the size that holds it. A
-# filtered load (556 rows kept) of a 121 MB, 100k x 300 word2vec-binary file
-# in a fresh process, median of 12 interleaved runs per size on 2 cores:
-# 256 KiB 0.051 s, 1 MiB 0.041 s, 4 MiB 0.038 s; peak RSS 38.9-39.2,
-# 38.9-39.2 and 39.6-39.8 MB: 1 MiB maps a quarter of the pages of 4 MiB
-# for 3 ms more. Copying each 1 MiB block out of the file instead took
-# 0.051 s (39.8-39.9 MB).
+# Bytes of a word2vec-binary file parsed at a time (a text file is read by
+# errors.text_lines, as every other text input is). It is mapped read-only
+# a window of this size at a time, from where the last whole record ended;
+# its records are parsed in place, only the kept rows' vectors are copied
+# out, and each window is unmapped before the next is mapped. A load holds
+# the kept rows, the record it is reading and at most one window of mapped
+# file pages, whatever the size of the file, while every record fits in a
+# window. A longer record also costs a few copies of its token (the match,
+# the join, the decode) and is mapped again at twice the size that holds
+# it. A filtered load (556 rows kept) of a 121 MB, 100k x 300
+# word2vec-binary file in a fresh process, median of 12 interleaved runs
+# per size on 2 cores: 256 KiB 0.051 s, 1 MiB 0.041 s, 4 MiB 0.038 s; peak
+# RSS 38.9-39.2, 38.9-39.2 and 39.6-39.8 MB: 1 MiB maps a quarter of the
+# pages of 4 MiB for 3 ms more. Copying each 1 MiB block out of the file
+# instead took 0.051 s (39.8-39.9 MB).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -137,45 +136,37 @@ class _TextRecords:
         self.dim: int | None = None
         self.count = 0
 
-    def select(self, stream: io.RawIOBase,
-               vocabulary: Collection[str] | None
+    def select(self, path: str, vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, np.ndarray, bool]]:
-        """``(line number, token, vector, is zero)`` for every record
-        whose token is in ``vocabulary`` (every record when None) or whose
-        vector is zero, duplicates included."""
-        # universal newlines, as errors.text_lines reads the other inputs;
-        # bytes that are not UTF-8 are raised with their line, in line order
-        with io.TextIOWrapper(io.BufferedReader(stream, _BLOCK_BYTES),
-                              encoding="utf-8",
-                              errors="surrogateescape") as text:
-            for lineno, line in enumerate(text, start=1):
-                check_utf8(line, lineno)
-                fields = line.split()
-                if not fields:
-                    continue
-                if lineno == 1 and len(fields) == 2:
-                    try:
-                        int(fields[0]), int(fields[1])
-                        continue  # optional "count dim" header
-                    except ValueError:
-                        pass
+        """``(line number, token, vector, is zero)`` for every record of
+        the file ``path`` whose token is in ``vocabulary`` (every record
+        when None) or whose vector is zero, duplicates included."""
+        for lineno, line in text_lines(path):
+            fields = line.split()
+            if not fields:
+                continue
+            if lineno == 1 and len(fields) == 2:
                 try:
-                    vec = np.array(fields[1:], dtype=np.float64)
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-                if vec.size == 0:
-                    raise ParseError("no vector components", line=lineno)
-                if self.dim is None:
-                    self.dim = vec.size
-                elif vec.size != self.dim:
-                    raise ParseError(f"expected {self.dim} components, got "
-                                     f"{vec.size}", line=lineno)
-                self.count += 1
-                # the norm is 0 exactly when every square is 0, underflow
-                # included
-                zero = not (vec * vec).any()
-                if vocabulary is None or fields[0] in vocabulary or zero:
-                    yield lineno, fields[0], vec, zero
+                    int(fields[0]), int(fields[1])
+                    continue  # optional "count dim" header
+                except ValueError:
+                    pass
+            try:
+                vec = np.array(fields[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if vec.size == 0:
+                raise ParseError("no vector components", line=lineno)
+            if self.dim is None:
+                self.dim = vec.size
+            elif vec.size != self.dim:
+                raise ParseError(f"expected {self.dim} components, got "
+                                 f"{vec.size}", line=lineno)
+            self.count += 1
+            # the norm is 0 exactly when every square is 0, underflow included
+            zero = not (vec * vec).any()
+            if vocabulary is None or fields[0] in vocabulary or zero:
+                yield lineno, fields[0], vec, zero
         if self.dim is None:
             raise ParseError("no embedding records found", line=1)
 
@@ -202,57 +193,58 @@ class _Word2VecRecords:
         self.dim: int | None = None
         self.count = 0
 
-    def select(self, stream: io.RawIOBase,
-               vocabulary: Collection[str] | None
+    def select(self, path: str, vocabulary: Collection[str] | None
                ) -> Iterator[tuple[int, str, bytes, bool]]:
-        """``(offset, token, vector bytes, is zero)`` for every record
-        whose token is in ``vocabulary`` (every record when None) or whose
-        vector is zero, duplicates included; the offset is the token's."""
-        fd = stream.fileno()
-        file_size = os.fstat(fd).st_size
-        size = _BLOCK_BYTES
-        while True:
-            with _window(fd, file_size, 0, size) as (buf, _):
-                newline = buf.find(b"\n")
-                header = buf[:max(newline, 0)].split()
-            if newline >= 0 or size >= file_size:
-                break
-            size *= 2
-        if newline < 0:
-            raise ParseError("missing header line", offset=0)
-        if len(header) != 2:
-            raise ParseError("header must be 'count dim'", offset=0)
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise ParseError("header must be 'count dim'", offset=0) from None
-        if count < 1 or dim < 1:
-            raise ParseError(f"bad header counts {count} {dim}", offset=0)
-        self.dim = dim
-        rec_bytes = 4 * dim
-        wanted = None if vocabulary is None else {
-            t.encode("utf-8", "surrogatepass") for t in vocabulary}
-        pos, size = newline + 1, _BLOCK_BYTES  # pos: the next record's offset
-        while self.count < count:
-            with _window(fd, file_size, pos, size) as (buf, base):
-                at = pos - base
-                # Every record that ends in the window has its token
-                # terminator at or before the last space that leaves room
-                # for a vector, and the records up to there match the
-                # pattern one after another. Ending the search there also
-                # bounds what findall retries after the last record to
-                # rec_bytes positions.
-                cut = buf.rfind(b" ", at, max(at, len(buf) - rec_bytes))
-                if cut >= 0:
-                    found = _record_pattern(rec_bytes).findall(
-                        buf, at, cut + 1 + rec_bytes)[:count - self.count]
-                    pos = base + (yield from self._records(
-                        found, buf, at, base, wanted))
-                    size = _BLOCK_BYTES
-                    continue
-                if len(buf) - at < size:
-                    raise _truncated(buf[at:], pos)
-            size *= 2  # the record at pos is longer than the window
+        """``(offset, token, vector bytes, is zero)`` for every record of
+        the file ``path`` whose token is in ``vocabulary`` (every record
+        when None) or whose vector is zero, duplicates included; the offset
+        is the token's."""
+        with open(path, "rb", buffering=0) as stream:
+            fd = stream.fileno()
+            file_size = os.fstat(fd).st_size
+            size = _BLOCK_BYTES
+            while True:
+                with _window(fd, file_size, 0, size) as (buf, _):
+                    newline = buf.find(b"\n")
+                    header = buf[:max(newline, 0)].split()
+                if newline >= 0 or size >= file_size:
+                    break
+                size *= 2
+            if newline < 0:
+                raise ParseError("missing header line", offset=0)
+            try:
+                count, dim = map(int, header)  # exactly two integers
+            except ValueError:
+                raise ParseError("header must be 'count dim'",
+                                 offset=0) from None
+            if count < 1 or dim < 1:
+                raise ParseError(f"bad header counts {count} {dim}", offset=0)
+            self.dim = dim
+            rec_bytes = 4 * dim
+            wanted = None if vocabulary is None else {
+                t.encode("utf-8", "surrogatepass") for t in vocabulary}
+            # pos: the next record's offset
+            pos, size = newline + 1, _BLOCK_BYTES
+            while self.count < count:
+                with _window(fd, file_size, pos, size) as (buf, base):
+                    at = pos - base
+                    # Every record that ends in the window has its token
+                    # terminator at or before the last space that leaves room
+                    # for a vector, and the records up to there match the
+                    # pattern one after another. Ending the search there also
+                    # bounds what findall retries after the last record to
+                    # rec_bytes positions.
+                    cut = buf.rfind(b" ", at, max(at, len(buf) - rec_bytes))
+                    if cut >= 0:
+                        found = _record_pattern(rec_bytes).findall(
+                            buf, at, cut + 1 + rec_bytes)[:count - self.count]
+                        pos = base + (yield from self._records(
+                            found, buf, at, base, wanted))
+                        size = _BLOCK_BYTES
+                        continue
+                    if len(buf) - at < size:
+                        raise _truncated(buf[at:], pos)
+                size *= 2  # the record at pos is longer than the window
 
     def _records(self, found: list[bytes], buf: mmap.mmap, start: int,
                  base: int, wanted: set[bytes] | None
@@ -334,13 +326,13 @@ def load_embeddings(path: str, format: str = TEXT,
     wins. With ``vocabulary``, only the rows of its tokens are kept, so
     memory follows the vocabulary, not the file; ``None`` keeps every row.
     The file is read once, and again to place a dropped zero row. A text
-    file is read through a buffer of ``_BLOCK_BYTES``. A word2vec-binary
-    file is mapped read-only a window of ``_BLOCK_BYTES`` at a time, and
-    each window is unmapped before the next is mapped: a window starts
-    where the last whole record ended, and one that holds no whole record
-    is mapped again at twice the size. Only the kept rows' vectors are
-    copied out of a window. A word2vec-binary file that another process
-    truncates while a window of it is mapped kills the process with
+    file is read by ``errors.text_lines``, as every other text input is.
+    A word2vec-binary file is mapped read-only a window of ``_BLOCK_BYTES``
+    at a time, and each window is unmapped before the next is mapped: a
+    window starts where the last whole record ended, and one that holds no
+    whole record is mapped again at twice the size. Only the kept rows'
+    vectors are copied out of a window. A word2vec-binary file that another
+    process truncates while a window of it is mapped kills the process with
     SIGBUS, not a ``ParseError``.
 
     Every ``ParseError`` names ``path``. A load fails as a whole-file load
@@ -361,16 +353,15 @@ def load_embeddings(path: str, format: str = TEXT,
     first_zero = None
     dropped_zeros: list[tuple[int, str]] = []
     try:
-        with open(path, "rb", buffering=0) as stream:
-            for n, token, raw, zero in records.select(stream, vocabulary):
-                if token in kept:
-                    continue
-                if vocabulary is None or token in vocabulary:
-                    kept[token] = raw
-                    if zero and first_zero is None:
-                        first_zero = n, token
-                elif zero and first_zero is None:
-                    dropped_zeros.append((n, token))
+        for n, token, raw, zero in records.select(path, vocabulary):
+            if token in kept:
+                continue
+            if vocabulary is None or token in vocabulary:
+                kept[token] = raw
+                if zero and first_zero is None:
+                    first_zero = n, token
+            elif zero and first_zero is None:
+                dropped_zeros.append((n, token))
         if dropped_zeros:
             first_zero = _first_occurrence(path, type(records)(),
                                            dropped_zeros) or first_zero
@@ -397,12 +388,11 @@ def _first_occurrence(path: str, records, candidates: list[tuple[int, str]]
     wanted = {token for _, token in candidates}
     last = candidates[-1][0]
     first_at: dict[str, int] = {}
-    with open(path, "rb", buffering=0) as stream:
-        for n, token, _, _ in records.select(stream, wanted):
-            if n > last:
-                break
-            if token in wanted:
-                first_at.setdefault(token, n)
+    for n, token, _, _ in records.select(path, wanted):
+        if n > last:
+            break
+        if token in wanted:
+            first_at.setdefault(token, n)
     return next(((n, token) for n, token in candidates
                  if first_at[token] == n), None)
 

@@ -293,7 +293,8 @@ def write_report_csv(rows: Sequence[Mapping[str, object]], path: str) -> None:
 
 def summarize(rows: Sequence[Mapping[str, object]],
               base_method: str | None = None) -> dict:
-    """Per-(dataset, method) mean/std over folds plus relative scores."""
+    """Per-(dataset, method) mean/std over folds plus relative scores; one
+    that is NaN (a fold with no usable test document) is None, JSON null."""
     grouped: dict[tuple[str, str], list[float]] = {}
     for row in rows:
         key = (str(row["dataset"]), str(row["method"]))
@@ -304,20 +305,25 @@ def summarize(rows: Sequence[Mapping[str, object]],
         mean = math.fsum(errs) / len(errs)
         std = float(np.std(errs, ddof=1)) if len(errs) > 1 else None
         summary["methods"].setdefault(method, {})[dataset] = {
-            "mean_error_percent": mean,
-            "std_error_percent": std,
+            "mean_error_percent": _defined(mean),
+            "std_error_percent": _defined(std),
             "folds": len(errs),
         }
         means.setdefault(method, {})[dataset] = mean
     if base_method and base_method in means:
         try:
-            summary["relative_to_base"] = relative_performance(means,
-                                                               base_method)
+            summary["relative_to_base"] = {
+                m: _defined(r)
+                for m, r in relative_performance(means, base_method).items()}
             summary["base_method"] = base_method
         except DivisionByZero as exc:
             summary["relative_to_base"] = None
             summary["relative_error"] = str(exc)
     return summary
+
+
+def _defined(x: float | None) -> float | None:
+    return None if x is None or math.isnan(x) else x
 
 
 def write_summary_json(summary: Mapping, path: str) -> None:

@@ -1,7 +1,7 @@
 """Sparse vectors from pairs and dense views of sparse library objects,
 count vectors of token lists, embedding rows by word, broken cache files,
 the pair store's cell layout, the dual certificate of a transport plan,
-and a spy on the files a module opens, for the tests."""
+and spies on the files modules open, for the tests."""
 
 from __future__ import annotations
 
@@ -42,15 +42,30 @@ def word_vector(store: EmbeddingStore, token: str) -> np.ndarray:
     return store.matrix[store.index[token]]
 
 
-def opened_paths(monkeypatch, module) -> list[str]:
-    """The paths ``module`` opens from now on, in order."""
-    opened = []
-
+def _spy_on_open(monkeypatch, modules, record) -> None:
+    """Call ``record(file, file object)`` for each file ``modules`` open
+    from now on."""
     def spy(file, *args, **kwargs):
-        opened.append(str(file))
-        return open(file, *args, **kwargs)
+        fh = open(file, *args, **kwargs)
+        record(file, fh)
+        return fh
 
-    monkeypatch.setattr(module, "open", spy, raising=False)
+    for module in modules:
+        monkeypatch.setattr(module, "open", spy, raising=False)
+
+
+def opened_paths(monkeypatch, *modules) -> list[str]:
+    """The paths ``modules`` open from now on, in order."""
+    opened = []
+    _spy_on_open(monkeypatch, modules,
+                 lambda file, fh: opened.append(str(file)))
+    return opened
+
+
+def opened_files(monkeypatch, *modules) -> list:
+    """The file objects ``modules`` open from now on, in order."""
+    opened = []
+    _spy_on_open(monkeypatch, modules, lambda file, fh: opened.append(fh))
     return opened
 
 

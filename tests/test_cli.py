@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wmdlab import cli, embeddings
+from wmdlab import cli, embeddings, errors
 from wmdlab.analysis import sample_document_pairs
 from wmdlab.cli import DistanceCache, RunConfig, _cache_key, build_config, \
     main, make_parser, read_config_file
@@ -327,13 +327,64 @@ def test_embedding_fault_is_placed_in_at_most_two_passes(
         tmp_path, capsys, monkeypatch, corpus, emb, passes, message):
     (tmp_path / "c.txt").write_bytes(corpus)
     (tmp_path / "emb.txt").write_bytes(emb)
-    opened = opened_paths(monkeypatch, embeddings)
+    opened = opened_paths(monkeypatch, embeddings, errors)
     assert run(["dedup", "--dataset", tmp_path / "c.txt",
                 "--embeddings", tmp_path / "emb.txt",
                 "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == \
         f"error: {tmp_path / 'emb.txt'}: {message}\n"
-    assert opened == [str(tmp_path / "emb.txt")] * passes
+    # the corpus is read through errors too
+    assert [q for q in opened if q != str(tmp_path / "c.txt")] \
+        == [str(tmp_path / "emb.txt")] * passes
+
+
+@pytest.mark.parametrize("name, content, token, line, message", [
+    # lone CR line ends and a blank line; a form feed splits fields only
+    ("cr.txt", b"w0 1 0\r\rw1\x0c1\r", "w1", 3,
+     "expected 2 components, got 1"),
+    # CRLF, a lone CR, and NEL and LINE SEPARATOR inside fields
+    ("ff.txt", "w0 1\x0c0\r\n\rw1 0\x851\nw2 0\u20280\n".encode(), "w2", 4,
+     "all-zero vector for 'w2'")])
+def test_embedding_file_splits_lines_as_every_text_input(
+        tmp_path, capsys, name, content, token, line, message):
+    (tmp_path / "c.txt").write_bytes(b"a\tw0\nb\tw1\n")
+    (tmp_path / name).write_bytes(content)
+    # the line errors.text_lines numbers for a corpus holds the record
+    assert dict(errors.text_lines(tmp_path / name))[line].split()[0] == token
+    assert run(["dedup", "--dataset", tmp_path / "c.txt",
+                "--embeddings", tmp_path / name,
+                "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / name}: line {line}: {message}\n"
+
+
+def test_summary_json_is_strict_json_when_no_test_document_is_usable(
+        tmp_path):
+    # documents 4 and 5 have no word with an embedding: every test
+    # document of the fold is unusable and each error is NaN
+    (tmp_path / "c.txt").write_bytes(
+        b"a\tw0 w1\nb\tw2 w3\na\tw1 w0\nb\tw3 w2\na\tzz\nb\tyy\n")
+    (tmp_path / "c.fold0.txt").write_bytes(b"train: 0 1 2 3\ntest: 4 5\n")
+    (tmp_path / "emb.txt").write_bytes(
+        b"w0 1 0\nw1 0.9 0.1\nw2 0 1\nw3 0.1 0.9\n")
+    out = tmp_path / "out"
+    assert run(["eval", "--dataset", tmp_path / "c.txt",
+                "--embeddings", tmp_path / "emb.txt",
+                "--method", "bow(l1,l1),wmd", "--workers", "1",
+                "--cache-dir", tmp_path / "cache", "--out", out]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=refuse)
+    for method in ("bow(l1,l1)", "wmd"):
+        assert summary["methods"][method]["c"] == {
+            "folds": 1, "mean_error_percent": None,
+            "std_error_percent": None}
+    assert summary["relative_to_base"] == {"bow(l1,l1)": None, "wmd": None}
+    report = csv.DictReader((out / "report.csv").read_text().splitlines())
+    assert [r["error_percent"] for r in report] == ["nan", "nan"]
 
 
 def test_dedup_outputs(workspace, tmp_path):

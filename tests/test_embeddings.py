@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from wmdlab import embeddings
+from wmdlab import embeddings, errors
 from wmdlab.embeddings import (
     EmbeddingStore,
     TEXT,
@@ -33,7 +34,7 @@ from wmdlab.errors import (
 )
 
 import reference_embeddings
-from helpers import opened_paths, word_vector
+from helpers import opened_files, opened_paths, word_vector
 
 
 def write_binary(path, records, dim):
@@ -307,10 +308,41 @@ def test_zero_row_is_placed_in_one_pass_if_kept_two_if_dropped(
     p = tmp_path / "emb"
     write_records(p, fmt, [("a", [1, 2]), ("b", [0, 0]), ("c", [3, 4])],
                   dim=2)
-    opened = opened_paths(monkeypatch, embeddings)
+    opened = opened_paths(monkeypatch, embeddings, errors)
     with raises_zero_row(p, fmt, "b", line=2, offset=15):
         load_embeddings(str(p), fmt, vocabulary)
     assert opened == [str(p)] * passes
+
+
+def _refuse_second_record(p, fmt):
+    """Make the reader refuse record "b" of ``p``: a short vector in a text
+    file, a token that is not UTF-8 in a word2vec-binary one."""
+    data = p.read_bytes()
+    p.write_bytes(data.replace(b"b 3.0 4.0", b"b 3.0") if fmt == TEXT
+                  else data.replace(b"b ", b"\xff ", 1))
+
+
+@pytest.mark.parametrize("fmt", [TEXT, WORD2VEC_BINARY])
+@pytest.mark.parametrize("records, vocabulary, broken, fault, passes", [
+    ([("a", [1, 2]), ("b", [3, 4])], None, False, None, 1),
+    # "b"'s zero row is dropped: the second pass stops at the later "b"
+    ([("a", [1, 2]), ("b", [0, 0]), ("b", [3, 4])], {"a"}, False,
+     "all-zero vector", 2),
+    ([("a", [1, 2]), ("b", [3, 4]), ("c", [5, 6])], None, True,
+     "components|bad token bytes", 1)],
+    ids=["full load", "early break", "parse error"])
+def test_every_load_closes_each_file_it_opens(
+        tmp_path, monkeypatch, fmt, records, vocabulary, broken, fault,
+        passes):
+    p = tmp_path / "emb"
+    write_records(p, fmt, records, dim=2)
+    if broken:
+        _refuse_second_record(p, fmt)
+    opened = opened_files(monkeypatch, embeddings, errors)
+    with pytest.raises(ParseError, match=fault) if fault else nullcontext():
+        load_embeddings(str(p), fmt, vocabulary)
+    assert len(opened) == passes
+    assert all(fh.closed for fh in opened)
 
 
 def test_text_zero_row_is_one_whose_squares_underflow(tmp_path):
@@ -355,9 +387,8 @@ def test_block_without_a_corpus_word_yields_its_zero_rows(
     p = tmp_path / "emb.bin"
     write_binary(p, [("w0", [1, 2]), ("z1", [0, 0]), ("w2", [3, 4]),
                      ("z3", [0, -0.0]), ("w4", [5, 6])], dim=2)
-    with open(p, "rb", buffering=0) as stream:
-        got = [(n, t, z) for n, t, _, z in
-               embeddings._Word2VecRecords().select(stream, vocabulary)]
+    got = [(n, t, z) for n, t, _, z in
+           embeddings._Word2VecRecords().select(str(p), vocabulary)]
     assert got == [(4, "w0", False)] * ("w0" in vocabulary) \
         + [(16, "z1", True), (40, "z3", True)]
     with raises_zero_row(p, WORD2VEC_BINARY, "z1", offset=16):

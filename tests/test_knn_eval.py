@@ -436,3 +436,18 @@ def test_report_csv_and_summary(tmp_path):
     json_path = tmp_path / "summary.json"
     write_summary_json(summary, str(json_path))
     assert json.loads(json_path.read_text())["base_method"] == "bow(l1,l1)"
+
+
+def test_summary_writes_null_for_an_undefined_score(tmp_path):
+    # "wmd" has a fold whose test documents were all unusable: "nan"
+    rows = [{"dataset": "toy", "method": m, "fold": f, "error_percent": e}
+            for m, errs in [("bow(l1,l1)", ["4.0", "6.0"]),
+                            ("wmd", ["nan", "3.0"])]
+            for f, e in enumerate(errs)]
+    summary = summarize(rows, base_method="bow(l1,l1)")
+    assert summary["methods"]["wmd"]["toy"] == {
+        "mean_error_percent": None, "std_error_percent": None, "folds": 2}
+    assert summary["relative_to_base"] == {"bow(l1,l1)": 1.0, "wmd": None}
+    json_path = tmp_path / "summary.json"
+    write_summary_json(summary, str(json_path))
+    assert "NaN" not in json_path.read_text()
